@@ -1,9 +1,8 @@
-"""Object-store broker micro-benchmark: CAS queue + heartbeats vs serial.
+"""Broker micro-benchmark: submit → worker drain → collect vs serial.
 
-Companion to ``test_transport_scaling.py`` for the object-store backend
-(ROADMAP: "an object-store ShardBroker backend"): the same fixed grid is
-executed once by the SerialExecutor directly and once through the full
-object-store pipeline — :meth:`~repro.bench.transport.ObjectStoreBroker.submit`
+Companion to ``test_shard_scaling.py`` for the broker queue: the same fixed
+grid is executed once by the SerialExecutor directly and once through the
+full pipeline — :meth:`~repro.bench.transport.ObjectStoreBroker.submit`
 over a :class:`~repro.bench.store.FileSystemObjectStore`, one
 :class:`~repro.bench.transport.ShardWorker` pull loop (with its default
 heartbeat thread renewing leases in the background) over a warm artifact
@@ -12,8 +11,8 @@ cache, then ``collect`` + :func:`~repro.bench.shard.merge_shard_results`.
 Only correctness is asserted (the collected merge is bit-identical to
 serial); the recorded ``store_overhead_seconds`` is the price of CAS
 bookkeeping — plan/manifest/lease objects, compare-and-swap leases and
-renewals, results puts and re-reads — i.e. what the cloud-shaped transport
-costs over the directory broker's rename-based one on one machine.
+renewals, results puts and re-reads — on *one* machine, i.e. the fixed
+cost a real deployment pays to buy crash-tolerant N-machine scale-out.
 """
 
 from __future__ import annotations

@@ -69,12 +69,9 @@ from repro.bench.transport import (
     DEFAULT_LEASE_TTL,
     DEFAULT_PLAN,
     BrokerStatus,
-    InMemoryBroker,
     LeaseHeartbeat,
-    LocalDirBroker,
     ObjectStoreBroker,
     PlanStatus,
-    ShardBroker,
     ShardLease,
     ShardWorker,
     validate_plan_name,
@@ -102,11 +99,9 @@ __all__ = [
     "Executor",
     "FailIf",
     "FileSystemObjectStore",
-    "InMemoryBroker",
     "InMemoryObjectStore",
     "JsonlSink",
     "LeaseHeartbeat",
-    "LocalDirBroker",
     "MANIFEST_FORMAT_VERSION",
     "ManifestExecutor",
     "MetricSummary",
@@ -122,7 +117,6 @@ __all__ = [
     "RunRecord",
     "RunRegistry",
     "SerialExecutor",
-    "ShardBroker",
     "ShardError",
     "ShardLease",
     "ShardManifest",

@@ -2,9 +2,9 @@
 
 The broker contract (``tests/broker_contract.py``) proves the queue at
 *cloud shape*; this module proves it at *cloud weather*.  It decorates the
-storage and transport layers with reproducible adversarial schedules —
-latency spikes, transient errors, CAS-lost storms, truncated listings — so
-the retry/reclaim paths the contract depends on are actually driven, not
+storage layer with reproducible adversarial schedules — latency spikes,
+transient errors, CAS-lost storms, truncated listings — so the
+retry/reclaim paths the contract depends on are actually driven, not
 merely present:
 
 :class:`FaultSchedule`
@@ -22,22 +22,11 @@ merely present:
     ``put_if_match`` calls reported lost without being attempted (a CAS
     storm), and ``list_prefix`` pages truncated to a prefix of the truth
     (the partial-list behaviour real object stores exhibit under eventual
-    consistency).
-:class:`FaultyBroker`
-    The same idea one layer up, for brokers with no store underneath
-    (:class:`~repro.bench.transport.LocalDirBroker`,
-    :class:`~repro.bench.transport.InMemoryBroker`): transient errors and
-    latency on every queue verb, plus ``renew``/``lease`` forced to report
-    the race lost — the storm that drives a worker's abandon path.
-:class:`RetryingBroker`
-    The consumer-side armour as a reusable decorator: every queue verb
-    wrapped in :func:`~repro.bench.store.call_with_retries`, the same
-    bounded backoff :class:`~repro.bench.transport.ObjectStoreBroker` and
-    :class:`~repro.bench.transport.ShardWorker` apply internally.  The
-    chaos conformance suite runs every contract clause through
-    ``RetryingBroker(FaultyBroker(...))`` and the clauses must hold
-    verbatim: bounded retry makes injected transients *invisible* to
-    callers, which is the whole claim.
+    consistency).  :class:`~repro.bench.transport.ObjectStoreBroker`
+    retries every store call with bounded backoff, and the chaos
+    conformance suite holds every contract clause to verbatim: bounded
+    retry makes injected transients *invisible* to callers, which is the
+    whole claim.
 
 Injection happens strictly before the wrapped call, so a fault never
 corrupts state — it only makes the operation slower, lie about losing, or
@@ -58,29 +47,16 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.bench import telemetry
-from repro.bench.shard import ShardError, ShardPlan, ShardResults
-from repro.bench.store import (
-    ObjectStore,
-    RetryPolicy,
-    StoredObject,
-    TransientStoreError,
-    call_with_retries,
-)
+from repro.bench.shard import ShardError
+from repro.bench.store import ObjectStore, StoredObject, TransientStoreError
 from repro.bench.telemetry import CasRetry, EventSink
-from repro.bench.transport import (
-    DEFAULT_PLAN,
-    BrokerStatus,
-    ShardBroker,
-    ShardLease,
-)
 
 _SCHEDULE_KIND = "repro-fault-schedule"
 _SCHEDULE_FORMAT_VERSION = 1
 
-#: The injectable operations of the two wrappers; also the legal op names
-#: in a schedule file (anything else is a typo worth rejecting).
+#: The injectable store operations; also the legal op names in a schedule
+#: file (anything else is a typo worth rejecting).
 STORE_OPS = ("put_if_absent", "put_if_match", "get", "list_prefix", "delete")
-BROKER_OPS = ("submit", "lease", "renew", "post", "collect", "status")
 
 
 def _check_rate(op: str, label: str, value: object) -> float:
@@ -104,9 +80,9 @@ class FaultSpec:
     ``latency_s``
         Upper bound of a uniform injected sleep per call.
     ``cas_lost_rate``
-        ``put_if_match`` (and broker ``renew``/``lease``): probability the
-        call reports its race lost *without attempting the swap* — a CAS
-        storm from the caller's point of view.
+        ``put_if_match``: probability the call reports its race lost
+        *without attempting the swap* — a CAS storm from the caller's point
+        of view (a lost lease renewal drives a worker's abandon path).
     ``truncate_rate``
         ``list_prefix``: probability the listing returns only a seeded
         prefix of the real page (never fabricated keys — partial truth,
@@ -189,7 +165,7 @@ class FaultSchedule:
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ShardError(f"fault schedule seed must be an integer, "
                              f"got {seed!r}")
-        known = set(STORE_OPS) | set(BROKER_OPS)
+        known = set(STORE_OPS)
         self.ops: Dict[str, FaultSpec] = {}
         for op, spec in (ops or {}).items():
             if op not in known:
@@ -386,136 +362,3 @@ class FaultyObjectStore(ObjectStore):
 
     def describe(self) -> str:
         return f"faulty({self.inner.describe()})"
-
-
-class FaultyBroker(ShardBroker):
-    """Decorate any :class:`ShardBroker` with a :class:`FaultSchedule`.
-
-    The shim :class:`~repro.bench.transport.LocalDirBroker` (and the
-    in-memory broker) need to join chaos conformance: those backends have
-    no object store underneath to wrap, so the weather is injected on the
-    queue verbs themselves.  Transient errors fire before the inner call;
-    ``cas_lost`` on ``renew`` (or ``lease``) makes the verb report its
-    race lost — ``None`` — without touching the queue, which is how a
-    worker is driven into its abandon path on demand.
-    """
-
-    def __init__(self, inner: ShardBroker, schedule: FaultSchedule,
-                 sleep: Callable[[float], None] = time.sleep,
-                 sink: Optional[EventSink] = None) -> None:
-        self.inner = inner
-        self.schedule = schedule
-        self.sink = sink
-        self.enabled = True
-        self.injected = _InjectionCounters()
-        self._sleep = sleep
-
-    @property
-    def lease_ttl(self) -> float:
-        return self.inner.lease_ttl
-
-    def _inject(self, op: str, key: str) -> FaultDecision:
-        if not self.enabled:
-            return _NO_FAULT
-        decision = self.schedule.decide(op)
-        if decision.delay_s > 0:
-            self.injected.bump("delays")
-            self._sleep(decision.delay_s)
-        if decision.error:
-            self.injected.bump("errors")
-            raise TransientStoreError(
-                f"faulty broker: injected transient fault "
-                f"({op} on {key!r})")
-        return decision
-
-    def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
-               priority: int = 0) -> None:
-        self._inject("submit", name)
-        self.inner.submit(plan, name=name, priority=priority)
-
-    def lease(self, worker_id: str) -> Optional[ShardLease]:
-        decision = self._inject("lease", worker_id)
-        if decision.cas_lost:
-            self.injected.bump("cas_lost")
-            return None  # "every shard's CAS went to somebody else"
-        return self.inner.lease(worker_id)
-
-    def renew(self, lease: ShardLease) -> Optional[ShardLease]:
-        decision = self._inject("renew", lease.token)
-        if decision.cas_lost:
-            self.injected.bump("cas_lost")
-            return None  # "a reclaimer swapped the lease out from under us"
-        return self.inner.renew(lease)
-
-    def post(self, lease: ShardLease, results: ShardResults) -> bool:
-        self._inject("post", lease.token)
-        return self.inner.post(lease, results)
-
-    def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
-        self._inject("collect", name)
-        return self.inner.collect(name)
-
-    def status(self) -> BrokerStatus:
-        self._inject("status", "status")
-        return self.inner.status()
-
-    def plan_names(self):
-        return self.inner.plan_names()
-
-
-class RetryingBroker(ShardBroker):
-    """Wrap every queue verb of ``inner`` in bounded retry-with-backoff.
-
-    Absorbs :class:`TransientStoreError` only — semantic
-    :class:`~repro.bench.shard.ShardError`\\ s (foreign-plan posts, occupied
-    names, malformed payloads) pass straight through, and exhaustion
-    surfaces as a labeled
-    :class:`~repro.bench.store.RetryBudgetExceeded`.  This is the
-    consumer-side armour the chaos conformance suite holds the whole
-    contract to, and the CLI's ``--fault-schedule`` path uses it so
-    coordinator verbs (submit/collect/status) survive the same weather
-    workers do.
-    """
-
-    def __init__(self, inner: ShardBroker,
-                 policy: Optional[RetryPolicy] = None,
-                 sink: Optional[EventSink] = None) -> None:
-        self.inner = inner
-        self.policy = policy or RetryPolicy()
-        self.sink = sink
-
-    @property
-    def lease_ttl(self) -> float:
-        return self.inner.lease_ttl
-
-    def _call(self, op: str, key: str, fn):
-        return call_with_retries(fn, op=op, key=key, policy=self.policy,
-                                 sink=self.sink)
-
-    def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
-               priority: int = 0) -> None:
-        self._call("submit", name,
-                   lambda: self.inner.submit(plan, name=name,
-                                             priority=priority))
-
-    def lease(self, worker_id: str) -> Optional[ShardLease]:
-        return self._call("lease", worker_id,
-                          lambda: self.inner.lease(worker_id))
-
-    def renew(self, lease: ShardLease) -> Optional[ShardLease]:
-        return self._call("renew", lease.token,
-                          lambda: self.inner.renew(lease))
-
-    def post(self, lease: ShardLease, results: ShardResults) -> bool:
-        return self._call("post", lease.token,
-                          lambda: self.inner.post(lease, results))
-
-    def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
-        return self._call("collect", name, lambda: self.inner.collect(name))
-
-    def status(self) -> BrokerStatus:
-        return self._call("status", "status", self.inner.status)
-
-    def plan_names(self):
-        return self._call("plan_names", "plans",
-                          lambda: self.inner.plan_names())

@@ -1,11 +1,11 @@
 """The fleet observability plane.
 
-Three modules close the ROADMAP's "fleet aggregation + autoscaling
-signals" item on top of the PR 5/PR 7 telemetry substrate:
+Two modules build fleet aggregation on top of the PR 5/PR 7 telemetry
+substrate:
 
 :mod:`repro.bench.observe.trace`
     Deterministic trace correlation: trial/shard/plan trace ids derived
-    from the same identity fields that make the five execution paths
+    from the same identity fields that make the four execution paths
     byte-identical, a thread-local span-context stack for the
     instrumented seams, and the reconstruction that turns merged JSONL
     from any number of workers back into one per-trial timeline.
@@ -14,14 +14,8 @@ signals" item on top of the PR 5/PR 7 telemetry substrate:
     per-worker :class:`~repro.bench.telemetry.MetricsSnapshotSink` files
     (and/or live JSONL tails) into one staleness-aware gauges object,
     plus the OpenMetrics textfile writer/parser (no dependencies).
-:mod:`repro.bench.observe.advisor`
-    :class:`~repro.bench.observe.advisor.AdvisorPolicy` consumes the
-    aggregated gauges and emits typed
-    :class:`~repro.bench.telemetry.ScaleAdvice` recommendations
-    (recommend-only; actuation is out of scope).
 """
 
-from repro.bench.observe.advisor import AdvisorPolicy
 from repro.bench.observe.fleet import (
     FleetAggregator,
     FleetGauges,
@@ -43,7 +37,6 @@ from repro.bench.observe.trace import (
 )
 
 __all__ = [
-    "AdvisorPolicy",
     "FleetAggregator",
     "FleetGauges",
     "ObserveError",

@@ -54,10 +54,10 @@ class WorkerSnapshot:
     path: str
     worker_id: str
     schema_version: int
-    #: Wall-clock write stamp; file mtime for version-1 snapshots.
-    written_at: Optional[float]
+    #: Wall-clock write stamp.
+    written_at: float
     #: Seconds since ``written_at`` at aggregation time.
-    age_s: Optional[float]
+    age_s: float
     #: True when ``age_s`` exceeded the aggregator's ``max_age_s``.
     stale: bool
     plans: Dict[str, Dict[str, object]] = field(default_factory=dict)
@@ -151,8 +151,7 @@ class FleetGauges:
             lines.append(header)
             lines.append("-" * len(header))
             for worker in self.workers:
-                age = f"{worker.age_s:8.1f}" if worker.age_s is not None \
-                    else f"{'?':>8s}"
+                age = f"{worker.age_s:8.1f}"
                 state = "STALE" if worker.stale else "live"
                 lines.append(f"{worker.worker_id:<{width}s} {age} "
                              f"{worker.events:>7d} "
@@ -200,22 +199,13 @@ class FleetAggregator:
     def add_snapshot(self, path: Union[str, Path]) -> WorkerSnapshot:
         """Fold one :class:`MetricsSnapshotSink` file in; returns the
         parsed (staleness-flagged) snapshot.  Raises
-        :class:`~repro.bench.telemetry.TelemetryError` on bad files or
-        unknown schema versions."""
+        :class:`~repro.bench.telemetry.TelemetryError` on bad files,
+        unknown schema versions or non-numeric fields."""
         payload = load_metrics_snapshot(path)
         target = Path(path)
-        written_at = payload.get("written_at")
-        if written_at is None:
-            # Version-1 snapshots predate the stamp; the file mtime is the
-            # closest honest signal (rewritten atomically on every update).
-            try:
-                written_at = target.stat().st_mtime
-            except OSError:
-                written_at = None
-        age_s = (self._clock() - float(written_at)
-                 if written_at is not None else None)
-        stale = bool(self.max_age_s is not None and age_s is not None
-                     and age_s > self.max_age_s)
+        written_at = float(payload["written_at"])
+        age_s = self._clock() - written_at
+        stale = self.max_age_s is not None and age_s > self.max_age_s
         idle = payload.get("worker_idle", {})
         idle = idle if isinstance(idle, dict) else {}
         plans = payload.get("plans", {})
@@ -225,8 +215,8 @@ class FleetAggregator:
         snapshot = WorkerSnapshot(
             path=str(target),
             worker_id=str(payload.get("worker_id") or target.stem),
-            schema_version=int(payload.get("schema_version", 1)),
-            written_at=float(written_at) if written_at is not None else None,
+            schema_version=int(payload["schema_version"]),
+            written_at=written_at,
             age_s=age_s, stale=stale,
             plans={str(name): dict(gauges) for name, gauges in plans.items()
                    if isinstance(gauges, dict)},
@@ -285,13 +275,10 @@ class FleetAggregator:
             # facts each worker observed at a different moment, so the
             # youngest snapshot mentioning the plan is the best estimate.
             best_age: Dict[str, float] = {}
-            for worker in sorted(self._workers,
-                                 key=lambda w: (w.age_s is None,
-                                                w.age_s or 0.0)):
-                age = worker.age_s if worker.age_s is not None \
-                    else float("inf")
+            for worker in sorted(self._workers, key=lambda w: w.age_s):
                 for name, plan in worker.plans.items():
-                    if name not in gauges.plans or age < best_age[name]:
+                    if name not in gauges.plans \
+                            or worker.age_s < best_age[name]:
                         merged = {
                             "queued": int(plan.get("queued", 0)),
                             "leased": int(plan.get("leased", 0)),
@@ -301,7 +288,7 @@ class FleetAggregator:
                             "age_s": worker.age_s,
                         }
                         gauges.plans[name] = merged
-                        best_age[name] = age
+                        best_age[name] = worker.age_s
         for plan, samples in self._depth_samples.items():
             samples = sorted(samples)
             if len(samples) < 2:
@@ -375,9 +362,8 @@ def render_openmetrics(gauges: FleetGauges, prefix: str = "repro") -> str:
     name = head(f"{prefix}_worker_age_seconds", "gauge",
                 "Age of each worker's snapshot at aggregation time.")
     for worker in gauges.workers:
-        if worker.age_s is not None:
-            lines.append(_sample(name, {"worker": worker.worker_id},
-                                 f"{worker.age_s:.3f}"))
+        lines.append(_sample(name, {"worker": worker.worker_id},
+                             f"{worker.age_s:.3f}"))
     name = head(f"{prefix}_events_total", "counter",
                 "Telemetry events by type, summed across workers.")
     for counter, count in sorted(gauges.counters.items()):

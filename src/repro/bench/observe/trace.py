@@ -1,7 +1,7 @@
 """Deterministic trace correlation across the worker/broker/store layers.
 
 One trial's journey — submit → lease → rip/cache → act → post → collect —
-crosses three processes (submitter, worker, collector) and five possible
+crosses three processes (submitter, worker, collector) and four possible
 execution paths.  This module makes that journey reconstructable from
 merged JSONL without any runtime coordination, by deriving every id from
 the same identity fields that already make the paths byte-identical:
@@ -71,7 +71,7 @@ def trial_trace_id(spec) -> str:
     ``spec`` is duck-typed (``task_id``/``setting_key``/``trial``/``seed``,
     i.e. a :class:`~repro.bench.engine.TrialSpec`).  Because ``seed`` is
     itself derived from the run seed and the spec identity, the id is
-    byte-identical across all five execution paths for the same run.
+    byte-identical across all four execution paths for the same run.
     """
     return _derive("trial", spec.seed, spec.task_id, spec.setting_key,
                    spec.trial)

@@ -35,8 +35,10 @@ RUN_RECORD_FORMAT_VERSION = 1
 
 _RECORD_KIND = "repro-run-record"
 
-#: The execution paths a record may claim: the five equivalence paths, plus
-#: the maintenance paths recorded by ``repro cache gc`` and incremental rips.
+#: The execution paths a record may claim: the four equivalence paths
+#: (``store-broker`` is the broker), ``dir-broker`` for the broker runs of
+#: older builds that committed BENCH files still carry, plus the
+#: maintenance paths recorded by ``repro cache gc`` and incremental rips.
 EXECUTOR_PATHS = ("serial", "parallel", "file-shard", "dir-broker",
                   "store-broker", "cache-gc", "incremental-rip")
 
@@ -52,7 +54,7 @@ def _executor_base(executor: str) -> str:
     """The path component of an executor label.
 
     Broker runs against a *named* plan label themselves
-    ``dir-broker:planA`` / ``store-broker:planA`` so ``runs list``/``diff``
+    ``store-broker:planA`` so ``runs list``/``diff``
     can tell concurrent tenants apart; the part before the first ``:`` must
     still be one of :data:`EXECUTOR_PATHS`.  Default-namespace runs keep
     the bare label, so pre-PR-7 records and tooling are unaffected.

@@ -283,17 +283,25 @@ class FileSystemObjectStore(ObjectStore):
 
     Layout::
 
-        root/<quoted-key>/g0000000000     generation files; the current
-        root/<quoted-key>/g0000000001     value is the highest generation,
-        ...                               its file name is the etag
+        root/p<parent>/k<leaf>/g0000000000   generation files; the current
+        root/p<parent>/k<leaf>/g0000000001   value is the highest
+        ...                                  generation, its file name is
+                                             the etag
 
-    Key directories are the key URL-quoted with no safe characters, so the
-    store is a single flat level regardless of ``/`` in keys.  New
-    generations are materialized with :func:`os.link` from a fully written
-    temp file — creation is atomic and exclusive, so concurrent CAS writers
-    race safely even over NFS.  Superseded generations are truncated, not
-    immediately unlinked: a stale writer holding etag ``g…n`` finds
-    ``g…n+1`` already present and fails.
+    A key splits after its last ``/``: ``<parent>`` is everything up to and
+    including that slash (empty for a key without one) and ``<leaf>`` the
+    rest, both URL-quoted with no safe characters.  Keeping the slash in
+    the bucket name keeps ``y`` and ``/y`` apart.  Every key sharing a
+    parent lives in one bucket directory, so :meth:`list_prefix` opens only
+    the buckets that can hold matching keys instead of walking every key
+    in the store.  Only :meth:`_key_dir` and :meth:`list_prefix` know this
+    layout.
+
+    New generations are materialized with :func:`os.link` from a fully
+    written temp file — creation is atomic and exclusive, so concurrent CAS
+    writers race safely even over NFS.  Superseded generations are
+    truncated, not immediately unlinked: a stale writer holding etag
+    ``g…n`` finds ``g…n+1`` already present and fails.
 
     That alone would grow hot keys (a heartbeat-renewed lease object) one
     file per write forever, so old generations are pruned behind a *floor*:
@@ -341,7 +349,9 @@ class FileSystemObjectStore(ObjectStore):
         if not key:
             raise ShardError(f"{self.describe()}: object keys must be "
                              "non-empty")
-        return self.root / quote(key, safe="")
+        parent, slash, leaf = key.rpartition("/")
+        return (self.root / ("p" + quote(parent + slash, safe=""))
+                / ("k" + quote(leaf, safe="")))
 
     @staticmethod
     def _generation_name(generation: int) -> str:
@@ -533,25 +543,38 @@ class FileSystemObjectStore(ObjectStore):
     def list_prefix(self, prefix: str) -> List[str]:
         keys = []
         try:
-            children = list(self.root.iterdir())
+            buckets = [name for name in os.listdir(self.root)
+                       if name.startswith("p")]
         except FileNotFoundError:
             return []
-        for child in children:
-            if not child.is_dir():
-                continue
-            key = unquote(child.name)
-            if not key.startswith(prefix):
+        for bucket in buckets:
+            parent = unquote(bucket[1:])
+            # A bucket can hold a match only when one of parent and prefix
+            # extends the other; every other bucket is never opened.
+            if not (parent.startswith(prefix) or prefix.startswith(parent)):
                 continue
             try:
-                exists = self._key_exists(key, child)
-            except FileNotFoundError:
-                # The whole key directory vanished between the root scan
-                # and the per-entry stat (a concurrent pruner or external
-                # cleanup): the key is gone, not the listing — skip the
-                # entry instead of aborting every other key's result.
-                continue
-            if exists:
-                keys.append(key)
+                leaves = os.listdir(self.root / bucket)
+            except (FileNotFoundError, NotADirectoryError):
+                continue  # removed meanwhile, or a foreign file in root
+            for leaf in leaves:
+                if not leaf.startswith("k"):
+                    continue
+                key = parent + unquote(leaf[1:])
+                if not key.startswith(prefix):
+                    continue
+                try:
+                    exists = self._key_exists(key,
+                                              self.root / bucket / leaf)
+                except FileNotFoundError:
+                    # The key directory vanished between the bucket scan
+                    # and the per-entry stat (a concurrent pruner or
+                    # external cleanup): the key is gone, not the listing
+                    # — skip the entry instead of aborting every other
+                    # key's result.
+                    continue
+                if exists:
+                    keys.append(key)
         return sorted(keys)
 
     def delete(self, key: str) -> bool:

@@ -1,7 +1,7 @@
 """Structured telemetry: typed events, pluggable sinks, zero-cost when off.
 
 The scaling stack (engine → shards → broker → object store) executes one
-grid through five byte-identical paths, but byte-identical output says
+grid through four byte-identical paths, but byte-identical output says
 nothing about *where the time went*.  This module is the measurement
 substrate: instrumentation points across the stack emit small typed events
 (:class:`TrialStarted`/:class:`TrialFinished` from the runner and executors,
@@ -388,26 +388,6 @@ class QueueDepth(TelemetryEvent):
     done: int
 
 
-@dataclass(frozen=True)
-class ScaleAdvice(TelemetryEvent):
-    """An autoscaling recommendation from the fleet advisor.
-
-    Recommend-only: nothing in this package actuates workers.  ``action``
-    is ``scale_up`` / ``scale_down`` / ``hold``, ``workers`` is the live
-    (non-stale) worker count the advice was computed from, ``recommended``
-    the suggested fleet size, and ``reason`` a human-readable sentence
-    naming the signals (backlog, idle fraction, drain-rate ETA).
-    """
-
-    name: ClassVar[str] = "scale_advice"
-    action: str
-    workers: int
-    recommended: int
-    queued: int
-    leased: int
-    reason: str
-
-
 #: Every shipped event type's name.  Consumers that want "no events of this
 #: kind" to read as an explicit zero (e.g. the runs-diff metric namespace,
 #: where a --fail-if gate on ``cache_miss`` must not report the counter
@@ -418,7 +398,7 @@ EVENT_NAMES: tuple = tuple(sorted(event.name for event in (
     RipFull, RipIncremental,
     LeaseAcquired, LeaseRenewed, LeaseLost, ManifestAbandoned, ShardPosted,
     ShardCollected, CasRetry, StoreRetry, WorkerIdle,
-    PlanSubmitted, PlanDrained, QueueDepth, ScaleAdvice)))
+    PlanSubmitted, PlanDrained, QueueDepth)))
 
 
 def phases_from_result(result, rip_s: Optional[float] = None,
@@ -604,13 +584,11 @@ class TeeSink(EventSink):
         return bool(self.sinks)
 
 
-#: Schema version written into every :class:`MetricsSnapshotSink` file.
-#: Version 1 (PR 7) had no ``schema_version``/``written_at``/``worker_id``/
-#: ``counters`` keys; readers accept both and reject anything else.
+#: Schema version written into every :class:`MetricsSnapshotSink` file,
+#: and the only one readers accept.  Version 1 (PR 7) had no
+#: ``schema_version``/``written_at``/``worker_id``/``counters`` keys and is
+#: rejected like any other unknown schema.
 METRICS_SCHEMA_VERSION = 2
-
-#: Snapshot schema versions this build can read.
-KNOWN_METRICS_SCHEMA_VERSIONS = (1, METRICS_SCHEMA_VERSION)
 
 
 class MetricsSnapshotSink(EventSink):
@@ -776,11 +754,12 @@ def read_jsonl_events(path: Union[str, Path]) -> List[Dict[str, object]]:
 def load_metrics_snapshot(path: Union[str, Path]) -> Dict[str, object]:
     """Read and validate one :class:`MetricsSnapshotSink` file.
 
-    Accepts every version in :data:`KNOWN_METRICS_SCHEMA_VERSIONS` (a file
-    with no ``schema_version`` key is a version-1 snapshot from an older
-    worker) and rejects anything else with a :class:`TelemetryError` that
-    names the file — a fleet mixing worker builds must fail loudly, not
-    render gauges whose meaning silently changed.
+    Accepts :data:`METRICS_SCHEMA_VERSION` only and rejects anything else
+    (a missing ``schema_version`` included) with a :class:`TelemetryError`
+    that names the file — a fleet mixing worker builds must fail loudly,
+    not render gauges whose meaning silently changed.  The numeric fields
+    aggregation reads (``written_at``, ``events``, ``worker_idle`` and
+    every counter) must be JSON numbers; the error names the field.
     """
     target = Path(path)
     try:
@@ -795,13 +774,25 @@ def load_metrics_snapshot(path: Union[str, Path]) -> Dict[str, object]:
     if not isinstance(payload, dict):
         raise TelemetryError(
             f"metrics snapshot {target!s} must be a JSON object")
-    version = payload.get("schema_version", 1)
-    if version not in KNOWN_METRICS_SCHEMA_VERSIONS:
-        known = ", ".join(str(v) for v in KNOWN_METRICS_SCHEMA_VERSIONS)
+    version = payload.get("schema_version")
+    if version != METRICS_SCHEMA_VERSION:
         raise TelemetryError(
             f"metrics snapshot {target!s} has schema_version {version!r}; "
-            f"this build reads version(s) {known} — refusing to render "
-            "gauges whose schema is unknown")
+            f"this build reads version {METRICS_SCHEMA_VERSION} — refusing "
+            "to render gauges whose schema is unknown")
+    numbers = {"written_at": payload.get("written_at")}
+    if "events" in payload:
+        numbers["events"] = payload["events"]
+    for group in ("worker_idle", "counters"):
+        values = payload.get(group, {})
+        if isinstance(values, dict):
+            numbers.update((f"{group}.{key}", value)
+                           for key, value in values.items())
+    for label, value in numbers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TelemetryError(
+                f"metrics snapshot {target!s}: field {label!r} must be a "
+                f"number, got {value!r}")
     return payload
 
 

@@ -5,13 +5,13 @@ hand-carries manifest JSONs to machines and collects results back.  This
 module turns it into a deploy-anywhere work queue with three roles:
 
 coordinator
-    :meth:`ShardBroker.submit` enqueues every manifest of a
+    :meth:`ObjectStoreBroker.submit` enqueues every manifest of a
     :class:`~repro.bench.shard.ShardPlan` under a *plan name* (namespace);
     one broker holds any number of named plans concurrently.
-    :meth:`ShardBroker.status` reports per-plan and aggregate
+    :meth:`ObjectStoreBroker.status` reports per-plan and aggregate
     queued/leased/done counts (:class:`BrokerStatus` over
     :class:`PlanStatus` rows) while workers run;
-    :meth:`ShardBroker.collect` gathers one named plan's posted
+    :meth:`ObjectStoreBroker.collect` gathers one named plan's posted
     :class:`~repro.bench.shard.ShardResults`, which feed straight into
     :func:`~repro.bench.shard.merge_shard_results` so all of PR 2's
     plan-identity validation applies unchanged.  Single-plan callers that
@@ -27,29 +27,29 @@ worker
     newly submitted plans without a restart; ``stop()``/SIGTERM or
     ``max_idle_s`` shut it down cleanly.
 broker
-    :class:`LocalDirBroker` implements the queue on a shared (NFS-style)
-    directory using only atomic renames (one subtree per plan under
-    ``plans/<name>/``), so any number of workers on any number of machines
-    can race for leases without locks; leases expire after ``lease_ttl``
-    seconds and are reclaimed, so a crashed worker's manifest is re-run by
-    a peer.  :class:`ObjectStoreBroker` implements the same contract over
-    any :class:`~repro.bench.store.ObjectStore` (S3-style conditional
-    writes; the plan name is folded into the ``manifest/``, ``lease/`` and
+    :class:`ObjectStoreBroker` implements the queue over any
+    :class:`~repro.bench.store.ObjectStore` (S3-style conditional writes;
+    the plan name is folded into the ``manifest/``, ``lease/`` and
     ``result/`` key layout, with one index object per plan under
-    ``plans/``), making the queue deployable against cloud storage.
-    :class:`InMemoryBroker` implements the contract in-process for tests.
+    ``plans/``).  Over a :class:`~repro.bench.store.FileSystemObjectStore`
+    it is a shared (NFS-style) directory queue; over a cloud store it is
+    deployable unchanged.  Any number of workers on any number of machines
+    race for leases by compare-and-swap without locks; leases expire after
+    ``lease_ttl`` seconds and are reclaimed, so a crashed worker's manifest
+    is re-run by a peer.
 
 Leasing is *fair-share with priority* across live plans: each broker
 handle round-robins over the plans that currently have leasable work
 (least-served first, then higher ``priority``, then deeper queue, then
 name), so one huge grid cannot starve a small one — the conformance suite
 (``tests/broker_contract.py``) asserts interleaving and namespace
-isolation over every backend.
+isolation over every store.
 
-Leases are kept alive by *heartbeats*: :meth:`ShardBroker.renew` extends a
-lease the caller still holds (and reports loss if it was reclaimed), and
-:class:`ShardWorker` runs a background :class:`LeaseHeartbeat` thread per
-manifest (interval ``lease_ttl / 3`` by default), so a manifest that takes
+Leases are kept alive by *heartbeats*: :meth:`ObjectStoreBroker.renew`
+extends a lease the caller still holds (and reports loss if it was
+reclaimed), and :class:`ShardWorker` runs a background
+:class:`LeaseHeartbeat` thread per manifest (interval ``lease_ttl / 3`` by
+default), so a manifest that takes
 longer than ``lease_ttl`` finishes without being reclaimed — ``lease_ttl``
 can stay sized for crash *detection* instead of worst-case runtime.  A
 worker whose heartbeat discovers the lease was reclaimed abandons the
@@ -75,10 +75,8 @@ import re
 import socket
 import threading
 import time
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.shard import (
     MANIFEST_FORMAT_VERSION,
@@ -89,7 +87,6 @@ from repro.bench.shard import (
     ShardPlan,
     ShardResults,
     _check_header,
-    _load_json,
     _parse_json_bytes,
     _require,
     _require_int,
@@ -181,14 +178,14 @@ def _check_priority(priority: int) -> int:
 
 
 def _check_submittable(plan: ShardPlan) -> ShardPlan:
-    """Reject degenerate plans at the queue boundary (all backends).
+    """Reject degenerate plans at the queue boundary.
 
     ``plan_shards`` never emits empty shards, but manifests are plain data
     and can be rebuilt by hand (or by over-sharding a ramping generated
     grid); an empty-spec manifest would enqueue a work unit that executes
     nothing yet still participates in plan identity and merge accounting.
     Rejecting here keeps the submit → lease → post → collect pipeline free
-    of no-op shards on every backend at once.
+    of no-op shards.
     """
     if not getattr(plan, "manifests", ()):
         raise ShardError("cannot submit an empty plan (no manifests); "
@@ -205,7 +202,7 @@ def _check_submittable(plan: ShardPlan) -> ShardPlan:
 
 def _plan_header_payload(plan: ShardPlan, name: str,
                          priority: int) -> Dict[str, object]:
-    """The submitted plan's identity header, shared by all broker backends."""
+    """The submitted plan's identity header (the ``plans/<name>`` object)."""
     header: Dict[str, object] = {
         "kind": _PLAN_KIND,
         "format_version": MANIFEST_FORMAT_VERSION,
@@ -370,9 +367,9 @@ class ShardLease:
     """One leased manifest: the work order plus the lease bookkeeping.
 
     ``plan`` names the namespace the manifest came from (posts route back
-    to it); ``token`` is backend-specific (the lease filename for
-    :class:`LocalDirBroker`); ``deadline`` is in the broker clock's units —
-    after it passes any worker may reclaim the manifest.
+    to it); ``token`` is ``<shard file>:<grant>``; ``deadline`` is in the
+    broker clock's units — after it passes any worker may reclaim the
+    manifest.
     """
 
     manifest: ShardManifest
@@ -382,536 +379,17 @@ class ShardLease:
     plan: str = DEFAULT_PLAN
 
 
-class ShardBroker(ABC):
-    """The queue contract: submit named plans, lease manifests, post results.
+class ObjectStoreBroker:
+    """The shard queue over an :class:`~repro.bench.store.ObjectStore`.
 
     One broker holds any number of *named* plans (namespaces); submitting
     without a name uses the reserved ``"default"`` namespace, so
     single-plan callers read exactly as they did when a broker held one
     plan.  Results never cross namespaces: :meth:`collect` takes a name
-    and returns only that plan's shards.
-
-    All brokers share first-write-wins semantics on results: posting a
-    shard that is already done is an idempotent no-op (results are
-    deterministic, so the copies are interchangeable), which makes both
-    duplicate posts and post-reclaim stragglers harmless.
-    """
-
-    @abstractmethod
-    def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
-               priority: int = 0) -> None:
-        """Enqueue every manifest of ``plan`` under ``name``.
-
-        One plan per name: resubmitting an occupied name raises.  Higher
-        ``priority`` plans win lease-order ties against equally-served
-        peers.
-        """
-
-    @abstractmethod
-    def lease(self, worker_id: str) -> Optional[ShardLease]:
-        """Atomically take one queued manifest, or ``None`` if none is free.
-
-        Plans are tried in fair-share order (round-robin per handle,
-        ``priority`` then queue depth as tiebreaks) and the returned lease
-        is tagged with its plan name.  Expired leases are reclaimed first,
-        so a crashed worker's manifest becomes leasable again after
-        ``lease_ttl`` seconds.  A broker holding no plans at all is simply
-        empty (``None``), so daemon workers may start before the first
-        submit.
-        """
-
-    @abstractmethod
-    def renew(self, lease: ShardLease) -> Optional[ShardLease]:
-        """Extend a still-held lease by ``lease_ttl`` from now.
-
-        Returns the refreshed :class:`ShardLease` (post with *that* handle
-        from then on), or ``None`` if the lease is no longer held — it
-        expired and was reclaimed, or its shard is already done.  A ``None``
-        tells the worker to abandon the manifest: a peer owns it now and
-        will reproduce the same bytes.
-        """
-
-    @abstractmethod
-    def post(self, lease: ShardLease, results: ShardResults) -> bool:
-        """Post one shard's results; returns ``False`` on a duplicate post."""
-
-    @abstractmethod
-    def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
-        """One plan's posted results, in shard-index order.
-
-        Feed the list to :func:`~repro.bench.shard.merge_shard_results`,
-        which (re)validates completeness and plan identity.  Collecting a
-        name that was never submitted raises.
-        """
-
-    @abstractmethod
-    def status(self) -> BrokerStatus:
-        """Per-plan + aggregate counters for progress and drain checks."""
-
-    # ------------------------------------------------------------------
-    # fair-share rotation (shared by every backend)
-    # ------------------------------------------------------------------
-    def _fair_share_order(
-            self, candidates: Sequence[Tuple[str, int, int]]) -> List[str]:
-        """Order plans for the next lease attempt.
-
-        ``candidates`` is ``(name, priority, queued_depth)`` for every
-        plan with leasable work.  Least-served (by this handle) goes
-        first — plain round-robin, so a 1000-shard plan and a 3-shard plan
-        alternate leases instead of the small one waiting out the big one —
-        with higher ``priority``, deeper queue, then name breaking ties.
-        Served counts are per broker handle, not shared state: every
-        worker process rotates fairly on its own, which yields fleet-level
-        fairness without cross-worker coordination.
-        """
-        served = getattr(self, "_fair_share_served", None)
-        if served is None:
-            served = {}
-            self._fair_share_served = served
-        ordered = sorted(
-            candidates,
-            key=lambda c: (served.get(c[0], 0), -c[1], -c[2], c[0]))
-        return [name for name, _priority, _depth in ordered]
-
-    def _fair_share_mark(self, name: str) -> None:
-        self._fair_share_served[name] = \
-            self._fair_share_served.get(name, 0) + 1
-
-    # ------------------------------------------------------------------
-    # shared telemetry (all backends have a ``sink`` attribute)
-    # ------------------------------------------------------------------
-    def _emit_plan_submitted(self, name: str, plan: ShardPlan,
-                             priority: int) -> None:
-        sink = telemetry.resolve(self.sink)
-        if sink:
-            ctx = tracectx.plan_context(name, plan.manifests[0])
-            sink.emit(ctx.attach(PlanSubmitted(
-                plan=name, shards=plan.shard_count, priority=priority)))
-
-    def _emit_plan_drained(self, name: str, manifest: ShardManifest,
-                           shards: int) -> None:
-        sink = telemetry.resolve(self.sink)
-        if sink:
-            ctx = tracectx.plan_context(name, manifest).child("drained")
-            sink.emit(ctx.attach(PlanDrained(plan=name, shards=shards)))
-
-
-class _MemoryPlanState:
-    """One named plan's queue state inside :class:`InMemoryBroker`."""
-
-    def __init__(self, name: str, priority: int, plan: ShardPlan) -> None:
-        self.name = name
-        self.priority = priority
-        self.identity = plan.manifests[0].plan_identity()
-        self.shard_count = plan.shard_count
-        self.grants = 0
-        self.queued: Dict[int, ShardManifest] = {
-            manifest.shard_index: manifest for manifest in plan.manifests}
-        self.leases: Dict[int, ShardLease] = {}
-        self.done: Dict[int, ShardResults] = {}
-
-
-class InMemoryBroker(ShardBroker):
-    """The queue contract over plain dicts, for tests and single-process use.
-
-    A lock serializes every operation: the worker's heartbeat thread renews
-    leases concurrently with the main thread's lease/post calls.
-    """
-
-    def __init__(self, lease_ttl: float = DEFAULT_LEASE_TTL,
-                 clock: Clock = time.monotonic,
-                 sink: Optional[EventSink] = None) -> None:
-        if lease_ttl <= 0:
-            raise ShardError(f"lease_ttl must be > 0, got {lease_ttl}")
-        self.lease_ttl = lease_ttl
-        self.sink = sink
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._plans: Dict[str, _MemoryPlanState] = {}
-
-    def _require_plan(self, name: str) -> _MemoryPlanState:
-        state = self._plans.get(name)
-        if state is None:
-            known = ", ".join(sorted(self._plans)) or "none"
-            raise ShardError(f"no plan has been submitted to this broker "
-                             f"under the name {name!r} (known plans: "
-                             f"{known})")
-        return state
-
-    def _reclaim_expired(self, state: _MemoryPlanState) -> None:
-        now = self._clock()
-        for index, lease in list(state.leases.items()):
-            if now >= lease.deadline:
-                del state.leases[index]
-                state.queued[index] = lease.manifest
-
-    def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
-               priority: int = 0) -> None:
-        name = validate_plan_name(name)
-        _check_priority(priority)
-        _check_submittable(plan)
-        with self._lock:
-            if name in self._plans:
-                raise ShardError(f"broker already holds a plan named "
-                                 f"{name!r}; collect it or pick another "
-                                 "plan name")
-            self._plans[name] = _MemoryPlanState(name, priority, plan)
-        self._emit_plan_submitted(name, plan, priority)
-
-    def lease(self, worker_id: str) -> Optional[ShardLease]:
-        with self._lock:
-            for state in self._plans.values():
-                self._reclaim_expired(state)
-            candidates = [(state.name, state.priority, len(state.queued))
-                          for state in self._plans.values() if state.queued]
-            for name in self._fair_share_order(candidates):
-                state = self._plans[name]
-                index = min(state.queued)
-                manifest = state.queued.pop(index)
-                # The grant number makes every lease token unique, so a
-                # renew by the original holder after reclaim + re-lease
-                # cannot pass for the new holder's renewal.
-                state.grants += 1
-                lease = ShardLease(manifest=manifest, worker_id=worker_id,
-                                   deadline=self._clock() + self.lease_ttl,
-                                   token=f"{index}:{state.grants}",
-                                   plan=name)
-                state.leases[index] = lease
-                self._fair_share_mark(name)
-                return lease
-            return None
-
-    def renew(self, lease: ShardLease) -> Optional[ShardLease]:
-        with self._lock:
-            state = self._plans.get(lease.plan)
-            if state is None:
-                return None
-            index = lease.manifest.shard_index
-            current = state.leases.get(index)
-            if current is None or current.token != lease.token:
-                return None  # expired + reclaimed, or already posted
-            refreshed = replace(current,
-                                deadline=self._clock() + self.lease_ttl)
-            state.leases[index] = refreshed
-            return refreshed
-
-    def post(self, lease: ShardLease, results: ShardResults) -> bool:
-        with self._lock:
-            state = self._require_plan(lease.plan)
-            index = results.manifest.shard_index
-            _check_posted_results(state.identity, results,
-                                  source="posted results")
-            state.leases.pop(index, None)
-            state.queued.pop(index, None)
-            if index in state.done:
-                return False
-            state.done[index] = results
-            drained = len(state.done) >= state.shard_count
-        if drained:
-            self._emit_plan_drained(lease.plan, lease.manifest,
-                                    state.shard_count)
-        return True
-
-    def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
-        validate_plan_name(name)
-        with self._lock:
-            state = self._require_plan(name)
-            collected = [state.done[index] for index in sorted(state.done)]
-        _emit_collected(telemetry.resolve(self.sink), collected, name)
-        return collected
-
-    def status(self) -> BrokerStatus:
-        with self._lock:
-            rows = []
-            for name in sorted(self._plans):
-                state = self._plans[name]
-                self._reclaim_expired(state)
-                rows.append(PlanStatus(name=name, priority=state.priority,
-                                       queued=len(state.queued),
-                                       leased=len(state.leases),
-                                       done=len(state.done),
-                                       shard_count=state.shard_count))
-            return BrokerStatus(plans=tuple(rows))
-
-
-def _sanitize_worker_id(worker_id: str) -> str:
-    return re.sub(r"[^\w.-]", "-", worker_id) or "worker"
-
-
-class LocalDirBroker(ShardBroker):
-    """The queue contract over a shared directory, using only atomic renames.
-
-    Layout under ``root`` (one subtree per named plan)::
-
-        plans/<name>/plan.json   the plan's identity header + name/priority
-                                 (written once by submit)
-        plans/<name>/queued/     manifests waiting for a worker
-        plans/<name>/leased/     manifests being worked on; the lease
-                                 deadline and worker id are encoded in the
-                                 filename
-                                 (``NAME.lease.<deadline_ms>.<worker>``)
-        plans/<name>/done/       posted ShardResults files, one per shard
-
-    Every state transition is a single ``rename`` (atomic on POSIX, also
-    over NFS), so concurrent workers race safely: exactly one wins each
-    lease, the losers see ``FileNotFoundError`` and move on.  Files are
-    written to a temp name first and renamed into place, so readers never
-    observe a half-written JSON.
-
-    Lease deadlines are wall-clock timestamps taken on the *leasing*
-    machine and compared on whichever machine reclaims, so cross-machine
-    clock skew shifts the effective TTL by the skew: a fast reclaimer
-    reclaims early (the manifest is re-run — wasteful but still correct,
-    posts are idempotent), a slow one delays crashed-worker recovery.
-    Keep worker clocks NTP-synced, or size ``lease_ttl`` well above the
-    worst expected skew.
-
-    ``skew_allowance`` is that sizing made explicit: reclaim treats a
-    lease as expired only ``skew_allowance`` seconds *after* its persisted
-    wall-clock deadline, so a reclaimer whose clock runs ahead by up to
-    the allowance never steals a live peer's lease.  The allowance is a
-    per-handle grace on top of ``lease_ttl`` (it delays crash recovery by
-    the same amount) — deadlines in lease filenames stay plain wall-clock
-    milliseconds, readable by any handle with any allowance.
-    """
-
-    PLAN_FILE = "plan.json"
-    PLANS_DIR = "plans"
-
-    def __init__(self, root: Union[str, Path],
-                 lease_ttl: float = DEFAULT_LEASE_TTL,
-                 clock: Clock = time.time,
-                 sink: Optional[EventSink] = None,
-                 skew_allowance: float = 0.0) -> None:
-        if lease_ttl <= 0:
-            raise ShardError(f"lease_ttl must be > 0, got {lease_ttl}")
-        if not math.isfinite(skew_allowance) or skew_allowance < 0:
-            raise ShardError(f"skew_allowance must be a finite number >= 0, "
-                             f"got {skew_allowance}")
-        self.root = Path(root)
-        self.lease_ttl = lease_ttl
-        self.skew_allowance = skew_allowance
-        self.sink = sink
-        self._clock = clock
-        self._skew_ms = int(skew_allowance * 1000)
-
-    # ------------------------------------------------------------------
-    # directory plumbing
-    # ------------------------------------------------------------------
-    def _plan_root(self, name: str) -> Path:
-        return self.root / self.PLANS_DIR / name
-
-    def _plan_path(self, name: str) -> Path:
-        return self._plan_root(name) / self.PLAN_FILE
-
-    def _queued_dir(self, name: str) -> Path:
-        return self._plan_root(name) / "queued"
-
-    def _leased_dir(self, name: str) -> Path:
-        return self._plan_root(name) / "leased"
-
-    def _done_dir(self, name: str) -> Path:
-        return self._plan_root(name) / "done"
-
-    def plan_names(self) -> Tuple[str, ...]:
-        base = self.root / self.PLANS_DIR
-        if not base.is_dir():
-            return ()
-        return tuple(sorted(entry.name for entry in base.iterdir()
-                            if (entry / self.PLAN_FILE).exists()))
-
-    def _atomic_write_json(self, path: Path, text: str) -> None:
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
-
-    def _header(self, name: str) -> Dict[str, object]:
-        path = self._plan_path(name)
-        if not path.exists():
-            known = ", ".join(self.plan_names()) or "none"
-            raise ShardError(
-                f"{self.root}: no plan has been submitted to this broker "
-                f"directory under the name {name!r} (run 'repro shard "
-                f"submit' first; known plans: {known})")
-        return _load_json(path, "broker plan")
-
-    def _identity(self, name: str) -> Tuple[object, ...]:
-        """Load and validate one plan's header; its reference identity."""
-        return _parse_plan_header(self._header(name),
-                                  str(self._plan_path(name)))
-
-    # ------------------------------------------------------------------
-    # the queue contract
-    # ------------------------------------------------------------------
-    def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
-               priority: int = 0) -> None:
-        name = validate_plan_name(name)
-        _check_priority(priority)
-        _check_submittable(plan)
-        if self._plan_path(name).exists():
-            raise ShardError(
-                f"{self._plan_path(name)}: broker directory already holds "
-                f"a plan named {name!r} (collect it or pick another plan "
-                "name)")
-        for directory in (self._plan_root(name), self._queued_dir(name),
-                          self._leased_dir(name), self._done_dir(name)):
-            directory.mkdir(parents=True, exist_ok=True)
-        # Header first: a subtree with a header but no manifests reads as
-        # a plan being enqueued; manifests without a header would read as
-        # corruption.
-        self._atomic_write_json(
-            self._plan_path(name),
-            json.dumps(_plan_header_payload(plan, name, priority), indent=1))
-        for manifest in plan.manifests:
-            file_name = plan.manifest_name(manifest.shard_index)
-            self._atomic_write_json(self._queued_dir(name) / file_name,
-                                    json.dumps(manifest.as_dict(), indent=1))
-        self._emit_plan_submitted(name, plan, priority)
-
-    def _reclaim_expired(self, name: str) -> None:
-        now_ms = int(self._clock() * 1000)
-        for path in self._leased_dir(name).glob("*.lease.*"):
-            file_name, _, rest = path.name.partition(".lease.")
-            deadline_text, _, _worker = rest.partition(".")
-            try:
-                deadline_ms = int(deadline_text)
-            except ValueError:
-                raise ShardError(f"{path}: malformed lease filename (expected "
-                                 "NAME.lease.<deadline_ms>.<worker>)")
-            if now_ms >= deadline_ms + self._skew_ms:
-                try:
-                    path.rename(self._queued_dir(name) / file_name)
-                except FileNotFoundError:
-                    pass  # another worker reclaimed it first
-
-    def lease(self, worker_id: str) -> Optional[ShardLease]:
-        candidates = []
-        for name in self.plan_names():
-            self._reclaim_expired(name)
-            depth = sum(1 for _ in self._queued_dir(name).glob("shard-*.json"))
-            if depth == 0:
-                continue
-            priority = _plan_priority(self._header(name),
-                                      str(self._plan_path(name)))
-            candidates.append((name, priority, depth))
-        for name in self._fair_share_order(candidates):
-            lease = self._lease_from_plan(name, worker_id)
-            if lease is not None:
-                self._fair_share_mark(name)
-                return lease
-        return None
-
-    def _lease_from_plan(self, name: str,
-                         worker_id: str) -> Optional[ShardLease]:
-        worker = _sanitize_worker_id(worker_id)
-        for path in sorted(self._queued_dir(name).glob("shard-*.json")):
-            if (self._done_dir(name) / path.name).exists():
-                # A straggler already posted this shard (its stale queued
-                # copy survived a reclaim); don't pointlessly re-run it.
-                path.unlink(missing_ok=True)
-                continue
-            deadline = self._clock() + self.lease_ttl
-            target = self._leased_dir(name) / (
-                f"{path.name}.lease.{int(deadline * 1000)}.{worker}")
-            try:
-                path.rename(target)
-            except FileNotFoundError:
-                continue  # another worker won this manifest
-            manifest = ShardManifest.load(target)
-            return ShardLease(manifest=manifest, worker_id=worker_id,
-                              deadline=deadline, token=target.name,
-                              plan=name)
-        return None
-
-    def renew(self, lease: ShardLease) -> Optional[ShardLease]:
-        # No _identity() re-read here: a ShardLease proves the plan was
-        # already validated, and renew is the heartbeat hot path.
-        held = self._leased_dir(lease.plan) / lease.token
-        file_name, _, rest = lease.token.partition(".lease.")
-        _deadline_text, _, worker = rest.partition(".")
-        deadline = self._clock() + self.lease_ttl
-        target = self._leased_dir(lease.plan) / (
-            f"{file_name}.lease.{int(deadline * 1000)}.{worker}")
-        try:
-            held.rename(target)
-        except FileNotFoundError:
-            # The lease file is gone: reclaimed (now queued or re-leased
-            # under a new name) or already posted.  Either way it is no
-            # longer ours to extend.
-            return None
-        return replace(lease, deadline=deadline, token=target.name)
-
-    def post(self, lease: ShardLease, results: ShardResults) -> bool:
-        plan = lease.plan
-        reference = self._identity(plan)
-        manifest = results.manifest
-        _check_posted_results(reference, results,
-                              source=f"{self.root}: posted results")
-        file_name = shard_file_name(manifest.shard_index,
-                                    manifest.shard_count)
-        done_path = self._done_dir(plan) / file_name
-        # First-write-wins must be atomic under concurrent posters (e.g. a
-        # straggler racing the worker that reclaimed its lease): link() the
-        # finished temp file into place — exactly one poster succeeds, the
-        # rest get FileExistsError and report the duplicate.
-        tmp = done_path.with_name(f".{done_path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(results.as_dict(), indent=1),
-                       encoding="utf-8")
-        try:
-            os.link(tmp, done_path)
-            first_post = True
-        except FileExistsError:
-            first_post = False
-        finally:
-            tmp.unlink(missing_ok=True)
-        # Clear this shard out of the queue: our lease file, plus any queued
-        # copy left behind if our lease expired and was reclaimed before we
-        # finished (without this the shard would be pointlessly re-run).
-        (self._leased_dir(plan) / lease.token).unlink(missing_ok=True)
-        (self._queued_dir(plan) / file_name).unlink(missing_ok=True)
-        if first_post:
-            done = sum(1 for _ in self._done_dir(plan).glob("shard-*.json"))
-            if done >= manifest.shard_count:
-                self._emit_plan_drained(plan, manifest, manifest.shard_count)
-        return first_post
-
-    def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
-        validate_plan_name(name)
-        self._identity(name)
-        collected = [
-            ShardResults.load(path)
-            for path in sorted(self._done_dir(name).glob("shard-*.json"))]
-        _emit_collected(telemetry.resolve(self.sink), collected, name)
-        return collected
-
-    def status(self) -> BrokerStatus:
-        rows = []
-        for name in self.plan_names():
-            header = self._header(name)
-            source = str(self._plan_path(name))
-            identity = _parse_plan_header(header, source)
-            self._reclaim_expired(name)
-            done_names = {path.name
-                          for path in self._done_dir(name).glob(
-                              "shard-*.json")}
-            # A shard can transiently be both done and queued/leased (a
-            # straggler posting after reclaim); done wins so counts add up.
-            queued = sum(
-                1 for path in self._queued_dir(name).glob("shard-*.json")
-                if path.name not in done_names)
-            leased = sum(
-                1 for path in self._leased_dir(name).glob("*.lease.*")
-                if path.name.partition(".lease.")[0] not in done_names)
-            rows.append(PlanStatus(name=name,
-                                   priority=_plan_priority(header, source),
-                                   queued=queued, leased=leased,
-                                   done=len(done_names),
-                                   shard_count=int(identity[0])))
-        return BrokerStatus(plans=tuple(rows))
-
-
-class ObjectStoreBroker(ShardBroker):
-    """The queue contract over an :class:`~repro.bench.store.ObjectStore`.
+    and returns only that plan's shards.  Posting a shard that is already
+    done is an idempotent no-op (results are deterministic, so the copies
+    are interchangeable), which makes both duplicate posts and
+    post-reclaim stragglers harmless.
 
     Keys under the store (the plan name is folded into every prefix)::
 
@@ -934,13 +412,13 @@ class ObjectStoreBroker(ShardBroker):
     stale holder's :meth:`renew` can never pass for the current holder's.
 
     The set of ``result/<name>/`` keys is authoritative for doneness (the
-    post-time CAS that flips the lease object to ``done`` is best-effort);
-    like :class:`LocalDirBroker`, lease deadlines are wall-clock timestamps
-    compared across machines, so keep worker clocks NTP-synced or size
-    ``lease_ttl`` above the worst expected skew — or state the worst skew
-    as ``skew_allowance`` and expiry checks grant that much extra life to
-    every persisted deadline (never stealing a live peer's lease at the
-    cost of equally delayed crash recovery).
+    post-time CAS that flips the lease object to ``done`` is best-effort).
+    Lease deadlines are wall-clock timestamps compared across machines, so
+    keep worker clocks NTP-synced or size ``lease_ttl`` above the worst
+    expected skew — or state the worst skew as ``skew_allowance`` and
+    expiry checks grant that much extra life to every persisted deadline
+    (never stealing a live peer's lease at the cost of equally delayed
+    crash recovery).
 
     Every store call is wrapped in bounded retry-with-backoff (``retry``, a
     :class:`~repro.bench.store.RetryPolicy`): a
@@ -977,6 +455,8 @@ class ObjectStoreBroker(ShardBroker):
         self.retry = retry if retry is not None else RetryPolicy()
         self._clock = clock
         self._skew_ms = int(skew_allowance * 1000)
+        #: Leases granted per plan by this handle (fair-share rotation).
+        self._served: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # store plumbing
@@ -1069,18 +549,70 @@ class ObjectStoreBroker(ShardBroker):
         prefix = self._result_prefix(name)
         return {key[len(prefix):] for key in self._list(prefix)}
 
+    def _pending_lease_keys(self, name: str,
+                            shard_count: int) -> List[str]:
+        """The plan's lease keys whose shard has no posted result yet.
+
+        Lease keys are named after their shard (as :meth:`submit` wrote
+        them), so only the result prefix is listed; a lease object that
+        was never written reads as absent and is skipped by the claim loop.
+        """
+        done = self._done_names(name)
+        prefix = self._lease_prefix(name)
+        file_names = (shard_file_name(index, shard_count)
+                      for index in range(shard_count))
+        return [prefix + file_name for file_name in file_names
+                if file_name not in done]
+
     # ------------------------------------------------------------------
-    # the queue contract
+    # fair-share rotation
+    # ------------------------------------------------------------------
+    def _fair_share_order(
+            self, candidates: Sequence[Tuple[str, int, int]]) -> List[str]:
+        """Order plans for the next lease attempt.
+
+        ``candidates`` is ``(name, priority, queued_depth)`` for every
+        plan with leasable work.  Least-served (by this handle) goes
+        first — plain round-robin, so a 1000-shard plan and a 3-shard plan
+        alternate leases instead of the small one waiting out the big one —
+        with higher ``priority``, deeper queue, then name breaking ties.
+        Served counts are per broker handle, not shared state: every
+        worker process rotates fairly on its own, which yields fleet-level
+        fairness without cross-worker coordination.
+        """
+        ordered = sorted(
+            candidates,
+            key=lambda c: (self._served.get(c[0], 0), -c[1], -c[2], c[0]))
+        return [name for name, _priority, _depth in ordered]
+
+    # ------------------------------------------------------------------
+    # telemetry
+    # ------------------------------------------------------------------
+    def _emit_plan_submitted(self, name: str, plan: ShardPlan,
+                             priority: int) -> None:
+        sink = telemetry.resolve(self.sink)
+        if sink:
+            ctx = tracectx.plan_context(name, plan.manifests[0])
+            sink.emit(ctx.attach(PlanSubmitted(
+                plan=name, shards=plan.shard_count, priority=priority)))
+
+    # ------------------------------------------------------------------
+    # the queue verbs
     # ------------------------------------------------------------------
     def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
                priority: int = 0) -> None:
+        """Enqueue every manifest of ``plan`` under ``name``.
+
+        One plan per name: resubmitting an occupied name raises.  Higher
+        ``priority`` plans win lease-order ties against equally-served
+        peers.
+        """
         name = validate_plan_name(name)
         _check_priority(priority)
         _check_submittable(plan)
         header = self._dump(_plan_header_payload(plan, name, priority))
-        # Header first (exactly one submitter can create it), mirroring
-        # LocalDirBroker: a plan object with manifests still appearing
-        # reads as a plan being enqueued.
+        # Header first (exactly one submitter can create it): a plan object
+        # with manifests still appearing reads as a plan being enqueued.
         if not self._put_if_absent(self._plan_key(name), header):
             raise ShardError(
                 f"{self.store.describe()}: object store already holds a "
@@ -1095,34 +627,44 @@ class ObjectStoreBroker(ShardBroker):
         self._emit_plan_submitted(name, plan, priority)
 
     def lease(self, worker_id: str) -> Optional[ShardLease]:
+        """Atomically take one queued manifest, or ``None`` if none is free.
+
+        Plans are tried in fair-share order (round-robin per handle,
+        ``priority`` then queue depth as tiebreaks) and the returned lease
+        is tagged with its plan name.  Expired leases are reclaimed too,
+        so a crashed worker's manifest becomes leasable again after
+        ``lease_ttl`` seconds.  A broker holding no plans at all is simply
+        empty (``None``), so daemon workers may start before the first
+        submit.
+        """
+        pending: Dict[str, List[str]] = {}
         candidates = []
         for name in self.plan_names():
-            # Depth = lease objects whose shard has no result yet: queued
-            # work plus in-flight/expired leases.  One list per prefix —
-            # cheaper than a per-shard GET sweep, and only a tiebreak.
-            depth = (len(self._list(self._lease_prefix(name)))
-                     - len(self._list(self._result_prefix(name))))
-            if depth <= 0:
+            header = self._header(name)
+            source = self._source(self._plan_key(name))
+            # Lease objects whose shard has no result yet (queued work plus
+            # in-flight/expired leases): both the queue-depth tiebreak and
+            # the keys the claim loop scans.
+            keys = self._pending_lease_keys(
+                name, _require_int(header, "shard_count", source))
+            if not keys:
                 continue
-            priority = _plan_priority(self._header(name),
-                                      self._source(self._plan_key(name)))
-            candidates.append((name, priority, depth))
+            pending[name] = keys
+            candidates.append((name, _plan_priority(header, source),
+                               len(keys)))
         for name in self._fair_share_order(candidates):
-            lease = self._lease_from_plan(name, worker_id)
+            lease = self._lease_from_plan(name, pending[name], worker_id)
             if lease is not None:
-                self._fair_share_mark(name)
+                self._served[name] = self._served.get(name, 0) + 1
                 return lease
         return None
 
-    def _lease_from_plan(self, name: str,
+    def _lease_from_plan(self, name: str, keys: List[str],
                          worker_id: str) -> Optional[ShardLease]:
-        done = self._done_names(name)
         now_ms = int(self._clock() * 1000)
         prefix = self._lease_prefix(name)
-        for key in self._list(prefix):
+        for key in keys:
             file_name = key[len(prefix):]
-            if file_name in done:
-                continue
             found = self._get_json(key)
             if found is None:
                 continue  # deleted under us; nothing to take
@@ -1149,6 +691,14 @@ class ObjectStoreBroker(ShardBroker):
         return None
 
     def renew(self, lease: ShardLease) -> Optional[ShardLease]:
+        """Extend a still-held lease by ``lease_ttl`` from now.
+
+        Returns the refreshed :class:`ShardLease` (post with *that* handle
+        from then on), or ``None`` if the lease is no longer held — it
+        expired and was reclaimed, or its shard is already done.  A ``None``
+        tells the worker to abandon the manifest: a peer owns it now and
+        will reproduce the same bytes.
+        """
         # No _identity() re-read here: a ShardLease proves the plan was
         # already validated, and renew is the heartbeat hot path — one CAS
         # per tick, not an extra plan GET per tick.
@@ -1168,6 +718,7 @@ class ObjectStoreBroker(ShardBroker):
         return replace(lease, deadline=deadline)
 
     def post(self, lease: ShardLease, results: ShardResults) -> bool:
+        """Post one shard's results; returns ``False`` on a duplicate post."""
         name = lease.plan
         reference = self._identity(name)
         manifest = results.manifest
@@ -1194,12 +745,23 @@ class ObjectStoreBroker(ShardBroker):
                     "grant": payload.get("grant", 0)}
             if self._put_if_match(key, self._dump(done), etag):
                 break
-        if first_post \
+        sink = telemetry.resolve(self.sink)
+        # PlanDrained goes only to a live sink, so only then is the result
+        # listing it needs worth reading.
+        if sink and first_post \
                 and len(self._done_names(name)) >= manifest.shard_count:
-            self._emit_plan_drained(name, manifest, manifest.shard_count)
+            ctx = tracectx.plan_context(name, manifest).child("drained")
+            sink.emit(ctx.attach(PlanDrained(
+                plan=name, shards=manifest.shard_count)))
         return first_post
 
     def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
+        """One plan's posted results, in shard-index order.
+
+        Feed the list to :func:`~repro.bench.shard.merge_shard_results`,
+        which (re)validates completeness and plan identity.  Collecting a
+        name that was never submitted raises.
+        """
         validate_plan_name(name)
         self._identity(name)
         collected = []
@@ -1213,6 +775,7 @@ class ObjectStoreBroker(ShardBroker):
         return collected
 
     def status(self) -> BrokerStatus:
+        """Per-plan + aggregate counters for progress and drain checks."""
         rows = []
         now_ms = int(self._clock() * 1000)
         for name in self.plan_names():
@@ -1271,7 +834,7 @@ class LeaseHeartbeat:
     must then abandon the manifest instead of posting.
     """
 
-    def __init__(self, broker: ShardBroker, lease: ShardLease,
+    def __init__(self, broker: ObjectStoreBroker, lease: ShardLease,
                  interval: float,
                  on_renew: Optional[RenewCallback] = None,
                  sink: Optional[EventSink] = None,
@@ -1397,10 +960,9 @@ class ShardWorker:
     In-process deadlines (idle backoff, ``max_idle_s``) are measured on
     ``time.monotonic`` — a wall-clock step can't cut an idle daemon's
     patience short or stretch it forever; only the *persisted* lease
-    deadlines brokers compare across processes are wall-clock.  The loop's
-    own broker verbs (lease/status/post) run under bounded retry
-    (``retry``), so a transient broker blip mid-loop is absorbed instead
-    of killing the worker.
+    deadlines brokers compare across processes are wall-clock.  Transient
+    store faults never reach the loop: the broker retries every store call
+    under its own bounded :class:`~repro.bench.store.RetryPolicy`.
 
     After (or during) a run, :attr:`results_by_plan` groups this worker's
     posted results by plan name, and :attr:`cache_stats_by_plan` holds the
@@ -1408,7 +970,7 @@ class ShardWorker:
     (hits/misses/evictions) attributed to each plan's manifests.
     """
 
-    def __init__(self, broker: ShardBroker,
+    def __init__(self, broker: ObjectStoreBroker,
                  executor: Optional[ManifestExecutor] = None,
                  worker_id: Optional[str] = None, poll: float = 1.0,
                  max_manifests: Optional[int] = None,
@@ -1418,8 +980,7 @@ class ShardWorker:
                  sink: Optional[EventSink] = None,
                  daemon: bool = False,
                  max_idle_s: Optional[float] = None,
-                 clock: Clock = time.monotonic,
-                 retry: Optional[RetryPolicy] = None) -> None:
+                 clock: Clock = time.monotonic) -> None:
         if not math.isfinite(poll) or poll < 0:
             raise ShardError(f"poll must be a finite number >= 0, got {poll}")
         if daemon and poll <= 0:
@@ -1433,14 +994,13 @@ class ShardWorker:
                              f"got {max_idle_s}")
         if max_manifests is not None and max_manifests < 1:
             raise ShardError(f"max_manifests must be >= 1, got {max_manifests}")
-        lease_ttl = getattr(broker, "lease_ttl", None)
+        lease_ttl = broker.lease_ttl
         if heartbeat is None:
-            heartbeat = (lease_ttl / DEFAULT_HEARTBEAT_FRACTION
-                         if lease_ttl else 0.0)
+            heartbeat = lease_ttl / DEFAULT_HEARTBEAT_FRACTION
         if not math.isfinite(heartbeat) or heartbeat < 0:
             raise ShardError(f"heartbeat must be a finite number >= 0, "
                              f"got {heartbeat}")
-        if heartbeat and lease_ttl is not None and heartbeat >= lease_ttl:
+        if heartbeat and heartbeat >= lease_ttl:
             raise ShardError(
                 f"heartbeat ({heartbeat}) must be shorter than the broker's "
                 f"lease_ttl ({lease_ttl}), or the lease can expire between "
@@ -1470,12 +1030,6 @@ class ShardWorker:
         #: test fleet's sleep schedule is reproducible while real fleets
         #: (unique hostname-pid ids) still decorrelate.
         self._backoff_rng = random.Random(f"idle-backoff:{self.worker_id}")
-        #: Bounded retry for the loop's own broker verbs (lease/status/
-        #: post): a transient broker failure mid-loop is backed off and
-        #: repeated instead of killing the worker.  Backoff sleeps on the
-        #: stop event so stop()/SIGTERM interrupts a waiting retry too.
-        self.retry = retry if retry is not None else RetryPolicy(
-            sleep=self._stop.wait, seed=f"worker:{self.worker_id}")
 
     def stop(self) -> None:
         """Ask the worker to exit cleanly: the current manifest finishes
@@ -1486,10 +1040,6 @@ class ShardWorker:
     @property
     def stopping(self) -> bool:
         return self._stop.is_set()
-
-    def _broker_call(self, op: str, key: str, fn):
-        return call_with_retries(fn, op=op, key=key, policy=self.retry,
-                                 sink=self.sink)
 
     def run(self, progress: Optional[ProgressCallback] = None,
             on_manifest: Optional[ManifestCallback] = None) -> List[ShardResults]:
@@ -1507,11 +1057,9 @@ class ShardWorker:
                                            or executed < self.max_manifests):
             sink = telemetry.resolve(self.sink)
             lease_started = time.perf_counter() if sink else 0.0
-            lease = self._broker_call("lease", self.worker_id,
-                                      lambda: self.broker.lease(self.worker_id))
+            lease = self.broker.lease(self.worker_id)
             if lease is None:
-                snapshot = self._broker_call("status", self.worker_id,
-                                             self.broker.status)
+                snapshot = self.broker.status()
                 self._emit_queue_depth(sink, snapshot)
                 if snapshot.queued > 0:
                     continue  # lost a lease race; try again immediately
@@ -1581,9 +1129,7 @@ class ShardWorker:
                 tracectx.push(post_ctx)
                 post_started = time.perf_counter()
             try:
-                first_post = self._broker_call(
-                    "post", posted.token,
-                    lambda: self.broker.post(posted, results))
+                first_post = self.broker.post(posted, results)
             finally:
                 if post_ctx is not None:
                     tracectx.pop(post_ctx)
@@ -1597,8 +1143,7 @@ class ShardWorker:
                                 first_post=first_post),
                     duration_s=time.perf_counter() - post_started))
             if on_manifest is not None or sink:
-                snapshot = self._broker_call("status", self.worker_id,
-                                             self.broker.status)
+                snapshot = self.broker.status()
                 self._emit_queue_depth(sink, snapshot)
                 if on_manifest is not None:
                     on_manifest(lease, results, snapshot)

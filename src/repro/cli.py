@@ -40,12 +40,12 @@ Five subcommands cover the common workflows without writing any code:
     to a single-machine serial run for the same seed.  ``shard status``
     prints the per-plan queue table without collecting.
 
-    Two broker backends, chosen per command: ``--broker DIR`` is a
-    shared/NFS directory with atomic-rename leases; ``--store DIR`` is an
-    object-store broker over a directory emulating S3-style conditional
-    writes (compare-and-swap lease objects — the deployable layout for any
-    store with ``If-None-Match``/``If-Match`` semantics).  Leases expire
-    after ``--lease-ttl SECS`` (default 900) so crashed workers are
+    Every queue command takes ``--broker DIR``: a shared/NFS directory
+    holding an object-store broker over a store that emulates S3-style
+    conditional writes (compare-and-swap lease objects — the deployable
+    layout for any store with ``If-None-Match``/``If-Match`` semantics);
+    ``--fault-schedule FILE`` wraps that store in seeded chaos.  Leases
+    expire after ``--lease-ttl SECS`` (default 900) so crashed workers are
     reclaimed; live workers renew their lease in the background every
     ``--heartbeat SECS`` (default ``lease_ttl/3``; ``0`` disables), so
     manifests may run arbitrarily long without an oversized TTL.
@@ -121,11 +121,8 @@ Examples::
         --cache-dir .dmi-cache          # on every worker machine
     python -m repro shard collect --broker /mnt/queue --poll 5 --progress \\
         --report --export merged.json
-    python -m repro shard submit --store /mnt/objstore --shards 8
-    python -m repro shard work --store /mnt/objstore --lease-ttl 120 \\
-        --heartbeat 30 --jobs 4         # object-store broker + heartbeats
-    python -m repro shard collect --store /mnt/objstore --poll 5 \\
-        --export merged.json
+    python -m repro shard work --broker /mnt/queue --lease-ttl 120 \\
+        --heartbeat 30 --jobs 4         # short leases + heartbeats
     python -m repro shard submit --broker /mnt/queue --shards 8 \\
         --plan nightly --priority 1     # a named tenant on a shared broker
     python -m repro shard work --broker /mnt/queue --daemon \\
@@ -165,9 +162,7 @@ from repro.bench.registry import (
     build_run_record,
 )
 from repro.bench.observe import (
-    AdvisorPolicy,
     FleetAggregator,
-    ObserveError,
     build_trace,
     render_trace,
     write_promfile,
@@ -199,18 +194,14 @@ from repro.bench.shard import (
 )
 from repro.bench.faults import (
     FaultSchedule,
-    FaultyBroker,
     FaultyObjectStore,
-    RetryingBroker,
 )
 from repro.bench.store import FileSystemObjectStore
 from repro.bench.transport import (
     DEFAULT_LEASE_TTL,
     DEFAULT_PLAN,
     BrokerStatus,
-    LocalDirBroker,
     ObjectStoreBroker,
-    ShardBroker,
     ShardLease,
     ShardWorker,
     validate_plan_name,
@@ -367,15 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(str(error))
 
     def add_queue_flags(sub: argparse.ArgumentParser) -> None:
-        """The broker-selection flags shared by submit/work/collect."""
-        backend = sub.add_mutually_exclusive_group(required=True)
-        backend.add_argument("--broker", metavar="DIR",
-                             help="directory broker queue (shared/NFS, "
-                                  "atomic-rename leases)")
-        backend.add_argument("--store", metavar="DIR",
-                             help="object-store broker (a directory with "
-                                  "S3-style conditional-write semantics, "
-                                  "compare-and-swap leases)")
+        """The broker flags shared by every queue command."""
+        sub.add_argument("--broker", metavar="DIR", required=True,
+                         help="broker queue directory (shared/NFS; an "
+                              "object store with S3-style conditional-"
+                              "write semantics, compare-and-swap leases)")
         sub.add_argument("--lease-ttl", type=positive_float,
                          default=DEFAULT_LEASE_TTL, metavar="SECS",
                          help="seconds before an unrenewed lease may be "
@@ -383,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--fault-schedule", metavar="FILE", default=None,
                          help="chaos-conformance test rig: inject the "
                               "deterministic fault schedule (seeded JSON, "
-                              "see repro.bench.faults) into every broker/"
-                              "store operation; bounded retries must "
+                              "see repro.bench.faults) into every store "
+                              "operation; bounded retries must "
                               "absorb the weather")
 
     shard_submit = shard_sub.add_parser(
@@ -477,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
 
     def add_fleet_input_flags(sub: argparse.ArgumentParser) -> None:
-        """The aggregation inputs shared by fleet status/advise."""
+        """The aggregation inputs of fleet status."""
         sub.add_argument("--metrics", metavar="FILE", action="append",
                          default=None,
                          help="fold in a worker's --metrics snapshot file; "
@@ -507,29 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_status.add_argument("--json", action="store_true",
                               help="emit everything as JSON instead of "
                                    "the table")
-
-    fleet_advise = fleet_sub.add_parser(
-        "advise", help="recommend-only autoscaling advice from the "
-                       "aggregated gauges")
-    add_queue_flags(fleet_advise)
-    add_fleet_input_flags(fleet_advise)
-    fleet_advise.add_argument("--target-backlog", type=positive_int,
-                              default=4, metavar="N",
-                              help="queued shards per live worker the fleet "
-                                   "should sit at (default: %(default)s)")
-    fleet_advise.add_argument("--min-workers", type=positive_int, default=1,
-                              metavar="N",
-                              help="never recommend fewer than N workers "
-                                   "(default: %(default)s)")
-    fleet_advise.add_argument("--max-workers", type=positive_int,
-                              default=None, metavar="N",
-                              help="never recommend more than N workers")
-    fleet_advise.add_argument("--emit", metavar="FILE", default=None,
-                              help="append the ScaleAdvice event to FILE as "
-                                   "a JSON line")
-    fleet_advise.add_argument("--json", action="store_true",
-                              help="print the advice as JSON instead of "
-                                   "prose")
 
     trace = subparsers.add_parser(
         "trace", help="reconstruct one trace's timeline from JSONL events")
@@ -1051,35 +1015,24 @@ def command_shard_merge(args) -> int:
 # ----------------------------------------------------------------------
 # shard submit / work / collect (the broker queue)
 # ----------------------------------------------------------------------
-def _queue_location(args) -> str:
-    """The broker's location for messages: whichever backend was chosen."""
-    return args.broker if args.broker is not None else args.store
-
-
-def _cli_broker(args) -> ShardBroker:
-    """The broker selected by --broker (directory) or --store (object
-    store); argparse guarantees exactly one was given.
+def _cli_broker(args) -> ObjectStoreBroker:
+    """The broker over the --broker directory.
 
     With ``--fault-schedule FILE`` (the chaos-conformance test rig) the
-    chosen backend is wrapped in the seeded fault injector from
-    :mod:`repro.bench.faults`: store-backed queues take the weather at the
-    storage layer (the broker's own bounded retries must absorb it),
-    directory queues take it on the queue verbs behind a
-    :class:`RetryingBroker`.  Either way a drained queue under chaos is
-    the proof the flag exists to produce."""
-    schedule = None
-    if getattr(args, "fault_schedule", None) is not None:
-        schedule = FaultSchedule.load(args.fault_schedule)
-    if args.store is not None:
-        store = FileSystemObjectStore(args.store)
-        if schedule is not None:
-            store = FaultyObjectStore(store, schedule)
-        return ObjectStoreBroker(store, lease_ttl=args.lease_ttl)
-    broker: ShardBroker = LocalDirBroker(args.broker,
-                                         lease_ttl=args.lease_ttl)
-    if schedule is not None:
-        broker = RetryingBroker(FaultyBroker(broker, schedule))
-    return broker
+    store is wrapped in the seeded fault injector from
+    :mod:`repro.bench.faults`; the broker's own bounded retries must
+    absorb the weather, and a drained queue under chaos is the proof the
+    flag exists to produce."""
+    store = FileSystemObjectStore(args.broker)
+    if args.fault_schedule is not None:
+        store = FaultyObjectStore(store,
+                                  FaultSchedule.load(args.fault_schedule))
+    return ObjectStoreBroker(store, lease_ttl=args.lease_ttl)
+
+
+def _broker_executor(plan: str) -> str:
+    """The registry executor label of a broker run of ``plan``."""
+    return "store-broker" if plan == DEFAULT_PLAN else f"store-broker:{plan}"
 
 
 def _check_heartbeat(args) -> None:
@@ -1110,14 +1063,13 @@ def command_shard_submit(args) -> int:
             raise SystemExit(f"repro: {error}")
         except OSError as error:
             raise SystemExit(f"repro: cannot write to broker "
-                             f"{_queue_location(args)!r}: {error}")
+                             f"{args.broker!r}: {error}")
     total = sum(len(manifest.specs) for manifest in plan.manifests)
-    backend = "--broker" if args.broker is not None else "--store"
     print(f"submitted {plan.shard_count} shard manifest(s), {total} trial "
           f"specs total (seed {args.seed}, {args.trials} trial(s)/task) "
-          f"as plan {args.plan!r} to broker {_queue_location(args)}")
-    print(f"Run 'repro shard work {backend} DIR' on any number of machines, "
-          f"then 'repro shard collect {backend} DIR --plan {args.plan}'.")
+          f"as plan {args.plan!r} to broker {args.broker}")
+    print(f"Run 'repro shard work --broker DIR' on any number of machines, "
+          f"then 'repro shard collect --broker DIR --plan {args.plan}'.")
     return 0
 
 
@@ -1178,7 +1130,7 @@ def command_shard_work(args) -> int:
         except ShardError as error:
             raise SystemExit(f"repro: {error}")
         except OSError as error:
-            raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+            raise SystemExit(f"repro: broker {args.broker!r} I/O "
                              f"failed: {error}")
         summary = f"{worker.worker_id}: {len(completed)} manifest(s) executed"
         if worker.stopping:
@@ -1203,8 +1155,6 @@ def command_shard_work(args) -> int:
                              f"{delta['misses']} miss(es)")
                 print(line)
         if completed:
-            base = ("store-broker" if args.store is not None
-                    else "dir-broker")
             # One record per plan this worker touched: concurrent tenants
             # stay distinguishable in `runs list`/`diff`, and each record's
             # grid identity is that plan's (plans may differ in every
@@ -1221,7 +1171,7 @@ def command_shard_work(args) -> int:
                     # against the identical slice, never a full run.
                     subset = _shard_subset(indices, reference.shard_count)
                 context: Dict[str, object] = {
-                    "broker": str(_queue_location(args)),
+                    "broker": args.broker,
                     "worker_id": worker.worker_id,
                     "plan": plan_label,
                     "manifests": len(plan_shards),
@@ -1230,8 +1180,7 @@ def command_shard_work(args) -> int:
                 if delta is not None:
                     context["cache"] = dict(delta)
                 tele.record(
-                    executor=(base if plan_label == DEFAULT_PLAN
-                              else f"{base}:{plan_label}"),
+                    executor=_broker_executor(plan_label),
                     seed=reference.seed, trials=reference.trials,
                     jobs=args.jobs,
                     setting_keys=reference.setting_keys,
@@ -1265,7 +1214,7 @@ def command_shard_collect(args) -> int:
                 plan_stat = broker.status().plan(name)
             if plan_stat is not None and not plan_stat.complete:
                 raise SystemExit(f"repro: plan {name!r} on broker "
-                                 f"{_queue_location(args)!r} is "
+                                 f"{args.broker!r} is "
                                  f"not complete: {plan_stat.render_line()}; "
                                  "run more workers or wait with --poll")
             # plan_stat is None (never submitted): fall through to
@@ -1276,15 +1225,14 @@ def command_shard_collect(args) -> int:
         except ShardError as error:
             raise SystemExit(f"repro: {error}")
         except OSError as error:
-            raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+            raise SystemExit(f"repro: broker {args.broker!r} I/O "
                              f"failed: {error}")
         _emit_merged(shards, outcomes, report=args.report, export=args.export,
-                     extra_config={"broker": str(_queue_location(args)),
+                     extra_config={"broker": args.broker,
                                    "plan": name})
         reference = shards[0].manifest
-        base = "store-broker" if args.store is not None else "dir-broker"
         tele.record(
-            executor=base if name == DEFAULT_PLAN else f"{base}:{name}",
+            executor=_broker_executor(name),
             seed=reference.seed, trials=reference.trials, jobs=1,
             setting_keys=reference.setting_keys, task_ids=reference.task_ids,
             results_by_setting={key: outcome.results
@@ -1295,7 +1243,7 @@ def command_shard_collect(args) -> int:
             # trial execution; the marker keeps it from silently diffing
             # as "same work" against records that actually ran trials.
             subset="collect",
-            context={"broker": str(_queue_location(args)), "role": "collect",
+            context={"broker": args.broker, "role": "collect",
                      "plan": name, "shards": reference.shard_count})
     return 0
 
@@ -1306,7 +1254,7 @@ def command_shard_status(args) -> int:
     except ShardError as error:
         raise SystemExit(f"repro: {error}")
     except OSError as error:
-        raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+        raise SystemExit(f"repro: broker {args.broker!r} I/O "
                          f"failed: {error}")
     if args.json:
         print(json.dumps(status.as_dict(), indent=2, sort_keys=True))
@@ -1316,19 +1264,18 @@ def command_shard_status(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# fleet status / advise (aggregated gauges for an always-on worker pool)
+# fleet status (aggregated gauges for an always-on worker pool)
 # ----------------------------------------------------------------------
-def _fleet_aggregate(args):
-    """The shared status/advise input path: live broker counters as the
-    authoritative plan gauges, any number of --metrics snapshots for
-    worker liveness/counters, any number of --events tails for drain
-    rates.  Returns (broker status, aggregated FleetGauges)."""
+def command_fleet_status(args) -> int:
+    """Live broker counters as the authoritative plan gauges, any number
+    of --metrics snapshots for worker liveness/counters, any number of
+    --events tails for drain rates."""
     try:
         status = _cli_broker(args).status()
     except ShardError as error:
         raise SystemExit(f"repro: {error}")
     except OSError as error:
-        raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+        raise SystemExit(f"repro: broker {args.broker!r} I/O "
                          f"failed: {error}")
     aggregator = FleetAggregator(max_age_s=args.max_age_s)
     aggregator.add_broker_status(status)
@@ -1343,11 +1290,7 @@ def _fleet_aggregate(args):
         except (TelemetryError, OSError) as error:
             raise SystemExit(f"repro: cannot read events file {path!r}: "
                              f"{error}")
-    return status, aggregator.aggregate()
-
-
-def command_fleet_status(args) -> int:
-    status, gauges = _fleet_aggregate(args)
+    gauges = aggregator.aggregate()
     if args.prom_dir is not None:
         try:
             promfile = write_promfile(gauges, args.prom_dir)
@@ -1380,41 +1323,6 @@ def command_fleet_status(args) -> int:
     if stale and args.strict:
         return 2
     return 0
-
-
-def command_fleet_advise(args) -> int:
-    _, gauges = _fleet_aggregate(args)
-    try:
-        policy = AdvisorPolicy(target_backlog=args.target_backlog,
-                               min_workers=args.min_workers,
-                               max_workers=args.max_workers)
-    except ObserveError as error:
-        raise SystemExit(f"repro: {error}")
-    advice = policy.advise(gauges)
-    if args.emit is not None:
-        try:
-            emit_sink = JsonlSink(args.emit)
-            try:
-                emit_sink.emit(advice)
-            finally:
-                emit_sink.close()
-        except OSError as error:
-            raise SystemExit(f"repro: cannot append advice to "
-                             f"{args.emit!r}: {error}")
-    if args.json:
-        print(json.dumps(advice.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"{advice.action}: {advice.workers} live worker(s) -> "
-              f"{advice.recommended} recommended ({advice.reason})")
-    return 0
-
-
-def command_fleet(args) -> int:
-    handlers = {
-        "status": command_fleet_status,
-        "advise": command_fleet_advise,
-    }
-    return handlers[args.fleet_command](args)
 
 
 # ----------------------------------------------------------------------
@@ -1717,7 +1625,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": command_run,
         "report": command_report,
         "shard": command_shard,
-        "fleet": command_fleet,
+        "fleet": command_fleet_status,  # "status" is fleet's one command
         "trace": command_trace,
         "runs": command_runs,
         "cache": command_cache,

@@ -1,27 +1,24 @@
 """The broker-contract conformance suite: executable queue semantics.
 
-The :class:`~repro.bench.transport.ShardBroker` contract — submit / lease /
-renew / post / collect, lease expiry + reclaim, first-write-wins idempotent
-posts, :class:`~repro.bench.transport.BrokerStatus` accounting — is what
-keeps a distributed run bit-identical to serial, so it must hold for *every*
-backend, present and future.  This module turns the contract from prose into
-a reusable test suite: :class:`BrokerContractSuite` holds one test per
-clause, written only against the abstract contract, and a concrete test
-class runs the whole suite against each backend by inheriting it next to a
-``broker_kind`` fixture (see ``tests/test_broker_contract.py``, which covers
-all four shipped configurations: :class:`InMemoryBroker`,
-:class:`LocalDirBroker`, and :class:`ObjectStoreBroker` over both the
-in-memory and the filesystem object store).
+The :class:`~repro.bench.transport.ObjectStoreBroker` contract — submit /
+lease / renew / post / collect, lease expiry + reclaim, first-write-wins
+idempotent posts, :class:`~repro.bench.transport.BrokerStatus` accounting —
+is what keeps a distributed run bit-identical to serial, so it must hold
+over *every* object store, present and future.  This module turns the
+contract from prose into a reusable test suite: :class:`BrokerContractSuite`
+holds one test per clause, and a concrete test class runs the whole suite
+against each store by inheriting it next to a ``broker_kind`` fixture (see
+``tests/test_broker_contract.py``, which covers the broker over both the
+in-memory and the filesystem object store, each with chaos off and on).
 
-To keep the suite cheap across N backends, manifest executions are memoized
+To keep the suite cheap across N stores, manifest executions are memoized
 on the (frozen, hashable) manifest: identical manifests produce identical
 results — that is the determinism the whole transport layer is built on —
 so each distinct manifest is executed once per test session no matter how
-many backends the suite runs against.
+many stores the suite runs against.
 
-Adding a broker backend?  Inherit the suite with your own ``broker_kind``
-and make it pass unchanged; extending :func:`make_broker` here enrolls the
-backend in every existing conformance run.
+Adding an object store?  Extend :func:`make_store` here and every existing
+conformance clause runs over it, calm and under chaos.
 """
 
 from __future__ import annotations
@@ -33,13 +30,10 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.bench.faults import (
-    BROKER_OPS,
     STORE_OPS,
     FaultSchedule,
     FaultSpec,
-    FaultyBroker,
     FaultyObjectStore,
-    RetryingBroker,
 )
 
 from repro.bench.runner import (
@@ -60,17 +54,16 @@ from repro.bench.tasks import task_by_id
 from repro.bench.store import (
     FileSystemObjectStore,
     InMemoryObjectStore,
+    ObjectStore,
     RetryPolicy,
 )
 from repro.bench.telemetry import AggregatingSink
 from repro.bench.transport import (
     DEFAULT_PLAN,
     BrokerStatus,
-    InMemoryBroker,
-    LocalDirBroker,
     ObjectStoreBroker,
     PlanStatus,
-    ShardBroker,
+    ShardWorker,
 )
 
 #: A small two-app grid that still exercises both interface stacks.
@@ -81,23 +74,22 @@ TASKS = ("ppt-01-blue-background", "word-02-landscape",
          "syn:s3-t2-g1-c2-y3-m2-d2-cy1-x1-n4:0002")
 SETTINGS = ("gui-gpt5-medium", "dmi-gpt5-medium")
 
-#: Every shipped broker configuration; the conformance suite runs against
-#: each of these.
-ALL_BROKER_KINDS = ("memory", "dir", "store-memory", "store-fs")
+#: The broker over every shipped object store; the conformance suite runs
+#: against each of these.
+ALL_BROKER_KINDS = ("store-memory", "store-fs")
 
-#: The same four configurations under a seeded hostile
+#: The same stores under a seeded hostile
 #: :class:`~repro.bench.faults.FaultSchedule`: every clause of the suite
-#: must hold verbatim while transient faults rain on every operation,
-#: because bounded retry (the store broker's built-in policy, or
-#: :class:`~repro.bench.faults.RetryingBroker` for the backends with no
-#: store underneath) is supposed to make injected weather invisible.
+#: must hold verbatim while transient faults rain on every store operation,
+#: because the broker's bounded retry is supposed to make injected weather
+#: invisible.
 CHAOS_BROKER_KINDS = tuple(f"chaos-{kind}" for kind in ALL_BROKER_KINDS)
 
 #: The storm definition the chaos kinds run under: transient errors (in
 #: bursts of two, so single-retry consumers would still fail) on every
-#: store and broker op.  Latency and CAS-loss/truncation injection are
-#: exercised by dedicated clauses/tests — they change *visible* timing or
-#: return values, which the exact clause assertions intentionally pin.
+#: store op.  Latency and CAS-loss/truncation injection are exercised by
+#: dedicated clauses/tests — they change *visible* timing or return values,
+#: which the exact clause assertions intentionally pin.
 HOSTILE_ERROR_SPEC = FaultSpec(error_rate=0.15, error_burst=2)
 
 #: Deterministic adversary: same seed, same weather, every run.
@@ -106,7 +98,7 @@ CHAOS_SEED = 8
 
 def hostile_schedule(seed: int = CHAOS_SEED) -> FaultSchedule:
     return FaultSchedule(seed=seed, ops={
-        op: HOSTILE_ERROR_SPEC for op in (*STORE_OPS, *BROKER_OPS)})
+        op: HOSTILE_ERROR_SPEC for op in STORE_OPS})
 
 
 def chaos_retry_policy() -> RetryPolicy:
@@ -116,30 +108,25 @@ def chaos_retry_policy() -> RetryPolicy:
                        sleep=lambda _delay: None)
 
 
+def make_store(kind: str, tmp_path) -> ObjectStore:
+    """A fresh object store of the given kind under ``tmp_path``."""
+    if kind == "store-memory":
+        return InMemoryObjectStore()
+    if kind == "store-fs":
+        return FileSystemObjectStore(tmp_path / "store")
+    raise ValueError(f"unknown broker kind {kind!r}")
+
+
 def make_chaos_broker(kind: str, tmp_path,
                       schedule: FaultSchedule = None,
-                      **kwargs) -> ShardBroker:
-    """A *base*-kind broker with fault injection + retry armour layered on.
-
-    Store-backed kinds inject at the store layer (the broker's own bounded
-    retries must absorb the weather); memory/dir kinds inject on the queue
-    verbs and wear :class:`RetryingBroker` as the consumer-side armour.
-    """
+                      **kwargs) -> ObjectStoreBroker:
+    """A broker over a *base*-kind store wrapped in fault injection; the
+    broker's own bounded retries must absorb the weather."""
     if schedule is None:
         schedule = hostile_schedule()
-    no_sleep = lambda _delay: None  # noqa: E731 — injected latency is 0
-    if kind == "store-memory":
-        return ObjectStoreBroker(
-            FaultyObjectStore(InMemoryObjectStore(), schedule, sleep=no_sleep),
-            retry=chaos_retry_policy(), **kwargs)
-    if kind == "store-fs":
-        return ObjectStoreBroker(
-            FaultyObjectStore(FileSystemObjectStore(tmp_path / "store"),
-                              schedule, sleep=no_sleep),
-            retry=chaos_retry_policy(), **kwargs)
-    inner = make_broker(kind, tmp_path, **kwargs)
-    return RetryingBroker(FaultyBroker(inner, schedule, sleep=no_sleep),
-                          policy=chaos_retry_policy())
+    store = FaultyObjectStore(make_store(kind, tmp_path), schedule,
+                              sleep=lambda _delay: None)
+    return ObjectStoreBroker(store, retry=chaos_retry_policy(), **kwargs)
 
 
 class FakeClock:
@@ -166,7 +153,7 @@ def default_status(**counts) -> BrokerStatus:
         PlanStatus(name=DEFAULT_PLAN, priority=0, **counts),))
 
 
-def drain(broker: ShardBroker, worker_id: str = "worker-a") -> list:
+def drain(broker: ObjectStoreBroker, worker_id: str = "worker-a") -> list:
     """Lease+post until nothing is leasable; the posted leases, in order."""
     posted = []
     while True:
@@ -177,26 +164,25 @@ def drain(broker: ShardBroker, worker_id: str = "worker-a") -> list:
         posted.append(lease)
 
 
-def make_broker(kind: str, tmp_path, **kwargs) -> ShardBroker:
+class MemoizedExecutor(ManifestExecutor):
+    """A :class:`ManifestExecutor` answering from :func:`run_manifest`, so
+    worker-loop clauses cost no extra manifest executions."""
+
+    def run(self, manifest, progress=None):
+        return run_manifest(manifest)
+
+
+def make_broker(kind: str, tmp_path, **kwargs) -> ObjectStoreBroker:
     """One broker of the given kind, backed by fresh state under tmp_path.
 
-    ``chaos-*`` kinds are the same backends wrapped in a seeded hostile
-    :class:`FaultSchedule` plus the matching retry armour (see
-    :func:`make_chaos_broker`); ``kwargs`` always reach the *inner*
-    broker, so clauses can keep steering ``lease_ttl``/``clock``/``sink``.
+    ``chaos-*`` kinds are the same stores wrapped in a seeded hostile
+    :class:`FaultSchedule` (see :func:`make_chaos_broker`); ``kwargs``
+    always reach the broker, so clauses can keep steering
+    ``lease_ttl``/``clock``/``sink``.
     """
     if kind.startswith("chaos-"):
         return make_chaos_broker(kind[len("chaos-"):], tmp_path, **kwargs)
-    if kind == "memory":
-        return InMemoryBroker(**kwargs)
-    if kind == "dir":
-        return LocalDirBroker(tmp_path / "broker", **kwargs)
-    if kind == "store-memory":
-        return ObjectStoreBroker(InMemoryObjectStore(), **kwargs)
-    if kind == "store-fs":
-        return ObjectStoreBroker(FileSystemObjectStore(tmp_path / "store"),
-                                 **kwargs)
-    raise ValueError(f"unknown broker kind {kind!r}")
+    return ObjectStoreBroker(make_store(kind, tmp_path), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +220,7 @@ class BrokerContractSuite:
 
     @pytest.fixture
     def fresh_broker(self, broker_kind, tmp_path):
-        def factory(**kwargs) -> ShardBroker:
+        def factory(**kwargs) -> ObjectStoreBroker:
             return make_broker(broker_kind, tmp_path, **kwargs)
 
         return factory
@@ -341,6 +327,96 @@ class BrokerContractSuite:
         merged = merge_shard_results(broker.collect())
         assert all(outcome.results for outcome in merged.values())
 
+    def test_single_worker_leases_shards_in_index_order(self, fresh_broker):
+        broker = fresh_broker()
+        plan = small_plan(shards=4)
+        broker.submit(plan)
+        leases = [broker.lease("worker-a") for _ in range(4)]
+        assert [lease.manifest for lease in leases] == list(plan.manifests)
+        assert len({lease.token for lease in leases}) == 4
+        assert broker.lease("worker-a") is None
+
+    def test_refused_duplicate_submit_leaves_the_first_plan_intact(
+            self, fresh_broker):
+        """The header is written first and exactly once, so a refused
+        resubmission (even of a differently shaped plan) adds no shards."""
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=2))
+        with pytest.raises(ShardError, match="already holds a plan"):
+            broker.submit(small_plan(shards=3, trials=2))
+        assert broker.status() == default_status(queued=2, leased=0, done=0,
+                                                 shard_count=2)
+        drain(broker)
+        assert [shard.manifest.shard_count for shard in broker.collect()] \
+            == [2, 2]
+
+    def test_submit_rejects_non_integer_priorities(self, fresh_broker):
+        broker = fresh_broker()
+        for bad in (1.5, "3", True, None):
+            with pytest.raises(ShardError, match="priority must be an "
+                                                 "integer"):
+                broker.submit(small_plan(shards=1), name="bad", priority=bad)
+        assert broker.status() == BrokerStatus(plans=())  # nothing landed
+        broker.submit(small_plan(shards=1), name="bad", priority=-3)
+        assert broker.status().plan("bad").priority == -3
+
+    def test_collect_before_completion_returns_only_posted_shards(
+            self, fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=3))
+        leases = [broker.lease("worker-a") for _ in range(3)]
+        broker.post(leases[1], run_manifest(leases[1].manifest))
+        partial = broker.collect()
+        assert [shard.manifest.shard_index for shard in partial] == [1]
+        with pytest.raises(ShardError):
+            merge_shard_results(partial)  # merge refuses a short plan
+
+    def test_collected_results_equal_the_posted_results(self, fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=3, trials=2))
+        posted = {}
+        for lease in drain(broker):
+            posted[lease.manifest.shard_index] = run_manifest(lease.manifest)
+        collected = broker.collect()
+        assert [shard.as_dict() for shard in collected] \
+            == [posted[index].as_dict() for index in sorted(posted)]
+
+    def test_shard_worker_drains_the_queue_to_a_serial_identical_merge(
+            self, fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=3))
+        worker = ShardWorker(broker, MemoizedExecutor(), worker_id="worker-a",
+                             poll=0, heartbeat=0)
+        posted = worker.run()
+        assert sorted(shard.manifest.shard_index for shard in posted) \
+            == [0, 1, 2]
+        assert list(worker.results_by_plan) == [DEFAULT_PLAN]
+        assert broker.status().complete
+        merged = merge_shard_results(broker.collect())
+        reference = serial_reference()
+        for key in reference:
+            assert [r.as_dict() for r in reference[key].results] \
+                == [r.as_dict() for r in merged[key].results]
+
+    def test_broker_handles_over_one_store_share_the_queue(self,
+                                                           fresh_broker):
+        """All queue state lives in the store: a second handle over the
+        same store sees, leases and posts the first handle's plan."""
+        broker = fresh_broker()
+        peer = ObjectStoreBroker(broker.store, retry=broker.retry)
+        broker.submit(small_plan(shards=2))
+        with pytest.raises(ShardError, match="already holds a plan"):
+            peer.submit(small_plan(shards=2))
+        lease = peer.lease("worker-peer")
+        assert lease is not None
+        assert broker.status() == default_status(queued=1, leased=1, done=0,
+                                                 shard_count=2)
+        assert broker.post(lease, run_manifest(lease.manifest)) is True
+        drain(peer)
+        assert peer.status() == broker.status()
+        assert [shard.as_dict() for shard in peer.collect()] \
+            == [shard.as_dict() for shard in broker.collect()]
+
     # ------------------------------------------------------------------
     # multi-plan namespaces
     # ------------------------------------------------------------------
@@ -420,6 +496,55 @@ class BrokerContractSuite:
         assert len(drain(broker)) == 3
         assert sink.snapshot()["counters"]["plan_drained"] == 2
 
+    def test_plan_names_are_sorted_and_status_rows_follow(self,
+                                                          fresh_broker):
+        broker = fresh_broker()
+        for name in ("beta", DEFAULT_PLAN, "alpha"):
+            broker.submit(small_plan(shards=1), name=name)
+        assert broker.plan_names() == ("alpha", "beta", DEFAULT_PLAN)
+        status = broker.status()
+        assert [row.name for row in status.plans] \
+            == ["alpha", "beta", DEFAULT_PLAN]
+        assert status.plan("missing") is None
+        assert (status.queued, status.shard_count) == (3, 3)
+
+    def test_lease_skips_a_plan_whose_shards_are_all_in_flight(
+            self, fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=1), name="busy", priority=9)
+        broker.submit(small_plan(shards=2), name="idle")
+        assert broker.lease("worker-a").plan == "busy"
+        # "busy" outranks "idle" but has nothing leasable left.
+        assert [broker.lease("worker-a").plan for _ in range(2)] \
+            == ["idle", "idle"]
+        assert broker.lease("worker-a") is None
+
+    def test_plan_drained_is_emitted_once_after_the_last_shard(
+            self, fresh_broker):
+        sink = AggregatingSink()
+        broker = fresh_broker(sink=sink)
+        broker.submit(small_plan(shards=3))
+        leases = [broker.lease("worker-a") for _ in range(3)]
+        for lease in leases[:2]:
+            broker.post(lease, run_manifest(lease.manifest))
+        assert "plan_drained" not in sink.snapshot()["counters"]
+        broker.post(leases[2], run_manifest(leases[2].manifest))
+        assert sink.snapshot()["counters"]["plan_drained"] == 1
+        # A duplicate post of the last shard is a no-op, not a re-drain.
+        assert broker.post(leases[2], run_manifest(leases[2].manifest)) \
+            is False
+        assert sink.snapshot()["counters"]["plan_drained"] == 1
+
+    def test_post_rejects_results_with_a_foreign_trial_count(self,
+                                                             fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=1))
+        lease = broker.lease("worker-a")
+        alien = small_plan(shards=1, trials=2)
+        with pytest.raises(ShardError, match="'trials'"):
+            broker.post(lease, run_manifest(alien.manifests[0]))
+        assert broker.status().done == 0
+
     def test_post_rejects_results_from_a_foreign_plan(self, fresh_broker):
         broker = fresh_broker()
         broker.submit(small_plan(shards=1))
@@ -485,6 +610,66 @@ class BrokerContractSuite:
                                         shard_count=1)
         assert list(merge_shard_results(broker.collect()))
 
+    def test_status_counts_an_expired_lease_as_queued(self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=2))
+        broker.lease("worker-a")
+        clock.advance(61.0)
+        # Nobody reclaimed it yet, but it is leasable again: queued.
+        assert broker.status() == default_status(queued=2, leased=0, done=0,
+                                                 shard_count=2)
+        assert broker.lease("worker-b") is not None
+        assert broker.status().leased == 1
+
+    def test_holder_may_post_after_its_lease_expired_unreclaimed(
+            self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=1))
+        lease = broker.lease("worker-a")
+        clock.advance(600.0)
+        assert broker.post(lease, run_manifest(lease.manifest)) is True
+        assert broker.status().complete
+        assert broker.lease("worker-b") is None
+
+    def test_done_shards_are_never_released_again(self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=2))
+        assert len(drain(broker)) == 2
+        for _ in range(3):
+            clock.advance(10_000.0)  # far past every deadline ever issued
+            assert broker.lease("worker-b") is None
+        assert broker.status() == default_status(queued=0, leased=0, done=2,
+                                                 shard_count=2)
+
+    def test_skew_allowance_delays_reclaim_by_the_grace(self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock,
+                              skew_allowance=30.0)
+        broker.submit(small_plan(shards=1))
+        held = broker.lease("worker-a")
+        clock.advance(61.0)  # past the deadline, inside the grace
+        assert broker.lease("worker-b") is None
+        assert broker.status().leased == 1
+        clock.advance(30.0)  # past deadline + grace: reclaimable
+        assert broker.status().queued == 1
+        taken = broker.lease("worker-b")
+        assert taken is not None and taken.manifest == held.manifest
+
+    def test_reclaim_issues_a_fresh_token_for_the_same_manifest(
+            self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=1))
+        stale = broker.lease("worker-a")
+        clock.advance(61.0)
+        taken = broker.lease("worker-b")
+        assert taken.manifest == stale.manifest
+        assert taken.token != stale.token
+        assert taken.deadline == clock() + 60.0
+
     def test_duplicate_result_post_is_idempotent(self, fresh_broker):
         broker = fresh_broker()
         broker.submit(small_plan(shards=2))
@@ -537,6 +722,20 @@ class BrokerContractSuite:
         lease = broker.lease("worker-a")
         broker.post(lease, run_manifest(lease.manifest))
         assert broker.renew(lease) is None
+
+    def test_renew_keeps_the_token_manifest_and_holder(self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=2))
+        lease = broker.lease("worker-a")
+        clock.advance(10.0)
+        renewed = broker.renew(lease)
+        assert (renewed.token, renewed.manifest, renewed.worker_id,
+                renewed.plan) == (lease.token, lease.manifest,
+                                  lease.worker_id, lease.plan)
+        assert renewed.deadline == lease.deadline + 10.0
+        # The superseded handle is still the same grant: it renews too.
+        assert broker.renew(lease) is not None
 
     def test_expired_but_unreclaimed_lease_can_still_be_revived(self,
                                                                 fresh_broker):
@@ -616,18 +815,14 @@ class BrokerContractSuite:
 
     def test_partial_list_reads_never_drop_a_queued_shard(self, broker_kind,
                                                           tmp_path):
-        """Truncated ``list_prefix`` pages (or error storms, for backends
-        with no store to truncate) may delay progress but never lose work:
-        the queue still drains to a complete, mergeable plan."""
-        base = broker_kind.removeprefix("chaos-")
-        if base.startswith("store"):
-            # Half of every listing call returns only a prefix of the
-            # truth — the eventually-consistent page a cloud store serves.
-            schedule = FaultSchedule(seed=88, ops={
-                "list_prefix": FaultSpec(truncate_rate=0.5)})
-        else:
-            schedule = hostile_schedule(seed=88)
-        broker = make_chaos_broker(base, tmp_path, schedule=schedule)
+        """Truncated ``list_prefix`` pages may delay progress but never
+        lose work: the queue still drains to a complete, mergeable plan."""
+        # Half of every listing call returns only a prefix of the truth —
+        # the eventually-consistent page a cloud store serves.
+        schedule = FaultSchedule(seed=88, ops={
+            "list_prefix": FaultSpec(truncate_rate=0.5)})
+        broker = make_chaos_broker(broker_kind.removeprefix("chaos-"),
+                                   tmp_path, schedule=schedule)
         broker.submit(small_plan(shards=4))
         for _ in range(600):
             row = broker.status().plan(DEFAULT_PLAN)

@@ -15,14 +15,13 @@ JSON export so tests can compare them byte-for-byte:
     re-loaded from disk → one :class:`~repro.bench.shard.ManifestExecutor`
     per manifest → results files → ``merge_shard_results``.
 ``broker``
-    PR 3's queue: :class:`~repro.bench.transport.LocalDirBroker` ``submit``
-    → two sequential :class:`~repro.bench.transport.ShardWorker` pull loops
-    → ``collect`` → ``merge_shard_results``.
-``store-broker``
-    PR 4's cloud-shaped queue: the same submit/work/collect flow through an
-    :class:`~repro.bench.transport.ObjectStoreBroker` over a
-    :class:`~repro.bench.store.FileSystemObjectStore` (CAS leases instead
-    of renames), with worker heartbeats left at their defaults.
+    The queue: :class:`~repro.bench.transport.ObjectStoreBroker` over a
+    :class:`~repro.bench.store.FileSystemObjectStore` ``submit`` → two
+    sequential :class:`~repro.bench.transport.ShardWorker` pull loops (CAS
+    leases, heartbeats at their defaults) → ``collect`` →
+    ``merge_shard_results``.  :func:`run_chaos_store_broker` and
+    :func:`run_multi_plan_broker` drive the same queue under a hostile
+    fault schedule and with several plans sharing one broker.
 
 Use :func:`assert_paths_bit_identical` from a test, parametrized over seeds
 and shard counts; it returns the reference bytes for extra assertions.
@@ -61,7 +60,7 @@ from repro.bench.faults import FaultSchedule, FaultSpec, FaultyObjectStore
 from repro.bench.tasks import task_by_id
 from repro.bench.store import FileSystemObjectStore, RetryPolicy
 from repro.bench.telemetry import AggregatingSink, use_sink
-from repro.bench.transport import LocalDirBroker, ObjectStoreBroker, ShardWorker
+from repro.bench.transport import ObjectStoreBroker, ShardWorker
 from repro.cli import export_settings_payload
 from repro.dmi.cache import ArtifactCache
 from repro.dmi.interface import DMIConfig, rebuild_offline_artifacts
@@ -72,7 +71,7 @@ DEFAULT_TASKS = ("ppt-01-blue-background", "word-02-landscape")
 DEFAULT_SETTINGS = ("gui-gpt5-medium", "dmi-gpt5-medium")
 
 #: A small generated scenario (2 visible tabs, dialog chain with a UI
-#: cycle, one contextual tab, 4 tasks) used to prove the five-path
+#: cycle, one contextual tab, 4 tasks) used to prove the four-path
 #: guarantee holds for synthetic apps too.  The token alone is the
 #: fixture: every worker process regenerates the app and tasks from the
 #: ``syn:`` ids.
@@ -142,33 +141,17 @@ def run_broker(seed: int, trials: int, setting_keys: Sequence[str],
                work_dir: Path) -> bytes:
     plan = plan_shards(shard_count, seed=seed, trials=trials,
                        setting_keys=setting_keys, task_ids=task_ids)
-    broker = LocalDirBroker(work_dir / "broker")
+    broker = ObjectStoreBroker(FileSystemObjectStore(work_dir / "store"))
     broker.submit(plan)
     cache_dir = work_dir / "broker-cache"
     # Two workers sharing one cache dir, like two machines on shared storage:
     # the first takes exactly one manifest, the second drains the rest.
+    # Heartbeats stay at their default (lease_ttl / 3) so the background
+    # renewal thread rides along.
     ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
                 worker_id="equivalence-w0", poll=0, max_manifests=1).run()
     ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
                 worker_id="equivalence-w1", poll=0).run()
-    merged = merge_shard_results(broker.collect())
-    return outcomes_bytes(merged)
-
-
-def run_store_broker(seed: int, trials: int, setting_keys: Sequence[str],
-                     task_ids: Sequence[str], shard_count: int,
-                     work_dir: Path) -> bytes:
-    plan = plan_shards(shard_count, seed=seed, trials=trials,
-                       setting_keys=setting_keys, task_ids=task_ids)
-    broker = ObjectStoreBroker(FileSystemObjectStore(work_dir / "store"))
-    broker.submit(plan)
-    cache_dir = work_dir / "store-cache"
-    # Same two-worker shape as run_broker, with heartbeats at their default
-    # (lease_ttl / 3) so the background renewal thread rides along.
-    ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
-                worker_id="equivalence-s0", poll=0, max_manifests=1).run()
-    ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
-                worker_id="equivalence-s1", poll=0).run()
     merged = merge_shard_results(broker.collect())
     return outcomes_bytes(merged)
 
@@ -189,7 +172,7 @@ def run_chaos_store_broker(seed: int, trials: int,
                            task_ids: Sequence[str], shard_count: int,
                            work_dir: Path,
                            schedule: FaultSchedule = None) -> bytes:
-    """The ``store-broker`` path with a hostile :class:`FaultSchedule`
+    """The ``broker`` path with a hostile :class:`FaultSchedule`
     raining on the object store: the broker's bounded retries must absorb
     every injected transient, so the merged export stays byte-identical to
     serial — the chaos-conformance form of the equivalence guarantee."""
@@ -209,7 +192,7 @@ def run_chaos_store_broker(seed: int, trials: int,
                 worker_id="equivalence-c1", poll=0).run()
     assert store.injected.snapshot()["errors"] > 0, (
         "the hostile schedule injected nothing — the chaos run proved "
-        "nothing beyond the plain store-broker path")
+        "nothing beyond the plain broker path")
     merged = merge_shard_results(broker.collect())
     return outcomes_bytes(merged)
 
@@ -221,7 +204,7 @@ def run_multi_plan_broker(seeds: Sequence[int], trials: int,
     """PR 7's multi-tenant path: one broker, one worker, several plans.
 
     Every seed becomes its own named plan (``seed-<n>``) on a single
-    :class:`~repro.bench.transport.LocalDirBroker`; one non-daemon worker
+    :class:`~repro.bench.transport.ObjectStoreBroker`; one non-daemon worker
     drains the whole broker across plan namespaces in fair-share order,
     then each plan is collected by name.  Returns ``{plan_name: bytes}``
     so tests can compare each export against the serial run of the same
@@ -229,7 +212,7 @@ def run_multi_plan_broker(seeds: Sequence[int], trials: int,
     stay bit-identical to plans run alone.
     """
     work_dir = Path(work_dir)
-    broker = LocalDirBroker(work_dir / "broker")
+    broker = ObjectStoreBroker(FileSystemObjectStore(work_dir / "store"))
     for seed in seeds:
         broker.submit(plan_shards(shard_count, seed=seed, trials=trials,
                                   setting_keys=setting_keys,
@@ -289,7 +272,7 @@ def run_all_paths_with_telemetry(
         seed: int, trials: int, setting_keys: Sequence[str],
         task_ids: Sequence[str], shard_count: int,
         work_dir: Path) -> Dict[str, Tuple[bytes, AggregatingSink]]:
-    """Execute the grid through all five paths, each under a fresh
+    """Execute the grid through all four paths, each under a fresh
     :class:`AggregatingSink` installed as the process default; returns
     ``(export bytes, sink)`` per path."""
     work_dir = Path(work_dir)
@@ -302,9 +285,6 @@ def run_all_paths_with_telemetry(
             work_dir / "file-shards"),
         "broker": lambda: run_broker(seed, trials, setting_keys, task_ids,
                                      shard_count, work_dir / "broker"),
-        "store-broker": lambda: run_store_broker(
-            seed, trials, setting_keys, task_ids, shard_count,
-            work_dir / "store-broker"),
     }
     out: Dict[str, Tuple[bytes, AggregatingSink]] = {}
     for name, thunk in paths.items():
@@ -316,7 +296,7 @@ def run_all_paths_with_telemetry(
 def run_all_paths(seed: int, trials: int, setting_keys: Sequence[str],
                   task_ids: Sequence[str], shard_count: int,
                   work_dir: Path) -> Dict[str, bytes]:
-    """Execute the grid through all five paths; one bytes blob per path."""
+    """Execute the grid through all four paths; one bytes blob per path."""
     return {name: blob for name, (blob, _) in
             run_all_paths_with_telemetry(seed, trials, setting_keys,
                                          task_ids, shard_count,
@@ -353,7 +333,7 @@ def assert_paths_bit_identical(seed: int, trials: int,
                                setting_keys: Sequence[str],
                                task_ids: Sequence[str], shard_count: int,
                                work_dir: Path) -> bytes:
-    """Assert all five exports are byte-identical (and their telemetry
+    """Assert all four exports are byte-identical (and their telemetry
     trial aggregates agree); returns the reference bytes."""
     exports = run_all_paths_with_telemetry(seed, trials, setting_keys,
                                            task_ids, shard_count, work_dir)

@@ -1,18 +1,16 @@
-"""Run the broker-contract conformance suite against every shipped backend.
+"""Run the broker-contract conformance suite against every shipped store.
 
-``tests/broker_contract.py`` holds the suite; this module enrolls all four
-broker configurations — :class:`~repro.bench.transport.InMemoryBroker`,
-:class:`~repro.bench.transport.LocalDirBroker`, and
+``tests/broker_contract.py`` holds the suite; this module enrolls
 :class:`~repro.bench.transport.ObjectStoreBroker` over the in-memory and the
-filesystem object store — so every contract clause is asserted identically
-across backends.  Backend-specific behaviour (lease filenames, CAS races,
-on-disk corruption) lives in ``tests/test_transport.py`` instead.
+filesystem object store, so every contract clause is asserted identically
+across stores.  Store-specific behaviour (CAS races, on-disk corruption)
+lives in ``tests/test_transport.py`` instead.
 
-:class:`TestBrokerContractChaos` enrolls the same four backends *again*
-under a seeded hostile :class:`~repro.bench.faults.FaultSchedule` (transient
-error bursts on every operation): bounded retry is supposed to make that
-weather invisible, so every clause must hold verbatim — same assertions,
-zero accommodations.
+:class:`TestBrokerContractChaos` enrolls the same two stores *again* under
+a seeded hostile :class:`~repro.bench.faults.FaultSchedule` (transient
+error bursts on every store operation): bounded retry is supposed to make
+that weather invisible, so every clause must hold verbatim — same
+assertions, zero accommodations.
 """
 
 import pytest
@@ -25,7 +23,7 @@ from broker_contract import (
 
 
 class TestBrokerContract(BrokerContractSuite):
-    """All contract clauses × all shipped broker backends."""
+    """All contract clauses × all shipped object stores."""
 
     @pytest.fixture(params=ALL_BROKER_KINDS)
     def broker_kind(self, request) -> str:
@@ -33,7 +31,7 @@ class TestBrokerContract(BrokerContractSuite):
 
 
 class TestBrokerContractChaos(BrokerContractSuite):
-    """All contract clauses × all backends × a hostile fault schedule."""
+    """All contract clauses × all stores × a hostile fault schedule."""
 
     @pytest.fixture(params=CHAOS_BROKER_KINDS)
     def broker_kind(self, request) -> str:

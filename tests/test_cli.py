@@ -305,14 +305,18 @@ def test_shard_submit_work_collect_matches_single_machine_run(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["shard", "submit", "--broker", str(broker), "--shards", "2"]
                 + BROKER_GRID) == 0
-    assert "submitted 2 shard manifest(s)" in capsys.readouterr().out
-    # Two sequential workers sharing the cache dir, like two machines.
+    submitted = capsys.readouterr().out
+    assert "submitted 2 shard manifest(s)" in submitted
+    assert "repro shard work --broker DIR" in submitted
+    # Two sequential workers sharing the cache dir, like two machines, with
+    # explicit lease/heartbeat tuning.
     assert main(["shard", "work", "--broker", str(broker), "--worker-id", "w1",
+                 "--lease-ttl", "120", "--heartbeat", "5",
                  "--cache-dir", str(cache), "--max-manifests", "1"]) == 0
     first = capsys.readouterr().out
     assert "w1: 1 manifest(s) executed" in first
     assert main(["shard", "work", "--broker", str(broker), "--worker-id", "w2",
-                 "--cache-dir", str(cache)]) == 0
+                 "--heartbeat", "0", "--cache-dir", str(cache)]) == 0
     second = capsys.readouterr().out
     assert "w2: 1 manifest(s) executed" in second
     # Satellite guarantee: the second worker's cache never misses.
@@ -394,46 +398,14 @@ def test_shard_merge_report_prints_figures(tmp_path, capsys):
     assert "single core LLM call" in output
 
 
-# ----------------------------------------------------------------------
-# shard submit / work / collect over the object-store broker
-# ----------------------------------------------------------------------
-def test_shard_submit_work_collect_via_object_store_matches_single_run(
-        tmp_path, capsys):
-    store = tmp_path / "objstore"
-    cache = tmp_path / "cache"
-    assert main(["shard", "submit", "--store", str(store), "--shards", "2"]
-                + BROKER_GRID) == 0
-    submitted = capsys.readouterr().out
-    assert "submitted 2 shard manifest(s)" in submitted
-    assert "--store" in submitted  # the hint names the chosen backend
-    # Two sequential workers with explicit lease/heartbeat tuning.
-    assert main(["shard", "work", "--store", str(store), "--worker-id", "w1",
-                 "--lease-ttl", "120", "--heartbeat", "5",
-                 "--cache-dir", str(cache), "--max-manifests", "1"]) == 0
-    assert "w1: 1 manifest(s) executed" in capsys.readouterr().out
-    assert main(["shard", "work", "--store", str(store), "--worker-id", "w2",
-                 "--heartbeat", "0", "--cache-dir", str(cache)]) == 0
-    assert "w2: 1 manifest(s) executed" in capsys.readouterr().out
-    merged = tmp_path / "merged.json"
-    assert main(["shard", "collect", "--store", str(store),
-                 "--export", str(merged)]) == 0
-    capsys.readouterr()
-    single = tmp_path / "single.json"
-    assert main(["run", *BROKER_GRID, "--export", str(single)]) == 0
-    capsys.readouterr()
-    merged_payload = json.loads(merged.read_text())
-    assert merged_payload["settings"] == json.loads(single.read_text())["settings"]
-    assert merged_payload["config"]["broker"] == str(store)
-
-
-def test_shard_queue_commands_require_exactly_one_backend(tmp_path):
+def test_shard_queue_commands_require_a_broker(tmp_path):
     for command in (["shard", "submit", "--shards", "1"],
-                    ["shard", "work"], ["shard", "collect"]):
-        with pytest.raises(SystemExit):  # neither --broker nor --store
+                    ["shard", "work"], ["shard", "collect"],
+                    ["shard", "status"], ["fleet", "status"]):
+        with pytest.raises(SystemExit):  # no --broker
             build_parser().parse_args(command)
-        with pytest.raises(SystemExit):  # both at once
-            build_parser().parse_args(command + ["--broker", "a",
-                                                 "--store", "b"])
+        assert build_parser().parse_args(command + ["--broker", "a"]).broker \
+            == "a"
 
 
 def test_shard_queue_commands_reject_nonpositive_lease_ttl():
@@ -460,10 +432,10 @@ def test_shard_work_rejects_heartbeat_at_or_above_lease_ttl(tmp_path):
 
 def test_shard_work_progress_prints_heartbeat_renewals(tmp_path, capsys):
     store = tmp_path / "objstore"
-    main(["shard", "submit", "--store", str(store), "--shards", "1"]
+    main(["shard", "submit", "--broker", str(store), "--shards", "1"]
          + BROKER_GRID)
     capsys.readouterr()
-    assert main(["shard", "work", "--store", str(store), "--worker-id", "hb",
+    assert main(["shard", "work", "--broker", str(store), "--worker-id", "hb",
                  "--lease-ttl", "60", "--heartbeat", "0.02",
                  "--progress"]) == 0
     captured = capsys.readouterr()
@@ -606,20 +578,20 @@ def test_shard_chaos_store_round_trip_matches_single_run(tmp_path, capsys):
     registry_dir = tmp_path / "registry"
     storm = _hostile_schedule_file(tmp_path, STORE_OPS)
     chaos = ["--fault-schedule", str(storm)]
-    assert main(["shard", "submit", "--store", str(store), "--shards", "2"]
+    assert main(["shard", "submit", "--broker", str(store), "--shards", "2"]
                 + BROKER_GRID + chaos) == 0
     capsys.readouterr()
-    assert main(["shard", "work", "--store", str(store), "--worker-id", "w1",
+    assert main(["shard", "work", "--broker", str(store), "--worker-id", "w1",
                  "--heartbeat", "0", "--max-manifests", "1",
                  "--cache-dir", str(tmp_path / "cache"),
                  "--registry", str(registry_dir)] + chaos) == 0
     assert "w1: 1 manifest(s) executed" in capsys.readouterr().out
-    assert main(["shard", "work", "--store", str(store), "--worker-id", "w2",
+    assert main(["shard", "work", "--broker", str(store), "--worker-id", "w2",
                  "--heartbeat", "0", "--cache-dir", str(tmp_path / "cache"),
                  "--registry", str(registry_dir)] + chaos) == 0
     assert "w2: 1 manifest(s) executed" in capsys.readouterr().out
     merged = tmp_path / "merged.json"
-    assert main(["shard", "collect", "--store", str(store),
+    assert main(["shard", "collect", "--broker", str(store),
                  "--export", str(merged)] + chaos) == 0
     single = tmp_path / "single.json"
     assert main(["run", *BROKER_GRID, "--export", str(single)]) == 0
@@ -636,44 +608,18 @@ def test_shard_chaos_store_round_trip_matches_single_run(tmp_path, capsys):
     assert shown["counters"]["shard_posted"] == 1
 
 
-def test_shard_chaos_dir_broker_round_trip_matches_single_run(
-        tmp_path, capsys):
-    """The same storm hits the directory broker's queue verbs (through the
-    retrying shim) and the merged export still matches the plain run."""
-    from repro.bench.faults import BROKER_OPS
-
-    broker = tmp_path / "queue"
-    storm = _hostile_schedule_file(tmp_path, BROKER_OPS)
-    chaos = ["--fault-schedule", str(storm)]
-    assert main(["shard", "submit", "--broker", str(broker), "--shards", "2"]
-                + BROKER_GRID + chaos) == 0
-    capsys.readouterr()
-    assert main(["shard", "work", "--broker", str(broker), "--worker-id", "w1",
-                 "--heartbeat", "0",
-                 "--cache-dir", str(tmp_path / "cache")] + chaos) == 0
-    assert "w1: 2 manifest(s) executed" in capsys.readouterr().out
-    merged = tmp_path / "merged.json"
-    assert main(["shard", "collect", "--broker", str(broker),
-                 "--export", str(merged)] + chaos) == 0
-    single = tmp_path / "single.json"
-    assert main(["run", *BROKER_GRID, "--export", str(single)]) == 0
-    capsys.readouterr()
-    merged_payload = json.loads(merged.read_text())
-    assert merged_payload["settings"] == json.loads(single.read_text())["settings"]
-
-
 def test_shard_fault_schedule_rejects_unreadable_files(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(SystemExit, match="cannot read"):
-        main(["shard", "submit", "--store", str(tmp_path / "s"),
+        main(["shard", "submit", "--broker", str(tmp_path / "s"),
               "--shards", "1", "--fault-schedule", str(missing)] + BROKER_GRID)
     torn = tmp_path / "torn.json"
     torn.write_text("{not json", encoding="utf-8")
     with pytest.raises(SystemExit, match="not valid JSON"):
-        main(["shard", "work", "--store", str(tmp_path / "s"),
+        main(["shard", "work", "--broker", str(tmp_path / "s"),
               "--fault-schedule", str(torn)])
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"kind": "something-else"}), encoding="utf-8")
     with pytest.raises(SystemExit, match="field 'kind'"):
-        main(["shard", "collect", "--store", str(tmp_path / "s"),
+        main(["shard", "collect", "--broker", str(tmp_path / "s"),
               "--fault-schedule", str(wrong)])

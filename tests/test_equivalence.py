@@ -1,10 +1,10 @@
 """The equivalence harness as a tier-1 test (the acceptance-criteria gate).
 
 Every execution path the codebase offers — serial, process-pool parallel,
-file-based shard plan/run/merge, the directory-broker work queue, and the
-object-store broker — must export byte-identical JSON for the same
-(seed, grid).  ``tests/equivalence.py`` does the running; these tests
-parametrize it over seeds and shard counts.
+file-based shard plan/run/merge, and the broker work queue (calm, under
+chaos, and with several plans sharing one broker) — must export
+byte-identical JSON for the same (seed, grid).  ``tests/equivalence.py``
+does the running; these tests parametrize it over seeds and shard counts.
 """
 
 import json
@@ -43,7 +43,7 @@ def test_every_execution_path_is_bit_identical(tmp_path, seed, shard_count):
 
 def test_incremental_models_keep_every_path_bit_identical(tmp_path):
     """PR 6 satellite: warm the parallel path's cache with models produced
-    by the incremental (replay + splice) ripper, then run all five paths.
+    by the incremental (replay + splice) ripper, then run all four paths.
     Serial runs with no cache — its scratch-ripped models are the
     reference — so byte-identical exports prove incremental models are
     indistinguishable across every execution path."""
@@ -93,7 +93,7 @@ def test_chaos_store_broker_stays_bit_identical_to_serial(tmp_path):
             seed=DEFAULT_SEED, trials=1, setting_keys=DEFAULT_SETTINGS,
             task_ids=DEFAULT_TASKS, shard_count=2, work_dir=tmp_path)
     assert chaotic == reference, (
-        "the store-broker path diverged from serial under injected faults")
+        "the broker path diverged from serial under injected faults")
     # The weather actually reached the retry layer — this run earned its
     # name — and nobody exhausted a budget (the run completed).
     assert sink.count("store_retry") > 0
@@ -106,16 +106,14 @@ def test_chaos_store_broker_stays_bit_identical_to_serial(tmp_path):
         for seed in (DEFAULT_SEED, 1097)
     }
     assert exports[DEFAULT_SEED]["serial"] != exports[1097]["serial"]
-    # Guard against an execution path silently dropping out of the harness:
-    # both broker families (atomic-rename dir and CAS object store) run.
+    # Guard against an execution path silently dropping out of the harness.
     assert set(exports[DEFAULT_SEED]) == {"serial", "parallel",
-                                          "file-shards", "broker",
-                                          "store-broker"}
+                                          "file-shards", "broker"}
 
 
 def test_generated_grid_is_bit_identical_across_all_paths(tmp_path):
     """PR 9 tentpole: a grid mixing a generated app's task suite with a
-    hand-written task runs byte-identically through all five execution
+    hand-written task runs byte-identically through all four execution
     paths.  Workers in the shard/broker paths hold only the ``syn:`` ids —
     the token regenerates the app and tasks in each fresh process."""
     task_ids = synthetic_task_ids(SYNTHETIC_SPEC) + ("word-02-landscape",)

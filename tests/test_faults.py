@@ -7,19 +7,18 @@ Three layers under test, bottom-up:
   and round-trip through its JSON file format with labeled errors on every
   malformed input, or a CI chaos run could not be reproduced from its
   artifact;
-* the wrappers — :class:`~repro.bench.faults.FaultyObjectStore` /
-  :class:`~repro.bench.faults.FaultyBroker` inject strictly *before* the
-  inner call (a fault never half-applies an operation) and lie only in the
-  ways real storage lies: retryable errors, lost CAS races, truncated
-  listings, latency;
+* the wrapper — :class:`~repro.bench.faults.FaultyObjectStore` injects
+  strictly *before* the inner call (a fault never half-applies an
+  operation) and lies only in the ways real storage lies: retryable
+  errors, lost CAS races, truncated listings, latency;
 * the armour — :func:`~repro.bench.store.call_with_retries` absorbs
   transients up to a :class:`~repro.bench.store.RetryPolicy` budget
   (emitting ``store_retry`` telemetry per absorbed attempt), then gives up
   with a :class:`~repro.bench.store.RetryBudgetExceeded` naming the op,
   key, and attempt count; every :class:`ObjectStoreBroker` verb and the
   :class:`ShardWorker` loop surface that labeled give-up, and a worker
-  whose lease is storm-reclaimed mid-manifest abandons cleanly (no orphan
-  result, ``abandoned`` increments).
+  whose lease renewals lose a CAS storm mid-manifest abandons cleanly (no
+  orphan result, ``abandoned`` increments).
 
 The wall-clock satellite rides here too: in-process deadlines are
 monotonic, persisted lease deadlines stay wall-clock with an explicit
@@ -39,16 +38,14 @@ from broker_contract import (
     small_plan,
 )
 from repro.bench.faults import (
-    BROKER_OPS,
     STORE_OPS,
     FaultSchedule,
     FaultSpec,
-    FaultyBroker,
     FaultyObjectStore,
-    RetryingBroker,
 )
 from repro.bench.shard import ManifestExecutor, ShardError, merge_shard_results
 from repro.bench.store import (
+    FileSystemObjectStore,
     InMemoryObjectStore,
     RetryBudgetExceeded,
     RetryPolicy,
@@ -56,12 +53,7 @@ from repro.bench.store import (
     call_with_retries,
 )
 from repro.bench.telemetry import AggregatingSink
-from repro.bench.transport import (
-    InMemoryBroker,
-    LocalDirBroker,
-    ObjectStoreBroker,
-    ShardWorker,
-)
+from repro.bench.transport import ObjectStoreBroker, ShardWorker
 
 
 def no_sleep(_delay: float) -> None:
@@ -92,9 +84,9 @@ class TestFaultSchedule:
 
     def test_reset_replays_the_identical_storm(self):
         schedule = hostile_schedule()
-        first = [schedule.decide("lease").error for _ in range(100)]
+        first = [schedule.decide("get").error for _ in range(100)]
         schedule.reset()
-        assert [schedule.decide("lease").error for _ in range(100)] == first
+        assert [schedule.decide("get").error for _ in range(100)] == first
 
     def test_op_streams_are_independent_of_interleaving(self):
         """Each op's decisions depend only on (seed, op), not on how calls
@@ -349,97 +341,113 @@ class TestGiveUpPaths:
         self.expect_give_up(store, sink, r"list_prefix on 'plans/'",
                             broker.status)
 
-    def test_worker_surfaces_a_labeled_lease_give_up(self, tmp_path):
-        faulty = FaultyBroker(LocalDirBroker(tmp_path / "broker"),
-                              always_fail("lease"), sleep=no_sleep)
-        worker = ShardWorker(faulty, worker_id="doomed", poll=0,
-                             retry=RetryPolicy(attempts=2, sleep=no_sleep))
+    def test_worker_surfaces_a_labeled_lease_give_up(self):
+        store = FaultyObjectStore(InMemoryObjectStore(),
+                                  always_fail("list_prefix"), sleep=no_sleep)
+        broker = ObjectStoreBroker(
+            store, retry=RetryPolicy(attempts=2, sleep=no_sleep))
+        worker = ShardWorker(broker, worker_id="doomed", poll=0)
         with pytest.raises(RetryBudgetExceeded,
-                           match=r"lease on 'doomed'.*2 attempt"):
+                           match=r"list_prefix on 'plans/'.*2 attempt"):
             worker.run()
-
-    def test_retrying_broker_surfaces_labeled_give_ups_too(self, tmp_path):
-        broker = RetryingBroker(
-            FaultyBroker(LocalDirBroker(tmp_path / "broker"),
-                         always_fail(*BROKER_OPS), sleep=no_sleep),
-            policy=RetryPolicy(attempts=2, sleep=no_sleep))
-        with pytest.raises(RetryBudgetExceeded, match=r"submit on 'default'"):
-            broker.submit(small_plan(shards=1))
-        with pytest.raises(RetryBudgetExceeded, match=r"status"):
-            broker.status()
 
 
 class _SlowExecutor(ManifestExecutor):
-    """Holds each manifest long enough for heartbeats to fire."""
+    """Holds each manifest long enough for heartbeats to fire; ``before``
+    runs first (how a test starts a storm once the lease is held)."""
 
-    def __init__(self, hold_s: float) -> None:
+    def __init__(self, hold_s: float, before=None) -> None:
         super().__init__()
         self.hold_s = hold_s
+        self.before = before
 
     def run(self, manifest, progress=None):
+        if self.before is not None:
+            self.before()
         time.sleep(self.hold_s)
         return run_manifest(manifest)
 
 
+def cas_storm_broker(tmp_path, lease_ttl: float):
+    """A filesystem-store broker whose every ``put_if_match`` reports the
+    race lost once ``store.enabled`` is flipped on: a lease renewal storm."""
+    store = FaultyObjectStore(
+        FileSystemObjectStore(tmp_path / "store"),
+        FaultSchedule(seed=4, ops={
+            "put_if_match": FaultSpec(cas_lost_rate=1.0)}),
+        sleep=no_sleep)
+    store.enabled = False
+    return store, ObjectStoreBroker(store, lease_ttl=lease_ttl)
+
+
 class TestWorkerUnderStorm:
     def test_lease_lost_mid_storm_abandons_cleanly(self, tmp_path):
-        """A renew storm (every heartbeat reports the race lost) must make
-        the worker abandon: ``abandoned`` increments, nothing is posted, no
-        orphan result exists — and once the storm passes, the expired lease
-        is reclaimed and the plan still drains to a clean merge."""
-        inner = LocalDirBroker(tmp_path / "broker", lease_ttl=0.5)
-        faulty = FaultyBroker(inner, FaultSchedule(seed=4, ops={
-            "renew": FaultSpec(cas_lost_rate=1.0)}), sleep=no_sleep)
-        faulty.submit(small_plan(shards=1))
-        worker = ShardWorker(faulty, executor=_SlowExecutor(0.4),
+        """A renew storm (every heartbeat CAS reports the race lost) must
+        make the worker abandon: ``abandoned`` increments, nothing is
+        posted, no orphan result exists — and once the storm passes, the
+        expired lease is reclaimed and the plan still drains to a clean
+        merge."""
+        store, broker = cas_storm_broker(tmp_path, lease_ttl=0.5)
+        broker.submit(small_plan(shards=1))
+
+        def storm() -> None:
+            store.enabled = True
+
+        worker = ShardWorker(broker, executor=_SlowExecutor(0.4, storm),
                              worker_id="stormed", poll=0, max_manifests=1,
-                             heartbeat=0.1, retry=chaos_retry_policy())
+                             heartbeat=0.1)
         posted = worker.run()
+        store.enabled = False
+        assert store.injected.snapshot()["cas_lost"] > 0
         assert worker.abandoned == 1
         assert posted == [] and worker.results_by_plan == {}
-        assert inner.status().done == 0  # no orphan result landed
+        assert broker.status().done == 0  # no orphan result landed
         # Storm over: the abandoned lease expires and a healthy worker
         # reclaims and finishes the plan.
-        faulty.enabled = False
         deadline = time.monotonic() + 10.0
-        reclaimed = inner.lease("rescuer")
+        reclaimed = broker.lease("rescuer")
         while reclaimed is None and time.monotonic() < deadline:
             time.sleep(0.05)
-            reclaimed = inner.lease("rescuer")
+            reclaimed = broker.lease("rescuer")
         assert reclaimed is not None, "abandoned lease never expired"
-        inner.post(reclaimed, run_manifest(reclaimed.manifest))
-        assert inner.status().complete
-        assert list(merge_shard_results(inner.collect()))
+        broker.post(reclaimed, run_manifest(reclaimed.manifest))
+        assert broker.status().complete
+        assert list(merge_shard_results(broker.collect()))
 
     def test_storm_then_recovery_drains_to_a_clean_merge(self, tmp_path):
-        inner = LocalDirBroker(tmp_path / "broker", lease_ttl=0.3)
-        faulty = FaultyBroker(inner, FaultSchedule(seed=4, ops={
-            "renew": FaultSpec(cas_lost_rate=1.0)}), sleep=no_sleep)
-        faulty.submit(small_plan(shards=1))
-        stormed = ShardWorker(faulty, executor=_SlowExecutor(0.35),
+        store, broker = cas_storm_broker(tmp_path, lease_ttl=0.3)
+        broker.submit(small_plan(shards=1))
+
+        def storm() -> None:
+            store.enabled = True
+
+        stormed = ShardWorker(broker, executor=_SlowExecutor(0.35, storm),
                               worker_id="stormed", poll=0, max_manifests=1,
-                              heartbeat=0.1, retry=chaos_retry_policy())
+                              heartbeat=0.1)
         stormed.run()
         assert stormed.abandoned == 1
-        faulty.enabled = False
+        store.enabled = False
         time.sleep(0.35)  # let the abandoned lease expire for reclaim
-        rescuer = ShardWorker(inner, worker_id="rescuer", poll=0.05)
+        rescuer = ShardWorker(broker, worker_id="rescuer", poll=0.05)
         rescued = rescuer.run()
         assert len(rescued) == 1 and rescuer.abandoned == 0
-        assert list(merge_shard_results(inner.collect()))
+        assert list(merge_shard_results(broker.collect()))
 
-    def test_worker_retry_absorbs_a_hostile_broker(self):
-        """A full hostile schedule on every queue verb: the worker's own
-        bounded retries keep the loop alive and the plan drains."""
-        inner = InMemoryBroker()
-        faulty = FaultyBroker(inner, hostile_schedule(), sleep=no_sleep)
-        inner.submit(small_plan(shards=2))  # the storm is for the worker
-        worker = ShardWorker(faulty, worker_id="tough", poll=0, heartbeat=0,
-                             retry=chaos_retry_policy())
+    def test_broker_retry_keeps_a_worker_alive_in_a_hostile_store(self):
+        """A full hostile schedule on every store op: the broker's bounded
+        retries keep the worker loop alive and the plan drains."""
+        store = FaultyObjectStore(InMemoryObjectStore(), hostile_schedule(),
+                                  sleep=no_sleep)
+        broker = ObjectStoreBroker(store, retry=chaos_retry_policy())
+        store.enabled = False
+        broker.submit(small_plan(shards=2))  # the storm is for the worker
+        store.enabled = True
+        worker = ShardWorker(broker, worker_id="tough", poll=0, heartbeat=0)
         posted = worker.run()
         assert len(posted) == 2 and worker.abandoned == 0
-        assert faulty.injected.snapshot()["errors"] > 0  # weather happened
-        assert list(merge_shard_results(inner.collect()))
+        assert store.injected.snapshot()["errors"] > 0  # weather happened
+        store.enabled = False
+        assert list(merge_shard_results(broker.collect()))
 
 
 # ----------------------------------------------------------------------
@@ -447,26 +455,19 @@ class TestWorkerUnderStorm:
 # ----------------------------------------------------------------------
 class TestClockDiscipline:
     def test_in_process_deadlines_default_to_monotonic(self):
-        assert InMemoryBroker()._clock is time.monotonic
-        assert ShardWorker(InMemoryBroker())._clock is time.monotonic
+        broker = ObjectStoreBroker(InMemoryObjectStore())
+        assert ShardWorker(broker)._clock is time.monotonic
 
-    def test_persisted_deadlines_stay_wall_clock(self, tmp_path):
+    def test_persisted_deadlines_stay_wall_clock(self):
         # Cross-process deadlines must be comparable between machines, so
-        # these two intentionally stay on time.time — with skew_allowance
+        # the broker intentionally stays on time.time — with skew_allowance
         # as the documented grace (below), not a clock change.
-        assert LocalDirBroker(tmp_path / "b")._clock is time.time
         assert ObjectStoreBroker(InMemoryObjectStore())._clock is time.time
 
-    @pytest.mark.parametrize("make", [
-        lambda tmp_path, **kwargs: LocalDirBroker(tmp_path / "broker",
-                                                  **kwargs),
-        lambda tmp_path, **kwargs: ObjectStoreBroker(InMemoryObjectStore(),
-                                                     **kwargs),
-    ])
-    def test_skew_allowance_grants_extra_life_to_leases(self, make, tmp_path):
+    def test_skew_allowance_grants_extra_life_to_leases(self):
         clock = FakeClock()
-        broker = make(tmp_path, lease_ttl=60.0, skew_allowance=5.0,
-                      clock=clock)
+        broker = ObjectStoreBroker(InMemoryObjectStore(), lease_ttl=60.0,
+                                   skew_allowance=5.0, clock=clock)
         broker.submit(small_plan(shards=1))
         held = broker.lease("worker-a")
         assert held is not None
@@ -478,8 +479,6 @@ class TestClockDiscipline:
         assert reclaimed is not None and reclaimed.worker_id == "worker-b"
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-    def test_skew_allowance_must_be_finite_nonnegative(self, bad, tmp_path):
-        with pytest.raises(ShardError, match="skew_allowance"):
-            LocalDirBroker(tmp_path / "broker", skew_allowance=bad)
+    def test_skew_allowance_must_be_finite_nonnegative(self, bad):
         with pytest.raises(ShardError, match="skew_allowance"):
             ObjectStoreBroker(InMemoryObjectStore(), skew_allowance=bad)

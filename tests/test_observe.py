@@ -1,5 +1,5 @@
 """Tests for the observability plane: trace correlation, fleet
-aggregation, OpenMetrics export and the autoscaling advisor.
+aggregation and OpenMetrics export.
 
 The PR 10 acceptance criteria live here: trial trace ids are
 byte-identical across execution paths, a chaos run yields one complete
@@ -22,11 +22,8 @@ from broker_contract import (
 )
 from repro.bench.engine import TrialSpec, trial_seed
 from repro.bench.observe import (
-    AdvisorPolicy,
     FleetAggregator,
-    FleetGauges,
     ObserveError,
-    WorkerSnapshot,
     build_trace,
     manifest_trace_id,
     parse_openmetrics,
@@ -47,10 +44,12 @@ from repro.bench.tasks import task_by_id
 from repro.bench.telemetry import (
     JsonlSink,
     METRICS_SCHEMA_VERSION,
+    TelemetryError,
     read_jsonl_events,
     use_sink,
 )
-from repro.bench.transport import LocalDirBroker, ShardWorker
+from repro.bench.store import FileSystemObjectStore
+from repro.bench.transport import ObjectStoreBroker, ShardWorker
 from repro.cli import main
 
 #: A deliberately small grid: trace identity is about *which* trial, not
@@ -123,7 +122,7 @@ def test_serial_and_broker_paths_agree_on_trial_trace_ids(tmp_path):
     """Tentpole acceptance: the same trial carries the same trace id
     whether it ran serially in-process or off a broker in a worker."""
     serial = trial_events(run_serial(tmp_path / "serial.jsonl"))
-    broker = LocalDirBroker(tmp_path / "queue")
+    broker = ObjectStoreBroker(FileSystemObjectStore(tmp_path / "queue"))
     worker_log = tmp_path / "worker.jsonl"
     sink = JsonlSink(worker_log)
     try:
@@ -293,22 +292,18 @@ def test_fleet_aggregator_drain_rate_and_broker_authority(tmp_path):
     assert authoritative.plans["nightly"]["observed_by"] == "broker"
 
 
-def test_fleet_aggregator_accepts_version1_snapshots_via_mtime(tmp_path):
-    """PR 7 snapshots predate written_at; the file mtime stands in so
-    staleness detection still works on mixed fleets."""
+def test_fleet_aggregator_rejects_version1_snapshots(tmp_path):
+    """PR 7 snapshots predate schema_version and written_at; they get the
+    same labeled "unknown schema" error as any other foreign version."""
     legacy = tmp_path / "old.json"
     legacy.write_text(json.dumps({
         "plans": {"nightly": {"queued": 1, "leased": 0, "done": 0,
                               "drained": False}},
         "worker_idle": {"count": 0, "slept_s": 0.0}, "events": 1}),
         encoding="utf-8")
-    mtime = legacy.stat().st_mtime
-    aggregator = FleetAggregator(max_age_s=60.0,
-                                 clock=lambda: mtime + 120.0)
-    snapshot = aggregator.add_snapshot(legacy)
-    assert snapshot.schema_version == 1
-    assert snapshot.worker_id == "old"  # falls back to the file stem
-    assert snapshot.stale and snapshot.age_s == pytest.approx(120.0)
+    with pytest.raises(TelemetryError,
+                       match=r"old\.json has schema_version None"):
+        FleetAggregator(max_age_s=60.0).add_snapshot(legacy)
 
 
 def test_fleet_aggregator_validates_max_age():
@@ -374,73 +369,10 @@ def test_openmetrics_parser_rejects_malformed_expositions():
 
 
 # ----------------------------------------------------------------------
-# the autoscaling advisor
-# ----------------------------------------------------------------------
-def live_worker(worker_id="w1"):
-    return WorkerSnapshot(path=f"{worker_id}.json", worker_id=worker_id,
-                          schema_version=2, written_at=0.0, age_s=1.0,
-                          stale=False)
-
-
-def gauges_with(queued=0, leased=0, workers=0, drain_rate=None):
-    gauges = FleetGauges()
-    gauges.plans = {"nightly": {"queued": queued, "leased": leased,
-                                "done": 0, "drained": False}}
-    gauges.workers = [live_worker(f"w{index}") for index in range(workers)]
-    gauges.drain_rate = dict(drain_rate or {})
-    return gauges
-
-
-def test_advisor_scales_up_from_zero_and_from_backlog():
-    policy = AdvisorPolicy(target_backlog=4)
-    dead_fleet = policy.advise(gauges_with(queued=8, workers=0))
-    assert dead_fleet.action == "scale_up"
-    assert dead_fleet.recommended == 2  # ceil(8 / 4)
-    assert "no live worker" in dead_fleet.reason
-
-    backlog = policy.advise(gauges_with(queued=20, workers=1))
-    assert backlog.action == "scale_up"
-    assert backlog.workers == 1 and backlog.recommended == 5
-
-    clamped = AdvisorPolicy(target_backlog=4, max_workers=3).advise(
-        gauges_with(queued=20, workers=1))
-    assert clamped.recommended == 3
-
-
-def test_advisor_holds_within_target_and_scales_down_when_drained():
-    policy = AdvisorPolicy(target_backlog=4, min_workers=1)
-    hold = policy.advise(gauges_with(queued=3, leased=1, workers=1))
-    assert hold.action == "hold" and hold.recommended == 1
-
-    down = policy.advise(gauges_with(queued=0, leased=0, workers=3))
-    assert down.action == "scale_down"
-    assert down.workers == 3 and down.recommended == 1
-    assert "drained" in down.reason
-
-    # At the floor there is nothing to shed: hold.
-    floor = policy.advise(gauges_with(queued=0, leased=0, workers=1))
-    assert floor.action == "hold"
-
-    # A live drain rate turns the backlog into an ETA in the reason.
-    eta = policy.advise(gauges_with(queued=30, workers=1,
-                                    drain_rate={"nightly": 0.5}))
-    assert eta.action == "scale_up" and "drain eta 60s" in eta.reason
-
-
-def test_advisor_policy_validates_construction():
-    with pytest.raises(ObserveError, match="target_backlog"):
-        AdvisorPolicy(target_backlog=0)
-    with pytest.raises(ObserveError, match="min_workers"):
-        AdvisorPolicy(min_workers=-1)
-    with pytest.raises(ObserveError, match="max_workers"):
-        AdvisorPolicy(min_workers=4, max_workers=2)
-
-
-# ----------------------------------------------------------------------
-# CLI: fleet status --strict / --prom-dir, fleet advise, trace
+# CLI: fleet status --strict / --prom-dir, trace
 # ----------------------------------------------------------------------
 def seeded_queue(tmp_path, shards=2, drain=False):
-    broker = LocalDirBroker(tmp_path / "queue")
+    broker = ObjectStoreBroker(FileSystemObjectStore(tmp_path / "queue"))
     broker.submit(grid_plan(shards=shards))
     if drain:
         ShardWorker(broker, ManifestExecutor(), worker_id="seed-w",
@@ -480,23 +412,6 @@ def test_fleet_status_cli_merges_snapshots_and_strict_gates(tmp_path,
     samples = parse_openmetrics(
         (prom_dir / "repro_fleet.prom").read_text(encoding="utf-8"))
     assert any(sample.name == "repro_queue_depth" for sample in samples)
-
-
-def test_fleet_advise_cli_recommends_and_emits(tmp_path, capsys):
-    queue = seeded_queue(tmp_path, shards=2)
-    advice_log = tmp_path / "advice.jsonl"
-    assert main(["fleet", "advise", "--broker", queue, "--json",
-                 "--emit", str(advice_log)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["action"] == "scale_up"
-    assert payload["queued"] == 2 and payload["workers"] == 0
-    emitted = read_jsonl_events(advice_log)
-    assert [event["event"] for event in emitted] == ["scale_advice"]
-    assert emitted[0]["action"] == "scale_up"
-
-    with pytest.raises(SystemExit, match="max_workers"):
-        main(["fleet", "advise", "--broker", queue,
-              "--min-workers", "5", "--max-workers", "2"])
 
 
 def test_trace_cli_id_show_and_export(tmp_path, capsys):

@@ -509,7 +509,7 @@ def test_cli_broker_run_records_lease_and_cache_counters(tmp_path, capsys):
     capsys.readouterr()
     registry = RunRegistry(registry_dir)
     work = registry.latest()
-    assert work.executor == "dir-broker"
+    assert work.executor == "store-broker"
     assert work.trial_count == 4            # 2 settings x 2 tasks x 1 trial
     assert work.counters["lease_acquired"] == 2
     assert work.counters["shard_posted"] == 2
@@ -531,7 +531,7 @@ def test_cli_broker_run_records_lease_and_cache_counters(tmp_path, capsys):
     # than relying on run-id ordering.
     collect = next(record for record in registry.load_all()
                    if record.context.get("role") == "collect")
-    assert collect.executor == "dir-broker"
+    assert collect.executor == "store-broker"
     assert collect.context["role"] == "collect"
     assert collect.counters["shard_collected"] == 2
     assert collect.trial_count == 4

@@ -9,10 +9,11 @@ concurrent writers.
 
 import json
 import threading
-from urllib.parse import quote
+from pathlib import Path
 
 import pytest
 
+from repro.bench import store as store_module
 from repro.bench.shard import ShardError
 from repro.bench.store import FileSystemObjectStore, InMemoryObjectStore
 
@@ -95,6 +96,23 @@ def test_list_prefix_filters_and_sorts(store):
     assert store.list_prefix("lease/") == ["lease/shard-001"]
 
 
+#: Keys whose parents nest, share leaf prefixes, or differ only by a
+#: leading slash, so listings cut across (and inside) parent boundaries.
+NESTED_KEYS = ("y", "/y", "/", "a/", "a/b", "a/bc", "a/b/c", "a/b/", "ab",
+               "ab/c", "lease/p/shard-000", "plans/x")
+
+
+def test_list_prefix_agrees_across_parent_boundaries(store):
+    for key in NESTED_KEYS:
+        store.put_if_absent(key, key.encode())
+    for prefix in ("", "/", "y", "a", "a/", "a/b", "a/b/", "a/b/c", "ab",
+                   "ab/", "z", "lease/p", "p", "plans/"):
+        assert store.list_prefix(prefix) == sorted(
+            key for key in NESTED_KEYS if key.startswith(prefix)), prefix
+    for key in NESTED_KEYS:
+        assert store.get(key)[0] == key.encode()
+
+
 def test_keys_with_slashes_and_odd_characters_round_trip(store):
     key = "lease/shard 01:of#02.json"
     store.put_if_absent(key, b"data")
@@ -168,17 +186,17 @@ def test_fs_store_leaves_no_temp_files_behind(tmp_path):
     store.put_if_absent("a", b"one")
     store.put_if_match("a", b"two", store.get("a")[1])
     store.put_if_match("a", b"rogue", "g0000000000")  # failed CAS
-    leftovers = [path.name for path in (store.root / quote("a", safe="")).iterdir()
+    leftovers = [path.name for path in store._key_dir("a").iterdir()
                  if path.name.startswith(".tmp")]
     assert leftovers == []
 
 
-def test_fs_store_layout_is_flat_and_quoted(tmp_path):
-    """The on-disk layout is part of the deployable contract: one quoted
+def test_fs_store_layout_is_one_directory_per_key(tmp_path):
+    """The on-disk layout is part of the deployable contract: one
     directory per key, generation files inside."""
     store = FileSystemObjectStore(tmp_path / "store")
     store.put_if_absent("lease/shard-000.json", b'{"state": "queued"}')
-    key_dir = store.root / quote("lease/shard-000.json", safe="")
+    key_dir = store._key_dir("lease/shard-000.json")
     assert key_dir.is_dir()
     assert [path.name for path in key_dir.iterdir()] == ["g0000000000"]
     payload = json.loads((key_dir / "g0000000000").read_text())
@@ -194,7 +212,7 @@ def test_fs_store_prunes_superseded_generations_on_hot_keys(tmp_path):
         data, etag = store.get("lease")
         assert store.put_if_match("lease", b"v%d" % index, etag) is True
     assert store.get("lease")[0] == b"v200"
-    entries = list((store.root / quote("lease", safe="")).iterdir())
+    entries = list(store._key_dir("lease").iterdir())
     # Bounded by the keep-window plus the floor marker, not by 200 writes.
     assert len(entries) <= 2 * 16 + 2
 
@@ -252,7 +270,7 @@ def test_fs_list_prefix_retries_when_a_cas_lands_mid_check(tmp_path,
     store = FileSystemObjectStore(tmp_path / "store")
     store.put_if_absent("k", b"v0")
     store.put_if_match("k", b"v1", store.get("k")[1])  # g0 truncated, g1 live
-    key_dir = store.root / quote("k", safe="")
+    key_dir = store._key_dir("k")
     real = store._generations
     calls = {"n": 0}
 
@@ -292,3 +310,105 @@ def test_fs_list_prefix_survives_a_key_deleted_mid_listing(tmp_path,
     assert store.list_prefix("") == ["survivor"]
     monkeypatch.setattr(store, "_key_exists", real)
     assert store.list_prefix("") == ["survivor"]  # the key stayed gone
+
+
+# ----------------------------------------------------------------------
+# key shapes under the bucketed layout (both backends)
+# ----------------------------------------------------------------------
+#: Keys that stress the parent/leaf split: empty parents and leaves,
+#: doubled and trailing slashes, characters that quoting must escape, text
+#: that looks like an escape, and names that read as path navigation.
+KEY_SHAPES = ("y", "/y", "/", "//", "a/", "a//b", "%2F", "a%2Fb", "p", "k",
+              "pk/kp", "ü/ß", "a b/c d", ".", "..", "../x", "x/..",
+              "lease/p/shard-000", "n" * 120 + "/" + "m" * 120)
+
+
+@pytest.mark.parametrize("key", KEY_SHAPES)
+def test_every_key_shape_survives_a_full_lifecycle(store, key):
+    """create, read, swap, list, delete: each shape alone in the store."""
+    assert store.put_if_absent(key, b"v0") is True
+    data, etag = store.get(key)
+    assert data == b"v0"
+    assert store.list_prefix("") == [key]
+    assert store.list_prefix(key) == [key]
+    assert store.list_prefix(key[:-1]) == [key]
+    assert store.list_prefix(key + "x") == []
+    assert store.put_if_match(key, b"v1", etag) is True
+    assert store.get(key)[0] == b"v1"
+    assert store.delete(key) is True
+    assert store.get(key) is None
+    assert store.list_prefix("") == []
+    assert store.put_if_absent(key, b"v2") is True
+    assert store.list_prefix("") == [key]
+
+
+#: Pairs a careless encoding of the parent/leaf split would map onto one
+#: object: the slash that stays in the bucket name, a slash versus its own
+#: escape, a doubled slash, and a literal percent sign.
+LOOKALIKE_KEYS = (("y", "/y"), ("a", "a/"), ("a/b", "a%2Fb"),
+                  ("a/b", "a/b/"), ("%", "%25"), ("p/x", "k/x"),
+                  ("a//b", "a/b"), ("a/b/c", "a/b%2Fc"))
+
+
+@pytest.mark.parametrize("first, second", LOOKALIKE_KEYS)
+def test_lookalike_keys_stay_separate_objects(store, first, second):
+    assert store.put_if_absent(first, b"first") is True
+    assert store.put_if_absent(second, b"second") is True
+    assert store.get(first)[0] == b"first"
+    assert store.get(second)[0] == b"second"
+    assert store.list_prefix("") == sorted((first, second))
+    assert store.delete(first) is True
+    assert store.get(first) is None
+    assert store.get(second)[0] == b"second"
+    assert store.list_prefix("") == [second]
+
+
+# ----------------------------------------------------------------------
+# the filesystem listing reads only what the prefix can match
+# ----------------------------------------------------------------------
+#: Keys shaped like the broker's: one bucket per plan and object kind.
+BROKER_KEYS = ("plans/alpha", "plans/beta",
+               "manifest/alpha/s0", "manifest/alpha/s1", "manifest/beta/s0",
+               "lease/alpha/s0", "lease/alpha/s1", "lease/beta/s0",
+               "result/alpha/s0", "result/beta/s0")
+
+
+@pytest.mark.parametrize("prefix", ["plans/", "lease/alpha/", "result/beta/",
+                                    "manifest/", "lease/al", "r", "zzz/"])
+def test_fs_list_prefix_opens_only_buckets_that_can_match(tmp_path,
+                                                          monkeypatch,
+                                                          prefix):
+    store = FileSystemObjectStore(tmp_path / "store")
+    for key in BROKER_KEYS:
+        store.put_if_absent(key, b"v")
+    opened = set()
+    real_listdir = store_module.os.listdir
+
+    def recording_listdir(path):
+        opened.add(Path(path))
+        return real_listdir(path)
+
+    monkeypatch.setattr(store_module.os, "listdir", recording_listdir)
+    listed = store.list_prefix(prefix)
+    assert listed == sorted(key for key in BROKER_KEYS
+                            if key.startswith(prefix))
+    # Every bucket holding a match is opened, and no other bucket is.
+    buckets = {path for path in opened if path.parent == store.root}
+    assert buckets == {store._key_dir(key).parent for key in BROKER_KEYS
+                       if key.startswith(prefix)}
+    # Inside a bucket, only the matching keys' directories are examined.
+    key_dirs = {path for path in opened if path.parent.parent == store.root}
+    assert key_dirs <= {store._key_dir(key) for key in listed}
+
+
+def test_fs_list_prefix_ignores_foreign_entries(tmp_path):
+    """Files dropped into the store root or a bucket by hand are not
+    keys: the listing skips them instead of failing or inventing keys."""
+    store = FileSystemObjectStore(tmp_path / "store")
+    store.put_if_absent("lease/s0", b"v")
+    (store.root / "README").write_text("not a bucket")
+    (store.root / "p-stray-file").write_text("a file where a bucket goes")
+    (store._key_dir("lease/s0").parent / "notes.txt").write_text("stray")
+    assert store.list_prefix("") == ["lease/s0"]
+    assert store.list_prefix("lease/") == ["lease/s0"]
+    assert store.get("lease/s0")[0] == b"v"

@@ -8,12 +8,14 @@ LRU-eviction instrumentation (the bounded-cache satellite).
 """
 
 import json
+import re
 import threading
 
 import pytest
 
 from repro.agent.session import InterfaceSetting, LLMCallRecord, SessionResult
 from repro.bench import telemetry
+from repro.bench.observe import FleetAggregator
 from repro.bench.telemetry import (
     NULL_SINK,
     AggregatingSink,
@@ -37,6 +39,7 @@ from repro.bench.telemetry import (
     set_default_sink,
     use_sink,
 )
+from repro.cli import main
 from repro.dmi.cache import ArtifactCache
 
 
@@ -392,14 +395,17 @@ def test_metrics_snapshot_carries_schema_version_and_written_at(tmp_path):
         sink.emit(QueueDepth(plan="a", queued=0, leased=0, done=1))
     final = json.loads(path.read_text())
     assert final["written_at"] == 1042.0
-    # The loader accepts both known versions...
+    # The loader accepts the current version...
     loaded = telemetry.load_metrics_snapshot(path)
     assert loaded["schema_version"] == telemetry.METRICS_SCHEMA_VERSION
+    # ...and rejects a version-1 (versionless) snapshot as unknown.
     versionless = dict(final)
     del versionless["schema_version"]
     legacy = tmp_path / "v1.json"
     legacy.write_text(json.dumps(versionless), encoding="utf-8")
-    assert telemetry.load_metrics_snapshot(legacy)["plans"]["a"]["done"] == 1
+    with pytest.raises(TelemetryError,
+                       match=r"v1\.json has schema_version None"):
+        telemetry.load_metrics_snapshot(legacy)
 
 
 def test_metrics_snapshot_reader_rejects_unknown_versions(tmp_path):
@@ -417,3 +423,24 @@ def test_metrics_snapshot_reader_rejects_unknown_versions(tmp_path):
     bad.write_text("{torn", encoding="utf-8")
     with pytest.raises(TelemetryError, match=r"torn\.json is not valid JSON"):
         telemetry.load_metrics_snapshot(bad)
+    # Non-numeric fields the fleet aggregator folds are labeled with the
+    # file and the field, on both the loader and `repro fleet status`.
+    valid = {"schema_version": telemetry.METRICS_SCHEMA_VERSION,
+             "written_at": 1000.0, "counters": {"lease_acquired": 3}}
+    for label, patch in (
+            ("counters.lease_acquired", {"counters": {"lease_acquired":
+                                                      "many"}}),
+            ("written_at", {"written_at": "yesterday"}),
+            ("written_at", {"written_at": None}),
+            ("worker_idle.slept_s", {"worker_idle": {"slept_s": [1]}}),
+            ("events", {"events": "3"})):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps(dict(valid, **patch)), encoding="utf-8")
+        pattern = rf"odd\.json: field '{re.escape(label)}' must be a number"
+        with pytest.raises(TelemetryError, match=pattern):
+            telemetry.load_metrics_snapshot(odd)
+        with pytest.raises(TelemetryError, match=pattern):
+            FleetAggregator().add_snapshot(odd)
+        with pytest.raises(SystemExit, match=pattern):
+            main(["fleet", "status", "--broker", str(tmp_path / "queue"),
+                  "--metrics", str(odd)])

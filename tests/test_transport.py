@@ -1,19 +1,17 @@
-"""Backend-specific transport tests: everything the conformance suite isn't.
+"""Transport tests: everything the conformance suite isn't.
 
-The cross-backend queue contract (submit/lease/renew/post/collect, expiry +
+The cross-store queue contract (submit/lease/renew/post/collect, expiry +
 reclaim, first-write-wins, status counters) lives in
-``tests/broker_contract.py`` and runs against every backend via
+``tests/broker_contract.py`` and runs against every store via
 ``tests/test_broker_contract.py``.  This module covers what is specific to
-one backend or one component: the worker pull loop and its heartbeat
-thread, lease-loss abandonment, CAS races on the object-store broker,
-corrupt files/objects in each backend's storage, and the ArtifactCache
-accounting of the worker loop.
+one component: the worker pull loop and its heartbeat thread, lease-loss
+abandonment, CAS races on the broker's lease objects, corrupt objects in
+the filesystem store, and the ArtifactCache accounting of the worker loop.
 """
 
 import json
 import threading
 import time
-from urllib.parse import quote
 
 import pytest
 
@@ -33,14 +31,12 @@ from repro.bench.shard import (
     plan_shards,
     shard_file_name,
 )
-from repro.bench.store import FileSystemObjectStore
+from repro.bench.store import FileSystemObjectStore, InMemoryObjectStore
 from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.bench.transport import (
     DEFAULT_LEASE_TTL,
     IDLE_BACKOFF_BASE,
     LeaseHeartbeat,
-    InMemoryBroker,
-    LocalDirBroker,
     ObjectStoreBroker,
     ShardWorker,
 )
@@ -64,6 +60,14 @@ class StubExecutor(ManifestExecutor):
         return run_manifest(manifest)
 
 
+def fs_broker(root, **kwargs):
+    return ObjectStoreBroker(FileSystemObjectStore(root), **kwargs)
+
+
+def memory_broker(**kwargs):
+    return ObjectStoreBroker(InMemoryObjectStore(), **kwargs)
+
+
 def wait_until(condition, timeout=5.0):
     deadline = time.time() + timeout
     while not condition() and time.time() < deadline:
@@ -78,7 +82,7 @@ def test_heartbeat_keeps_a_long_manifest_alive(tmp_path):
     """Acceptance: a manifest that runs far past lease_ttl finishes and
     posts without being reclaimed when heartbeats are on."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     broker.submit(small_plan(shards=1))
     renewals = []
 
@@ -102,7 +106,7 @@ def test_without_heartbeats_a_long_manifest_is_reclaimed_mid_run(tmp_path):
     a rival reclaims the expired lease mid-run (the pre-heartbeat PR 3
     behaviour, still safe because posting is first-write-wins)."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     broker.submit(small_plan(shards=1))
     rival = {}
 
@@ -124,7 +128,7 @@ def test_worker_abandons_manifest_when_heartbeat_loses_the_lease(tmp_path):
     heartbeat detects the loss and the worker abandons the manifest —
     nothing posted, the thief owns the shard."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     broker.submit(small_plan(shards=1))
     renewals, thief = [], {}
 
@@ -151,7 +155,7 @@ def test_crash_mid_heartbeat_is_recovered_by_reclaim(tmp_path):
     its lease expires one ttl after the last renewal and reclaim recovers
     the manifest, bit-identical to serial."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     broker.submit(small_plan(shards=1))
     renewals = []
     doomed = broker.lease("doomed")
@@ -174,7 +178,7 @@ def test_crash_mid_heartbeat_is_recovered_by_reclaim(tmp_path):
 
 
 def test_worker_heartbeat_configuration_is_validated(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker", lease_ttl=60.0)
+    broker = fs_broker(tmp_path / "broker", lease_ttl=60.0)
     with pytest.raises(ShardError, match="heartbeat .*shorter than"):
         ShardWorker(broker, heartbeat=60.0)  # >= lease_ttl
     with pytest.raises(ShardError, match="heartbeat"):
@@ -188,7 +192,7 @@ def test_worker_heartbeat_configuration_is_validated(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# object-store broker: CAS races and shared-store handles
+# CAS races and shared-store handles
 # ----------------------------------------------------------------------
 def store_broker(tmp_path, **kwargs):
     store = FileSystemObjectStore(tmp_path / "store")
@@ -260,7 +264,7 @@ def test_store_broker_does_not_release_a_done_shard(tmp_path):
 def corrupt_object(store: FileSystemObjectStore, key: str, text: str) -> None:
     """Overwrite the current generation of ``key`` on disk, bypassing the
     store API — what a torn upload or bit rot would leave behind."""
-    key_dir = store.root / quote(key, safe="")
+    key_dir = store._key_dir(key)
     generations = sorted(path for path in key_dir.iterdir()
                          if path.name.startswith("g"))
     generations[-1].write_text(text, encoding="utf-8")
@@ -313,98 +317,26 @@ def test_lease_object_missing_state_field_raises_clean_shard_error(tmp_path):
         broker.lease("worker-a")
 
 
-# ----------------------------------------------------------------------
-# fault injection: corrupt files in the directory broker
-# ----------------------------------------------------------------------
-def test_corrupt_queued_manifest_raises_clean_shard_error(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
-    broker.submit(small_plan(shards=1))
-    manifest_path = next((tmp_path / "broker" / "plans" / "default" / "queued").glob("shard-*.json"))
-    manifest_path.write_text("{truncated", encoding="utf-8")
-    with pytest.raises(ShardError, match="not valid JSON") as excinfo:
-        broker.lease("worker-a")
-    assert manifest_path.name in str(excinfo.value)  # names the file
-
-
-def test_truncated_done_results_raise_clean_shard_error(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
-    broker.submit(small_plan(shards=1))
-    lease = broker.lease("worker-a")
-    broker.post(lease, run_manifest(lease.manifest))
-    done_path = next((tmp_path / "broker" / "plans" / "default" / "done").glob("shard-*.json"))
-    payload = json.loads(done_path.read_text())
-    payload["results"] = payload["results"][:-1]
-    done_path.write_text(json.dumps(payload))
-    with pytest.raises(ShardError, match="specs but") as excinfo:
-        broker.collect()
-    assert str(done_path) in str(excinfo.value)
-
-
 def test_corrupt_plan_header_raises_clean_shard_error(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
+    store, broker = store_broker(tmp_path)
     broker.submit(small_plan(shards=1))
-    plan_path = tmp_path / "broker" / "plans" / "default" / "plan.json"
-    plan_path.write_text("not json at all")
+    corrupt_object(store, "plans/default", "not json at all")
     with pytest.raises(ShardError, match="not valid JSON"):
         broker.status()
     header = {"kind": "repro-broker-plan", "format_version": 1, "seed": 11}
-    plan_path.write_text(json.dumps(header))
+    corrupt_object(store, "plans/default", json.dumps(header))
     with pytest.raises(ShardError, match="missing required field "
                                          "'shard_count'") as excinfo:
         broker.status()
-    assert str(plan_path) in str(excinfo.value)
-
-
-def test_malformed_lease_filename_raises_clean_shard_error(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
-    broker.submit(small_plan(shards=1))
-    bogus = tmp_path / "broker" / "plans" / "default" / "leased" / "shard-000-of-001.json.lease.soon.w"
-    bogus.write_text("{}")
-    with pytest.raises(ShardError, match="malformed lease filename"):
-        broker.status()
-
-
-# ----------------------------------------------------------------------
-# directory-broker lease mechanics
-# ----------------------------------------------------------------------
-def test_dir_renew_moves_the_deadline_into_the_lease_filename(tmp_path):
-    clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "broker", lease_ttl=60.0, clock=clock)
-    broker.submit(small_plan(shards=1))
-    lease = broker.lease("worker-a")
-    clock.advance(10.0)
-    renewed = broker.renew(lease)
-    assert renewed is not None and renewed.token != lease.token
-    assert renewed.deadline == clock() + 60.0
-    leased_files = [path.name
-                    for path in (tmp_path / "broker" / "plans" / "default" / "leased").iterdir()]
-    assert leased_files == [renewed.token]  # old filename gone, exactly one
-    assert str(int(renewed.deadline * 1000)) in renewed.token
-
-
-def test_dir_lease_skips_done_manifest_with_stale_queued_copy(tmp_path):
-    """Regression: if a reclaim re-queued a manifest whose results were
-    posted by a straggler, the queued copy must be skipped and cleaned, not
-    pointlessly re-run."""
-    broker = LocalDirBroker(tmp_path / "broker")
-    broker.submit(small_plan(shards=1))
-    lease = broker.lease("worker-a")
-    broker.post(lease, run_manifest(lease.manifest))
-    name = shard_file_name(0, 1)
-    stale_copy = tmp_path / "broker" / "plans" / "default" / "queued" / name
-    lease.manifest.save(stale_copy)  # simulate the reclaim/straggler race
-    assert broker.lease("worker-b") is None
-    assert not stale_copy.exists()  # cleaned up in passing
-    status = broker.status()
-    assert status.done == 1 and status.queued == 0 and status.complete
+    assert "'plans/default'" in str(excinfo.value)
 
 
 def test_worker_crash_between_two_real_workers_still_bit_identical(tmp_path):
-    """End-to-end reclaim on the directory broker: a worker leases shard 0
+    """End-to-end reclaim over the filesystem store: a worker leases shard 0
     and dies; after expiry a healthy worker drains everything; the collected
     merge is still bit-identical to serial."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "broker", lease_ttl=30.0, clock=clock)
+    broker = fs_broker(tmp_path / "broker", lease_ttl=30.0, clock=clock)
     broker.submit(small_plan(shards=2))
     assert broker.lease("doomed") is not None  # crashes here
     clock.advance(31.0)
@@ -423,7 +355,7 @@ def test_worker_crash_between_two_real_workers_still_bit_identical(tmp_path):
 # the worker pull loop
 # ----------------------------------------------------------------------
 def test_worker_drains_queue_and_respects_max_manifests(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
+    broker = fs_broker(tmp_path / "broker")
     broker.submit(small_plan(shards=3, trials=2))
     first = ShardWorker(broker, ManifestExecutor(), worker_id="w0", poll=0,
                         max_manifests=1)
@@ -441,7 +373,7 @@ def test_worker_polls_while_a_peer_holds_a_lease(tmp_path):
     its lease becomes reclaimable) instead of exiting early.  Idle sleeps
     back off exponentially with --poll as the ceiling."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "broker", lease_ttl=10.0, clock=clock)
+    broker = fs_broker(tmp_path / "broker", lease_ttl=10.0, clock=clock)
     broker.submit(small_plan(shards=1))
     assert broker.lease("peer") is not None  # peer holds the only manifest
     sleeps = []
@@ -466,7 +398,7 @@ def test_idle_polling_backs_off_exponentially_up_to_poll(tmp_path):
     sleep.  Hundreds of idle workers must not hammer the store in
     lock-step at a fixed --poll cadence."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "broker", lease_ttl=3600.0,
+    broker = fs_broker(tmp_path / "broker", lease_ttl=3600.0,
                             clock=clock)
     broker.submit(small_plan(shards=1))
     peer_lease = broker.lease("peer")
@@ -510,7 +442,7 @@ def test_idle_polling_backs_off_exponentially_up_to_poll(tmp_path):
 def test_worker_loop_emits_lease_lifecycle_telemetry(tmp_path):
     """LeaseAcquired / LeaseRenewed / ShardPosted flow from a live worker;
     a stolen lease adds LeaseLost + ManifestAbandoned."""
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0)
     broker.submit(small_plan(shards=2))
     renewed_by_shard = {}
 
@@ -545,7 +477,7 @@ def test_worker_loop_emits_lease_lifecycle_telemetry(tmp_path):
 
 def test_lost_lease_emits_lease_lost_and_manifest_abandoned(tmp_path):
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     broker.submit(small_plan(shards=1))
     lost = []
 
@@ -568,7 +500,7 @@ def test_lost_lease_emits_lease_lost_and_manifest_abandoned(tmp_path):
 
 
 def test_worker_with_zero_poll_exits_when_nothing_is_leasable(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
+    broker = fs_broker(tmp_path / "broker")
     broker.submit(small_plan(shards=1))
     assert broker.lease("peer") is not None
     worker = ShardWorker(broker, ManifestExecutor(), worker_id="w", poll=0)
@@ -576,7 +508,7 @@ def test_worker_with_zero_poll_exits_when_nothing_is_leasable(tmp_path):
 
 
 def test_worker_and_broker_validate_construction(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
+    broker = fs_broker(tmp_path / "broker")
     with pytest.raises(ShardError, match="poll"):
         ShardWorker(broker, poll=-1)
     with pytest.raises(ShardError, match="poll"):
@@ -586,19 +518,9 @@ def test_worker_and_broker_validate_construction(tmp_path):
     with pytest.raises(ShardError, match="max_manifests"):
         ShardWorker(broker, max_manifests=0)
     with pytest.raises(ShardError, match="lease_ttl"):
-        LocalDirBroker(tmp_path / "b2", lease_ttl=0)
+        fs_broker(tmp_path / "b2", lease_ttl=0)
     with pytest.raises(ShardError, match="lease_ttl"):
-        InMemoryBroker(lease_ttl=-5)
-
-
-def test_worker_ids_are_sanitized_in_lease_filenames(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
-    broker.submit(small_plan(shards=1))
-    lease = broker.lease("host/with spaces:and#stuff")
-    assert lease is not None
-    assert "/" not in lease.token and " " not in lease.token
-    leased_files = list((tmp_path / "broker" / "plans" / "default" / "leased").glob("*.lease.*"))
-    assert [path.name for path in leased_files] == [lease.token]
+        memory_broker(lease_ttl=-5)
 
 
 def test_default_lease_ttl_is_generous():
@@ -612,7 +534,7 @@ def test_second_worker_sharing_a_cache_dir_reports_zero_misses(tmp_path):
     """Two sequential workers (two queues, one --cache-dir): the first pays
     every rip, the second loads everything from the shared cache."""
     cache_dir = tmp_path / "cache"
-    first_broker = LocalDirBroker(tmp_path / "queue-1")
+    first_broker = fs_broker(tmp_path / "queue-1")
     first_broker.submit(small_plan(shards=2))
     first_executor = ManifestExecutor(cache_dir=cache_dir)
     ShardWorker(first_broker, first_executor, worker_id="w1", poll=0).run()
@@ -620,7 +542,7 @@ def test_second_worker_sharing_a_cache_dir_reports_zero_misses(tmp_path):
     # The grid spans two apps; the first worker rips each exactly once.
     assert first_stats["misses"] == len(TASKS)
 
-    second_broker = LocalDirBroker(tmp_path / "queue-2")
+    second_broker = fs_broker(tmp_path / "queue-2")
     second_broker.submit(small_plan(shards=2))
     second_executor = ManifestExecutor(cache_dir=cache_dir)
     ShardWorker(second_broker, second_executor, worker_id="w2", poll=0).run()
@@ -634,7 +556,7 @@ def test_second_worker_sharing_a_cache_dir_reports_zero_misses(tmp_path):
 
 
 def test_cache_counters_aggregate_across_manifests_of_one_worker(tmp_path):
-    broker = LocalDirBroker(tmp_path / "queue")
+    broker = fs_broker(tmp_path / "queue")
     # trials=2 makes the round-robin deal give every shard all three apps
     # (two hand-written plus the generated one).
     broker.submit(small_plan(shards=2, trials=2))
@@ -671,7 +593,7 @@ def test_heartbeat_survives_transient_renew_errors(tmp_path):
     """Regression: a storage blip during one renewal must not abandon the
     manifest — the lease has ttl/3 slack, so the heartbeat retries."""
     clock = FakeClock()
-    inner = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    inner = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     inner.submit(small_plan(shards=1))
     broker = FlakyRenewBroker(inner, failures=2)
     renewals = []
@@ -693,7 +615,7 @@ def test_abandoned_manifests_count_toward_max_manifests(tmp_path):
     """Regression: --max-manifests bounds *executions*; an abandoned
     manifest must consume the budget, not extend it."""
     clock = FakeClock()
-    broker = LocalDirBroker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0, clock=clock)
     broker.submit(small_plan(shards=2))
     renewals, thief = [], {}
 
@@ -720,7 +642,7 @@ def test_daemon_worker_survives_drain_and_serves_two_plans(tmp_path):
     """Acceptance: one --daemon worker, started before any plan exists,
     drains two sequentially submitted named plans without a restart; each
     per-plan collect is bit-identical to the serial run."""
-    broker = LocalDirBroker(tmp_path / "broker")
+    broker = fs_broker(tmp_path / "broker")
     worker = ShardWorker(broker, ManifestExecutor(), worker_id="resident",
                          poll=0.01, heartbeat=0, daemon=True)
     thread = threading.Thread(target=worker.run, daemon=True)
@@ -754,7 +676,7 @@ def test_daemon_worker_exits_after_max_idle_s():
     """A daemon with --max-idle-s shuts itself down after that much
     continuous idle time — and a drain resets the idle clock."""
     clock = FakeClock()
-    broker = InMemoryBroker(clock=clock)
+    broker = memory_broker(clock=clock)
     sleeps = []
 
     def fake_sleep(seconds):
@@ -778,7 +700,7 @@ def test_daemon_worker_exits_after_max_idle_s():
 
 
 def test_daemon_requires_positive_poll(tmp_path):
-    broker = LocalDirBroker(tmp_path / "broker")
+    broker = fs_broker(tmp_path / "broker")
     with pytest.raises(ShardError, match="daemon worker requires poll > 0"):
         ShardWorker(broker, daemon=True, poll=0)
     with pytest.raises(ShardError, match="max_idle_s"):
@@ -793,7 +715,7 @@ def test_fair_share_prevents_starvation_by_a_huge_plan():
     one broker — fair-share interleaving leases the small plan's last
     shard within the first ``2 × plans`` lease rounds instead of queueing
     it behind a thousand big-plan shards."""
-    broker = InMemoryBroker()
+    broker = memory_broker()
     broker.submit(plan_shards(1000, seed=DEFAULT_SEED, trials=250,
                               setting_keys=SETTINGS, task_ids=TASKS),
                   name="big")
