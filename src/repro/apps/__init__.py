@@ -18,7 +18,6 @@ traces.
 from repro.apps.base import Application
 from repro.apps.document import Document, Paragraph, TextFormat
 from repro.apps.excel import ExcelApp
-from repro.apps.mutable import MutableDemoApp
 from repro.apps.powerpoint import PowerPointApp
 from repro.apps.presentation import Presentation, Shape, Slide
 from repro.apps.word import WordApp
@@ -29,7 +28,6 @@ __all__ = [
     "Cell",
     "Document",
     "ExcelApp",
-    "MutableDemoApp",
     "Paragraph",
     "PowerPointApp",
     "Presentation",

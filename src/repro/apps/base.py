@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.gui.changes import UIChangeLog
 from repro.gui.desktop import Desktop
 from repro.gui.input import InputSimulator, Shortcut
 from repro.gui.widgets import Dialog, Window
-from repro.uia.element import UIElement
 
 
 class Application:
@@ -40,43 +38,7 @@ class Application:
         self._contexts: Dict[str, Callable[[], None]] = {}
         self.desktop.open_window(self.window, process_id=self.process_id)
         self.build_ui()
-        # The change log is created only after ``build_ui``: constructing the
-        # initial widget tree is not a mutation of a live UI, so revision 0
-        # means "exactly as built".
-        self.ui_changes = UIChangeLog()
-        self.desktop.add_window_listener(self._on_window_event)
         self.desktop.relayout()
-
-    # ------------------------------------------------------------------
-    # UI-change events (consumed by the incremental ripper)
-    # ------------------------------------------------------------------
-    @property
-    def ui_revision(self) -> int:
-        """Monotonic revision bumped by every published UI change."""
-        log = getattr(self, "ui_changes", None)
-        return log.revision if log is not None else 0
-
-    def notify_ui_changed(self, kind: str, element: Optional[UIElement] = None) -> None:
-        """Publish one scoped UI change.
-
-        Safe to call at any time: during ``build_ui`` (before the log
-        exists) it is a no-op.  The change is scoped to the element's window
-        title — the granularity at which the incremental ripper re-explores.
-        """
-        log = getattr(self, "ui_changes", None)
-        if log is None:
-            return
-        window = ""
-        identifier = ""
-        if element is not None:
-            root = element.root()
-            window = root.name or ""
-            identifier = element.primary_id
-        log.publish(kind, window=window, identifier=identifier)
-
-    def _on_window_event(self, window: Window, event: str) -> None:
-        if window.process_id == self.process_id:
-            self.notify_ui_changed(f"window_{event}", window)
 
     # ------------------------------------------------------------------
     # to be provided by subclasses

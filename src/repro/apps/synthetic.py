@@ -451,7 +451,7 @@ class SyntheticApp(Application):
     def _context_setup(self, tab_title: str) -> Callable[[], None]:
         def setup() -> None:
             # Visibility only: contextual setups must not perturb state or
-            # structure, or incremental ripping falls back to full rips.
+            # structure, so every context is ripped from the same tree.
             self.ribbon.tabs[tab_title].visible = True
             self.desktop.relayout()
         return setup

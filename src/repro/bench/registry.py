@@ -36,9 +36,10 @@ RUN_RECORD_FORMAT_VERSION = 1
 _RECORD_KIND = "repro-run-record"
 
 #: The execution paths a record may claim: the four equivalence paths
-#: (``store-broker`` is the broker), ``dir-broker`` for the broker runs of
-#: older builds that committed BENCH files still carry, plus the
-#: maintenance paths recorded by ``repro cache gc`` and incremental rips.
+#: (``store-broker`` is the broker), the ``cache-gc`` maintenance path
+#: recorded by ``repro cache gc``, plus ``dir-broker`` and
+#: ``incremental-rip``, which only records of older builds carry (committed
+#: BENCH files still hold them).
 EXECUTOR_PATHS = ("serial", "parallel", "file-shard", "dir-broker",
                   "store-broker", "cache-gc", "incremental-rip")
 

@@ -227,40 +227,17 @@ class CacheGc(TelemetryEvent):
 
 @dataclass(frozen=True)
 class RipFull(TelemetryEvent):
-    """A full GUI rip ran (cold model build, or incremental fallback)."""
+    """A full GUI rip ran (a cold model build)."""
 
     name: ClassVar[str] = "rip_full"
     app: str
-    #: Live control activations performed (the rip's dominant cost).
+    #: Control activations (clicks) performed, the rip's dominant cost.
     nodes_visited: int
     nodes: int
     seconds: float
-    #: Why an *intended* incremental rip fell back ("" for plain full rips).
-    reason: str = ""
 
     def timings(self) -> Dict[str, float]:
         return {"rip_full_s": self.seconds}
-
-
-@dataclass(frozen=True)
-class RipIncremental(TelemetryEvent):
-    """An incremental re-rip spliced dirty subtrees into a prior UNG."""
-
-    name: ClassVar[str] = "rip_incremental"
-    app: str
-    #: Live control activations (only dirty subtrees are re-explored).
-    nodes_visited: int
-    #: Activations replayed from the prior rip's trace instead of performed.
-    nodes_reused: int
-    #: Distinct nodes spliced into the UNG by live re-exploration.
-    nodes_patched: int
-    #: nodes_reused / (nodes_reused + nodes_visited); 1.0 = nothing re-done.
-    reuse_fraction: float
-    dirty_windows: int
-    seconds: float
-
-    def timings(self) -> Dict[str, float]:
-        return {"rip_incremental_s": self.seconds}
 
 
 @dataclass(frozen=True)
@@ -395,7 +372,7 @@ class QueueDepth(TelemetryEvent):
 #: this list.
 EVENT_NAMES: tuple = tuple(sorted(event.name for event in (
     TrialStarted, TrialFinished, CacheHit, CacheMiss, CacheEvicted, CacheGc,
-    RipFull, RipIncremental,
+    RipFull,
     LeaseAcquired, LeaseRenewed, LeaseLost, ManifestAbandoned, ShardPosted,
     ShardCollected, CasRetry, StoreRetry, WorkerIdle,
     PlanSubmitted, PlanDrained, QueueDepth)))

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.apps.base import Application
 from repro.dmi.errors import StructuredFeedback
@@ -24,13 +24,12 @@ from repro.dmi.state import StateInterfaces
 from repro.dmi.visit import VisitConfig, VisitExecutor, VisitResult
 from repro.llm.tokens import estimate_tokens
 from repro.ripping.blocklist import AccessBlocklist
-from repro.ripping.ripper import GuiRipper, RipperConfig, RipReport, RipTrace
+from repro.ripping.ripper import GuiRipper, RipperConfig, RipReport
 from repro.ripping.ung import NavigationGraph
 from repro.topology.core import CoreTopology, CoreTopologyConfig, extract_core
 from repro.topology.decycle import decycle
 from repro.topology.externalize import ExternalizationConfig, plan_externalization
 from repro.topology.forest import NavigationForest, build_forest
-from repro.topology.persistence import ung_digest
 from repro.topology.query import QueryEngine, QueryResult
 from repro.topology.serialize import SerializationConfig
 
@@ -236,38 +235,6 @@ def rebuild_offline_artifacts(ung: NavigationGraph, config: Optional[DMIConfig] 
     core = extract_core(forest, config.core)
     return OfflineArtifacts(ung=ung, forest=forest, core=core,
                             rip_report=rip_report or RipReport(app_name=ung.app_name))
-
-
-def refresh_offline_artifacts(app: Application, prior: OfflineArtifacts,
-                              prior_trace: Optional[RipTrace],
-                              config: Optional[DMIConfig] = None,
-                              blocklist: Optional[AccessBlocklist] = None,
-                              ) -> "Tuple[OfflineArtifacts, RipTrace]":
-    """Incrementally refresh offline artefacts after UI mutations.
-
-    Re-rips ``app`` incrementally against the prior UNG + trace (see
-    :meth:`repro.ripping.ripper.GuiRipper.rip_incremental`), then re-derives
-    the downstream artefacts.  When the incremental rip proves the UNG
-    unchanged (same canonical bytes), the prior forest/core are reused
-    as-is — re-deriving them would reproduce identical objects, since the
-    decycle -> externalize -> forest -> core pipeline is a deterministic
-    function of the UNG.  Otherwise the pipeline re-runs on the patched
-    UNG, which still reuses the expensive part: the rip itself only visited
-    the dirty subtrees.
-
-    Returns ``(artifacts, trace)`` — chain the returned trace into the next
-    refresh.
-    """
-    config = config or DMIConfig()
-    ripper = GuiRipper(app, blocklist=blocklist, config=config.ripper)
-    ung = ripper.rip_incremental(prior.ung, prior_trace)
-    if ung_digest(ung) == ung_digest(prior.ung):
-        artifacts = OfflineArtifacts(ung=ung, forest=prior.forest,
-                                     core=prior.core, rip_report=ripper.report)
-    else:
-        artifacts = rebuild_offline_artifacts(ung, config,
-                                              rip_report=ripper.report)
-    return artifacts, ripper.trace
 
 
 def build_dmi_for_app(app: Application, config: Optional[DMIConfig] = None,

@@ -38,7 +38,6 @@ from repro.gui.widgets import (
     TreeItemControl,
     Window,
 )
-from repro.gui.changes import UIChange, UIChangeBatch, UIChangeLog
 from repro.gui.desktop import Desktop
 from repro.gui.input import InputSimulator, Shortcut
 from repro.gui.screen import ScreenLayout, hit_test
@@ -76,9 +75,6 @@ __all__ = [
     "ToolBar",
     "TreeControl",
     "TreeItemControl",
-    "UIChange",
-    "UIChangeBatch",
-    "UIChangeLog",
     "Window",
     "hit_test",
 ]

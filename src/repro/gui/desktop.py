@@ -8,7 +8,7 @@ which one is "topmost valid" — the notion DMI's path-navigation loop uses
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.gui.screen import ScreenLayout
 from repro.gui.widgets import Window
@@ -38,7 +38,6 @@ class Desktop:
         self.events = EventBus()
         self.layout = ScreenLayout(width=width, height=height)
         self._processes: Dict[int, str] = {}
-        self._window_listeners: List[Callable[[Window, str], None]] = []
 
     # ------------------------------------------------------------------
     # processes
@@ -62,8 +61,6 @@ class Desktop:
             window.process_id = process_id
         self.windows.append(window)
         self.events.emit_kind(EventKind.WINDOW_OPENED, source=window)
-        for listener in list(self._window_listeners):
-            listener(window, "opened")
         self.relayout()
         return window
 
@@ -74,19 +71,7 @@ class Desktop:
         if self.focus is not None and self.focus.root() is window:
             self.focus = None
         self.events.emit_kind(EventKind.WINDOW_CLOSED, source=window)
-        for listener in list(self._window_listeners):
-            listener(window, "closed")
         self.relayout()
-
-    def add_window_listener(self, listener: Callable[[Window, str], None]) -> Callable[[], None]:
-        """Register a window open/close listener; returns an unsubscriber."""
-        self._window_listeners.append(listener)
-
-        def remove() -> None:
-            if listener in self._window_listeners:
-                self._window_listeners.remove(listener)
-
-        return remove
 
     def open_windows(self, process_id: Optional[int] = None) -> List[Window]:
         """All open windows, optionally filtered by process id (bottom-up z-order)."""

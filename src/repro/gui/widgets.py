@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.uia.control_types import ControlType
-from repro.uia.element import BoundingRect, UIElement, notify_ui_change
+from repro.uia.element import BoundingRect, UIElement
 from repro.uia.patterns import (
     ExpandCollapsePattern,
     ExpandCollapseState,
@@ -304,8 +304,6 @@ class TabItem(Widget):
     def _handle_select(self, selected: bool) -> None:
         if self.panel is not None:
             self.panel.visible = selected
-        if selected:
-            notify_ui_change(self, "tab_activated")
         if selected and self._on_select is not None:
             self._on_select()
 
@@ -535,7 +533,6 @@ class Edit(Widget):
         """Type text into the field (replaces current content)."""
         self._value.set_value(text)
         self.text = text
-        notify_ui_change(self, "property_changed")
         if not self.requires_enter_to_commit:
             self.commit()
 
@@ -708,7 +705,6 @@ class DataItem(Widget):
     def set_value(self, value: str) -> None:
         self._value.set_value(value)
         self.text = self._value.value
-        notify_ui_change(self, "property_changed")
 
     def set_display_value(self, value: str) -> None:
         """Update the displayed value without firing the edit callback.

@@ -12,12 +12,9 @@ from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import ExplorationContext, context_plan_for
 from repro.ripping.ripper import (
     GuiRipper,
-    ReplayMismatch,
     RipperConfig,
     RipReport,
-    RipTrace,
     rip_application,
-    rip_application_incremental,
 )
 from repro.ripping.ung import NavigationGraph, UNGNode
 
@@ -26,13 +23,10 @@ __all__ = [
     "ExplorationContext",
     "GuiRipper",
     "NavigationGraph",
-    "ReplayMismatch",
     "RipReport",
-    "RipTrace",
     "RipperConfig",
     "UNGNode",
     "context_plan_for",
     "default_blocklist_for",
     "rip_application",
-    "rip_application_incremental",
 ]

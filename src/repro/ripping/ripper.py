@@ -9,9 +9,9 @@ The ripper drives a live (simulated) application:
    differentially by briefly switching to a sibling tab).
 2. **DFS exploration** — for every clickable, non-blocklisted control the
    ripper takes a visibility snapshot, clicks the control, takes a second
-   snapshot, and records every newly revealed control as a successor.  New
-   top-level/modal windows are detected through the desktop's window
-   listeners.
+   snapshot, and records every newly revealed control as a successor.  The
+   snapshots span every open window of the application, so controls in a
+   top-level or modal window the click opened count as revealed.
 3. **State restoration** — after exploring a branch the ripper restores the
    prior UI state (closes windows the click opened, collapses expansions,
    re-selects the previously selected tab) so sibling branches are explored
@@ -19,24 +19,6 @@ The ripper drives a live (simulated) application:
 4. **Context-aware exploration** — the whole procedure repeats for every
    exploration context the application registers (e.g. "image selected"),
    and the per-context results merge into a single UNG.
-
-Incremental ripping
--------------------
-Every rip also records a **trace**: per explored node, the outcome of its
-activation check and the exact sequence of graph operations its exploration
-produced (node/edge splices and descents into children).  Given a prior UNG,
-its trace, and the application's pending :class:`~repro.gui.changes`
-event batch, :meth:`GuiRipper.rip_incremental` re-explores only the *dirty*
-subtrees — nodes whose window a change touched, plus everything upstream of
-them (an ancestor's click may reveal different controls once its subtree
-changed) — and **replays** every clean node's recorded operations instead of
-clicking.  Replay preserves click-budget accounting (a replayed activation
-still counts against ``max_clicks``), visit order, and merge semantics, so
-the incremental UNG is byte-identical to what a full re-rip would produce.
-Any divergence between record and reality (:class:`ReplayMismatch`), a
-missing or overflowed event log, or an app/config version change downgrades
-to a full rip — incremental ripping is a pure optimization, never a
-correctness trade.
 """
 
 from __future__ import annotations
@@ -99,70 +81,9 @@ class RipReport:
     leaves: int = 0
     merge_nodes: int = 0
     cycles: bool = False
-    #: "full" or "incremental".
-    mode: str = "full"
-    #: Live activations actually performed (== clicks for a full rip).
-    nodes_visited: int = 0
-    #: Activations replayed from a prior trace (incremental mode only).
-    nodes_reused: int = 0
-    #: Distinct nodes spliced in by live re-exploration (incremental only).
-    nodes_patched: int = 0
-    #: Why an intended incremental rip fell back to a full rip ("": none).
-    fallback_reason: str = ""
 
     def as_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
-
-
-class ReplayMismatch(Exception):
-    """The recorded trace no longer matches what exploration would do."""
-
-
-@dataclass
-class NodeRecord:
-    """One explored node's activation outcome and graph operations.
-
-    ``ops`` entries are tuples:
-
-    * ``("node", payload)`` — splice a node (payload mirrors the
-      :meth:`~repro.ripping.ung.NavigationGraph.add_element` inputs);
-    * ``("edge", source_id, target_id)`` — splice an edge;
-    * ``("descend", child_id)`` — DFS descended into ``child_id`` at this
-      point (the child's own operations live in *its* record).
-    """
-
-    node_id: str
-    #: "activated", "budget", "blocked", "inert" or "offscreen".
-    outcome: str
-    ops: List[tuple] = field(default_factory=list)
-
-
-@dataclass
-class RipTrace:
-    """Everything needed to replay a rip against an unchanged UI."""
-
-    app_name: str
-    app_version: str
-    #: The application's UI revision when the rip finished (self-generated
-    #: exploration traffic already drained).
-    ui_revision: int
-    #: Digest of the ripper configuration the trace was recorded under.
-    config_digest: str
-    records: Dict[str, NodeRecord] = field(default_factory=dict)
-
-
-def _config_digest(config: RipperConfig) -> str:
-    return (f"clicks={config.max_clicks},depth={config.max_depth},"
-            f"contexts={config.explore_contexts}")
-
-
-@dataclass
-class _ReplayPlan:
-    """Replay inputs for one incremental rip."""
-
-    records: Dict[str, NodeRecord]
-    tainted: Set[str]
-    dirty: Set[str]
 
 
 @dataclass
@@ -185,90 +106,15 @@ class GuiRipper:
         self.sink = sink
         self.ung = NavigationGraph(app_name=app.APP_NAME)
         self.report = RipReport(app_name=app.APP_NAME)
-        #: Trace of the last completed rip (full or incremental).
-        self.trace: Optional[RipTrace] = None
         self._visited: Set[str] = set()
         self._clicks = 0
-        self._records: Dict[str, NodeRecord] = {}
-        self._frames: List[List[tuple]] = []
-        self._replay: Optional[_ReplayPlan] = None
-        self._live_activations = 0
-        self._replayed_activations = 0
-        self._patched_ids: Set[str] = set()
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def rip(self) -> NavigationGraph:
         """Run the full exploration and return the UNG."""
-        return self._run()
-
-    def rip_incremental(self, prior_ung: NavigationGraph,
-                        prior_trace: Optional[RipTrace]) -> NavigationGraph:
-        """Re-rip, replaying the prior trace for everything untouched.
-
-        Consumes the application's pending UI-change batch to compute the
-        dirty window set; falls back to a full rip (recording the reason in
-        ``report.fallback_reason`` and the ``rip_full`` telemetry event)
-        whenever the trace cannot be trusted.
-        """
-        reason = self._incremental_blocker(prior_ung, prior_trace)
-        dirty: Set[str] = set()
-        if reason is None:
-            batch = self.app.ui_changes.drain()
-            if batch.overflowed:
-                reason = "change log overflowed"
-            elif batch.from_revision == 0 and batch.to_revision == 0:
-                # A never-written change log: this instance is exactly
-                # as built.  The trace was stamped with the *recording*
-                # instance's revision (exploration publishes its own
-                # traffic), so the numbers differ — but an as-built
-                # same-version instance is a valid replay target.  This
-                # is the model-transfer case: ship UNG + trace to
-                # another machine and splice against a fresh instance.
-                dirty = set()
-            elif batch.from_revision != prior_trace.ui_revision:
-                reason = (f"change log gap: trace at revision "
-                          f"{prior_trace.ui_revision}, batch covers "
-                          f"{batch.from_revision}..{batch.to_revision}")
-            else:
-                dirty = set(batch.dirty_windows())
-                if "" in dirty:
-                    reason = "change without a window scope"
-        if reason is None:
-            plan = _ReplayPlan(records=prior_trace.records,
-                               tainted=self._tainted_nodes(prior_ung, dirty),
-                               dirty=dirty)
-            state_before = self._capture_state()
-            try:
-                result = self._run(replay=plan)
-                if not plan.dirty:
-                    # With nothing dirty, a pure replay must reproduce
-                    # the prior graph bit for bit.  A divergence means
-                    # the UI drifted outside the event log (e.g. an app
-                    # whose exploration perturbs its own state), so the
-                    # trace describes a state that no longer exists.
-                    from repro.topology.persistence import ung_digest
-                    if ung_digest(result) != ung_digest(prior_ung):
-                        raise ReplayMismatch(
-                            "replayed graph diverged from the prior "
-                            "model with no pending changes (UI state "
-                            "drifted outside the event log)")
-                return result
-            except ReplayMismatch as mismatch:
-                self._restore_state(state_before)
-                reason = f"replay mismatch: {mismatch}"
-                self._reset()
-        self.report.fallback_reason = reason
-        return self._run()
-
-    # ------------------------------------------------------------------
-    # the shared rip loop
-    # ------------------------------------------------------------------
-    def _run(self, replay: Optional[_ReplayPlan] = None) -> NavigationGraph:
         started = time.perf_counter()
-        self._replay = replay
-        self._frames = [[]]        # root scratch frame; never stored
         contexts = context_plan_for(self.app) if self.config.explore_contexts else \
             context_plan_for(self.app)[:1]
         for context in contexts:
@@ -284,207 +130,12 @@ class GuiRipper:
         self.report.merge_nodes = stats["merge_nodes"]
         self.report.cycles = stats["has_cycle"]
         self.report.clicks = self._clicks
-        self.report.mode = "incremental" if replay is not None else "full"
-        self.report.nodes_visited = self._live_activations
-        self.report.nodes_reused = self._replayed_activations
-        self.report.nodes_patched = len(self._patched_ids)
-        self._finish_trace()
-        self._emit_rip_event(replay)
-        return self.ung
-
-    def _reset(self) -> None:
-        """Discard a partially built graph before the full-rip fallback."""
-        self.ung = NavigationGraph(app_name=self.app.APP_NAME)
-        self.report = RipReport(app_name=self.app.APP_NAME)
-        self._visited = set()
-        self._clicks = 0
-        self._records = {}
-        self._frames = []
-        self._replay = None
-        self._live_activations = 0
-        self._replayed_activations = 0
-        self._patched_ids = set()
-
-    def _finish_trace(self) -> None:
-        revision = 0
-        log = getattr(self.app, "ui_changes", None)
-        if log is not None:
-            # Exploration itself publishes changes (dialogs open, tabs
-            # switch); they describe state the rip already observed, so
-            # drain and discard them — the trace is current as of now.
-            revision = log.drain().to_revision
-        self.trace = RipTrace(
-            app_name=self.app.APP_NAME,
-            app_version=getattr(self.app, "APP_VERSION", ""),
-            ui_revision=revision,
-            config_digest=_config_digest(self.config),
-            records=self._records,
-        )
-
-    def _emit_rip_event(self, replay: Optional[_ReplayPlan]) -> None:
         sink = _events().resolve(self.sink)
-        if not sink:
-            return
-        if replay is None:
+        if sink:
             sink.emit(_events().RipFull(
-                app=self.app.APP_NAME, nodes_visited=self._live_activations,
-                nodes=self.report.nodes, seconds=self.report.duration_seconds,
-                reason=self.report.fallback_reason))
-        else:
-            reused = self._replayed_activations
-            visited = self._live_activations
-            fraction = reused / (reused + visited) if reused + visited else 1.0
-            sink.emit(_events().RipIncremental(
-                app=self.app.APP_NAME, nodes_visited=visited,
-                nodes_reused=reused, nodes_patched=len(self._patched_ids),
-                reuse_fraction=fraction, dirty_windows=len(replay.dirty),
-                seconds=self.report.duration_seconds))
-
-    # ------------------------------------------------------------------
-    # incremental-mode helpers
-    # ------------------------------------------------------------------
-    def _incremental_blocker(self, prior_ung: Optional[NavigationGraph],
-                             prior_trace: Optional[RipTrace]) -> Optional[str]:
-        if prior_trace is None:
-            return "no prior trace"
-        if prior_ung is None:
-            return "no prior graph"
-        if getattr(self.app, "ui_changes", None) is None:
-            return "application publishes no UI changes"
-        if prior_trace.app_name != self.app.APP_NAME:
-            return (f"trace is for {prior_trace.app_name!r}, "
-                    f"not {self.app.APP_NAME!r}")
-        if prior_trace.app_version != getattr(self.app, "APP_VERSION", ""):
-            return (f"application version changed "
-                    f"({prior_trace.app_version!r} -> "
-                    f"{getattr(self.app, 'APP_VERSION', '')!r})")
-        if prior_trace.config_digest != _config_digest(self.config):
-            return "ripper configuration changed"
-        return None
-
-    @staticmethod
-    def _tainted_nodes(prior_ung: NavigationGraph,
-                       dirty_windows: Set[str]) -> Set[str]:
-        """Nodes that must be re-explored live: everything captured under a
-        dirty window, plus the reverse-reachability closure over the prior
-        UNG (a clean ancestor's click may reveal a changed subtree, so its
-        recorded operations are stale too)."""
-        tainted = {node_id for node_id, node in prior_ung.nodes.items()
-                   if node.window in dirty_windows}
-        stack = list(tainted)
-        while stack:
-            node_id = stack.pop()
-            for predecessor in prior_ung.predecessors(node_id):
-                if predecessor not in tainted:
-                    tainted.add(predecessor)
-                    stack.append(predecessor)
-        return tainted
-
-    def _descend(self, element: Optional[UIElement], node_id: str,
-                 depth: int, context: str) -> None:
-        """Dispatch one DFS step: replay the node if its record is clean,
-        otherwise explore it live.  Live subtrees still replay their clean
-        children (the element is only needed on the live path)."""
-        replayable = (
-            self._replay is not None
-            and node_id not in self._replay.tainted
-            # New controls (absent from the prior UNG, so absent from the
-            # taint set) in a dirty window must also be explored live.
-            and not (element is not None
-                     and self._window_title(element) in self._replay.dirty))
-        if replayable:
-            record = self._replay.records.get(node_id)
-            if record is not None:
-                self._replay_node(record, depth)
-                return
-            if node_id not in self._visited:
-                # A control the prior rip never saw appeared in a window no
-                # change event touched: the event log missed a mutation.
-                raise ReplayMismatch(f"clean node {node_id!r} has no record")
-            return
-        self._explore(element, node_id, depth, context)
-
-    def _replay_node(self, record: NodeRecord, depth: int) -> None:
-        """Mirror :meth:`_explore` from a record instead of a live element.
-
-        Budget accounting is kept in lockstep with live exploration — a
-        replayed activation consumes a (virtual) click — so a subsequent
-        full rip and the incremental rip agree on where budgets bind.  Any
-        disagreement raises :class:`ReplayMismatch`.
-        """
-        node_id = record.node_id
-        if node_id in self._visited:
-            return
-        self._visited.add(node_id)
-        new_record = NodeRecord(node_id=node_id, outcome=record.outcome,
-                                ops=list(record.ops))
-        self._records[node_id] = new_record
-        over_budget = depth > self.config.max_depth \
-            or self._clicks >= self.config.max_clicks
-        if over_budget != (record.outcome == "budget"):
-            raise ReplayMismatch(
-                f"budget divergence at {node_id!r}: recorded outcome "
-                f"{record.outcome!r} vs over_budget={over_budget}")
-        if record.outcome == "budget":
-            return
-        if record.outcome == "blocked":
-            self.report.blocked += 1
-            return
-        if record.outcome in ("inert", "offscreen"):
-            return
-        self._clicks += 1            # the virtual click keeps budget parity
-        self._replayed_activations += 1
-        for op in record.ops:
-            kind = op[0]
-            if kind == "node":
-                payload = op[1]
-                self.ung.add_node(UNGNode(
-                    node_id=payload["node_id"], name=payload["name"],
-                    control_type=ControlType(payload["control_type"]),
-                    automation_id=payload["automation_id"],
-                    description=payload["description"],
-                    contexts={payload["context"]},
-                    window=payload["window"]))
-            elif kind == "edge":
-                self.ung.add_edge(op[1], op[2])
-            elif kind == "descend":
-                child_id = op[1]
-                if child_id in self._replay.tainted:
-                    raise ReplayMismatch(
-                        f"clean node {node_id!r} descends into tainted "
-                        f"{child_id!r}")
-                child = self._replay.records.get(child_id)
-                if child is None:
-                    if child_id in self._visited:
-                        continue
-                    raise ReplayMismatch(
-                        f"descend target {child_id!r} has no record")
-                self._replay_node(child, depth + 1)
-
-    # ------------------------------------------------------------------
-    # recorded graph operations
-    # ------------------------------------------------------------------
-    def _emit_element(self, element: UIElement, context: str,
-                      window: Optional[str] = None) -> UNGNode:
-        if window is None:
-            window = self._window_title(element)
-        node = self.ung.add_element(element, context=context, window=window)
-        self._frames[-1].append(("node", {
-            "node_id": node.node_id,
-            "name": element.name,
-            "control_type": element.control_type.value,
-            "automation_id": element.automation_id,
-            "description": element.description,
-            "context": context,
-            "window": window,
-        }))
-        if self._replay is not None and len(self._frames) > 1:
-            self._patched_ids.add(node.node_id)
-        return node
-
-    def _emit_edge(self, source_id: str, target_id: str) -> None:
-        self.ung.add_edge(source_id, target_id)
-        self._frames[-1].append(("edge", source_id, target_id))
+                app=self.app.APP_NAME, nodes_visited=self._clicks,
+                nodes=self.report.nodes, seconds=self.report.duration_seconds))
+        return self.ung
 
     # ------------------------------------------------------------------
     # per-context exploration
@@ -497,18 +148,18 @@ class GuiRipper:
         for element in initial:
             if element is self.app.window:
                 continue
-            node = self._emit_element(element, context)
+            node = self._add_element(element, context)
             parent_id = VIRTUAL_ROOT_ID
             if element.runtime_id in scoped:
                 parent_id = scoped[element.runtime_id]
                 # The owning tab itself is part of ``initial`` and is attached
                 # to the virtual root by its own iteration.
             if parent_id != node.node_id:
-                self._emit_edge(parent_id, node.node_id)
+                self.ung.add_edge(parent_id, node.node_id)
             frontier.append((element, node.node_id, 1))
 
         for element, node_id, depth in frontier:
-            self._descend(element, node_id, depth, context)
+            self._explore(element, node_id, depth, context)
 
     def _active_tab_scoped_elements(self) -> Dict[int, str]:
         """Map runtime ids of controls scoped to the active tab -> tab node id.
@@ -531,8 +182,8 @@ class GuiRipper:
             selected.select()
             self.app.desktop.relayout()
             disappeared = before - after - {selected.runtime_id}
-            tab_node = self._emit_element(selected, DEFAULT_CONTEXT)
-            self._emit_edge(VIRTUAL_ROOT_ID, tab_node.node_id)
+            tab_node = self._add_element(selected, DEFAULT_CONTEXT)
+            self.ung.add_edge(VIRTUAL_ROOT_ID, tab_node.node_id)
             for runtime_id in disappeared:
                 scoped[runtime_id] = tab_node.node_id
         return scoped
@@ -552,46 +203,35 @@ class GuiRipper:
         if node_id in self._visited:
             return
         self._visited.add(node_id)
-        record = NodeRecord(node_id=node_id, outcome="inert")
-        self._records[node_id] = record
         if depth > self.config.max_depth or self._clicks >= self.config.max_clicks:
-            record.outcome = "budget"
             return
         if not self._should_activate(element):
             if self.blocklist.blocks(element):
                 self.report.blocked += 1
-                record.outcome = "blocked"
             return
         if not element.is_on_screen():
             # A sibling's exploration hid this control (e.g. a collapsed
             # menu); skip rather than force visibility.
-            record.outcome = "offscreen"
             return
 
-        record.outcome = "activated"
         state_before = self._capture_state()
-        self._frames.append(record.ops)
-        try:
-            revealed = self._activate_and_diff(element)
-            registered: List[Tuple[UIElement, str]] = []
-            for new_element in revealed:
-                new_node = self._emit_element(new_element, context)
-                if new_node.node_id != node_id:
-                    self._emit_edge(node_id, new_node.node_id)
-                    registered.append((new_element, new_node.node_id))
-            for new_element, new_id in registered:
-                # Exploring an earlier sibling may have rebuilt part of the UI
-                # (detaching this element); re-registration keeps ids consistent
-                # with what exploration will observe from here on.
-                current_id = identifier_string(new_element)
-                if current_id != new_id:
-                    refreshed = self._emit_element(new_element, context)
-                    self._emit_edge(node_id, refreshed.node_id)
-                    new_id = refreshed.node_id
-                record.ops.append(("descend", new_id))
-                self._descend(new_element, new_id, depth + 1, context)
-        finally:
-            self._frames.pop()
+        revealed = self._activate_and_diff(element)
+        registered: List[Tuple[UIElement, str]] = []
+        for new_element in revealed:
+            new_node = self._add_element(new_element, context)
+            if new_node.node_id != node_id:
+                self.ung.add_edge(node_id, new_node.node_id)
+                registered.append((new_element, new_node.node_id))
+        for new_element, new_id in registered:
+            # Exploring an earlier sibling may have rebuilt part of the UI
+            # (detaching this element); re-registration keeps ids consistent
+            # with what exploration will observe from here on.
+            current_id = identifier_string(new_element)
+            if current_id != new_id:
+                refreshed = self._add_element(new_element, context)
+                self.ung.add_edge(node_id, refreshed.node_id)
+                new_id = refreshed.node_id
+            self._explore(new_element, new_id, depth + 1, context)
         self._restore_state(state_before)
 
     def _should_activate(self, element: UIElement) -> bool:
@@ -619,7 +259,6 @@ class GuiRipper:
         """
         before = {identifier_string(e) for e in self._visible_app_elements()}
         self._clicks += 1
-        self._live_activations += 1
         try:
             self.app.input.click(element)
         except Exception:
@@ -699,6 +338,10 @@ class GuiRipper:
                 stack.extend(reversed(node.children))
         return result
 
+    def _add_element(self, element: UIElement, context: str) -> UNGNode:
+        return self.ung.add_element(element, context=context,
+                                    window=self._window_title(element))
+
     @staticmethod
     def _window_title(element: UIElement) -> str:
         root = element.root()
@@ -712,20 +355,3 @@ def rip_application(app: Application, blocklist: Optional[AccessBlocklist] = Non
     ung = ripper.rip()
     return ung, ripper.report
 
-
-def rip_application_incremental(
-        app: Application, prior_ung: NavigationGraph,
-        prior_trace: Optional[RipTrace],
-        blocklist: Optional[AccessBlocklist] = None,
-        config: Optional[RipperConfig] = None,
-) -> Tuple[NavigationGraph, RipReport, RipTrace]:
-    """Incrementally re-rip ``app`` against a prior (UNG, trace) pair.
-
-    Returns ``(ung, report, trace)`` — the trace is the *new* one, suitable
-    for chaining further incremental rips.  ``report.mode`` tells whether
-    the rip actually ran incrementally or fell back
-    (``report.fallback_reason``).
-    """
-    ripper = GuiRipper(app, blocklist=blocklist, config=config)
-    ung = ripper.rip_incremental(prior_ung, prior_trace)
-    return ung, ripper.report, ripper.trace

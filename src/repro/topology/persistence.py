@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union, get_origin, get_type_hints
 
 from repro.ripping.ripper import RipReport
 from repro.ripping.ung import NavigationGraph, UNGNode
@@ -57,8 +57,9 @@ def ung_digest(ung: NavigationGraph) -> str:
 
     Two UNGs with the same digest serialize to the same bytes (modulo the
     rip report, which is intentionally excluded: its timings differ between
-    otherwise identical rips).  Used by the incremental pipeline to decide
-    whether downstream artefacts (forest, core) can be reused as-is.
+    otherwise identical rips).  Tests and the benchmark use it to check that
+    a rip, a cache round trip or a transferred model reproduces a graph
+    exactly.
     """
     encoded = json.dumps(ung_to_dict(ung), sort_keys=True,
                          ensure_ascii=False).encode("utf-8")
@@ -66,24 +67,49 @@ def ung_digest(ung: NavigationGraph) -> str:
 
 
 def ung_from_dict(payload: Dict) -> NavigationGraph:
-    """Rebuild a UNG from its serialised representation."""
+    """Rebuild a UNG from its serialised representation.
+
+    A payload of the wrong shape (not an object, a node entry that is not an
+    object, a non-string name or identifier, an edge that is not a pair of
+    known nodes, a root that is not a node) raises :class:`ValueError`, like
+    an unsupported format version, so a corrupt file reads as unusable
+    rather than as a crash.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"navigation model must be a JSON object, "
+                         f"not {type(payload).__name__}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported navigation-model format version {version!r}")
-    ung = NavigationGraph(app_name=payload.get("app_name", ""))
-    for entry in payload["nodes"]:
-        ung.add_node(UNGNode(
-            node_id=entry["node_id"],
-            name=entry["name"],
-            control_type=ControlType(entry["control_type"]),
-            automation_id=entry.get("automation_id", ""),
-            description=entry.get("description", ""),
-            contexts=set(entry.get("contexts", [])),
-            window=entry.get("window", ""),
-        ))
-    ung.root_id = payload.get("root_id", ung.root_id)
-    for source, target in payload["edges"]:
-        ung.add_edge(source, target)
+    app_name = payload.get("app_name", "")
+    if not isinstance(app_name, str):
+        raise ValueError(f"malformed navigation model: app_name must be a "
+                         f"string, not {type(app_name).__name__}")
+    ung = NavigationGraph(app_name=app_name)
+    try:
+        for entry in payload["nodes"]:
+            node = UNGNode(
+                node_id=entry["node_id"],
+                name=entry["name"],
+                control_type=ControlType(entry["control_type"]),
+                automation_id=entry.get("automation_id", ""),
+                description=entry.get("description", ""),
+                contexts=set(entry.get("contexts", [])),
+                window=entry.get("window", ""),
+            )
+            # join() raises TypeError unless every field is a string.
+            "".join((node.node_id, node.name, node.automation_id,
+                     node.description, node.window, *node.contexts))
+            ung.add_node(node)
+        root_id = payload.get("root_id", ung.root_id)
+        if root_id not in ung.nodes:
+            raise ValueError(f"malformed navigation model: root {root_id!r} "
+                             f"is not a node")
+        ung.root_id = root_id
+        for source, target in payload["edges"]:
+            ung.add_edge(source, target)
+    except (TypeError, KeyError) as error:
+        raise ValueError(f"malformed navigation model: {error!r}") from error
     return ung
 
 
@@ -104,9 +130,30 @@ def load_ung(path: Union[str, Path]) -> NavigationGraph:
 
 
 def rip_report_from_dict(payload: Dict) -> RipReport:
-    """Rebuild a :class:`RipReport` from :meth:`RipReport.as_dict` output."""
-    known = {f for f in RipReport.__dataclass_fields__}
-    return RipReport(**{key: value for key, value in payload.items() if key in known})
+    """Rebuild a :class:`RipReport` from :meth:`RipReport.as_dict` output.
+
+    Keys this build does not know (fields of older builds) are dropped.  A
+    known field of the wrong JSON type (a count that is not an integer, a
+    context list that is not a list of strings) raises :class:`ValueError`.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"rip report must be a JSON object, "
+                         f"not {type(payload).__name__}")
+    hints = get_type_hints(RipReport)
+    fields = {}
+    for key, value in payload.items():
+        if key not in hints:
+            continue
+        expected = get_origin(hints[key]) or hints[key]
+        accepted = (int, float) if expected is float else expected
+        if (not isinstance(value, accepted)
+                or (isinstance(value, bool) and expected is not bool)
+                or (expected is list
+                    and not all(isinstance(item, str) for item in value))):
+            raise ValueError(f"rip report field {key!r} must be "
+                             f"{expected.__name__}, not {value!r}")
+        fields[key] = value
+    return RipReport(**fields)
 
 
 def load_model(path: Union[str, Path]) -> Tuple[NavigationGraph, Optional[RipReport]]:

@@ -20,21 +20,6 @@ from repro.uia.patterns import PatternId, UIAPattern
 _runtime_id_counter = itertools.count(1)
 
 
-def notify_ui_change(element: "UIElement", kind: str) -> None:
-    """Route a UI mutation to the owning application's change log, if any.
-
-    Duck-typed on purpose: the accessibility layer knows nothing about
-    :mod:`repro.apps`, but an application attaches itself to its window root
-    as ``root.application``.  Elements without an owning application (bare
-    trees in unit tests, dialogs still under construction) publish nothing,
-    which is exactly right — only mutations of a *live* UI are observable.
-    """
-    app = getattr(element.root(), "application", None)
-    notify = getattr(app, "notify_ui_changed", None)
-    if notify is not None:
-        notify(kind, element)
-
-
 @dataclass(frozen=True)
 class BoundingRect:
     """Screen-space bounding rectangle of a control (pixels)."""
@@ -132,7 +117,6 @@ class UIElement:
             self.children.append(child)
         else:
             self.children.insert(index, child)
-        notify_ui_change(child, "widget_added")
         return child
 
     def add_children(self, children: List["UIElement"]) -> List["UIElement"]:
@@ -142,9 +126,6 @@ class UIElement:
 
     def remove_child(self, child: "UIElement") -> None:
         if child in self.children:
-            # Published before detaching: afterwards the child no longer
-            # reaches the window root that owns the change log.
-            notify_ui_change(child, "widget_removed")
             self.children.remove(child)
             child.parent = None
 

@@ -42,7 +42,6 @@ import math
 from pathlib import Path
 from typing import Callable, Dict, Sequence, Tuple
 
-from repro.apps import app_factory
 from repro.bench.runner import (
     BenchmarkConfig,
     BenchmarkRunner,
@@ -62,9 +61,6 @@ from repro.bench.store import FileSystemObjectStore, RetryPolicy
 from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.bench.transport import ObjectStoreBroker, ShardWorker
 from repro.cli import export_settings_payload
-from repro.dmi.cache import ArtifactCache
-from repro.dmi.interface import DMIConfig, rebuild_offline_artifacts
-from repro.ripping.ripper import GuiRipper
 
 #: A small two-app grid that still exercises both interface stacks.
 DEFAULT_TASKS = ("ppt-01-blue-background", "word-02-landscape")
@@ -225,47 +221,6 @@ def run_multi_plan_broker(seeds: Sequence[int], trials: int,
     assert set(worker.results_by_plan) == {f"seed-{seed}" for seed in seeds}
     return {name: outcomes_bytes(merge_shard_results(broker.collect(name)))
             for name in (f"seed-{seed}" for seed in seeds)}
-
-
-def prime_cache_with_incremental_models(cache_dir,
-                                        task_ids=DEFAULT_TASKS) -> dict:
-    """Pre-populate an :class:`ArtifactCache` through the incremental
-    (replay + splice) pipeline for every application the tasks touch.
-
-    Each app is fully ripped once on a throwaway instance (recording a
-    replay trace), then a *fresh* instance of the same build is ripped
-    incrementally against that model — the model-transfer case: a pristine
-    change log means "unchanged since build", so the trace replays with an
-    empty dirty set.  The spliced graph is rebuilt into artefacts and
-    stored under the same version-aware key the engine's ``load_or_build``
-    computes, so execution paths warmed from this cache serve models that
-    went through the event-driven replay pipeline.  Byte-identical
-    downstream exports then prove incremental models indistinguishable
-    from scratch-ripped ones on every execution path.
-
-    Apps whose exploration perturbs their own state (PowerPoint's context
-    setup inserts shapes) make the replay fall back — the ripper detects
-    the divergence and re-rips fully; for those the scratch model is
-    stored instead, exactly what any cold path would build.
-
-    Returns ``{app_name: "incremental" | "full"}``.
-    """
-    config = DMIConfig()
-    cache = ArtifactCache(cache_dir, config)
-    primed = {}
-    for app_name in dict.fromkeys(task_by_id(t).app for t in task_ids):
-        recorder = GuiRipper(app_factory(app_name)(), config=config.ripper)
-        scratch = recorder.rip()
-        replayer = GuiRipper(app_factory(app_name)(), config=config.ripper)
-        spliced = replayer.rip_incremental(scratch, recorder.trace)
-        if replayer.report.mode == "incremental":
-            cache.store(app_name, rebuild_offline_artifacts(
-                spliced, config, rip_report=replayer.report))
-        else:
-            cache.store(app_name, rebuild_offline_artifacts(
-                scratch, config, rip_report=recorder.report))
-        primed[app_name] = replayer.report.mode
-    return primed
 
 
 def run_all_paths_with_telemetry(

@@ -12,7 +12,6 @@ import os
 
 import pytest
 
-from repro.apps.mutable import MutableDemoApp
 from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.cli import main
 from repro.dmi.cache import (
@@ -41,35 +40,37 @@ def test_fingerprint_folds_app_version_in():
     assert len({v1, v2, legacy}) == 3
 
 
-def test_app_version_resolution():
+def test_app_version_resolution(mini_app):
+    MiniApp = type(mini_app)
     assert app_version_for("word") == "1.0"
     assert app_version_for("no-such-app") == ""
-    assert app_version_for("anything", factory=MutableDemoApp) == "1.0"
+    assert app_version_for("anything", factory=MiniApp) == "1.0"
 
-    class Rebuilt(MutableDemoApp):
+    class Rebuilt(MiniApp):
         APP_VERSION = "2.0"
 
     assert app_version_for("anything", factory=Rebuilt) == "2.0"
 
 
-def test_rebuilt_app_version_addresses_a_fresh_cache_slot(tmp_path):
-    """Satellite acceptance: bumping APP_VERSION must miss the old entry
-    and rebuild, never serve the previous build's model."""
+def test_rebuilt_app_version_addresses_a_fresh_cache_slot(tmp_path, mini_app):
+    """Bumping APP_VERSION must miss the old entry and rebuild, never serve
+    the previous build's model."""
+    MiniApp = type(mini_app)
 
-    class RebuiltDemo(MutableDemoApp):
+    class RebuiltMini(MiniApp):
         APP_VERSION = "2.0"
 
     cache = ArtifactCache(tmp_path / "cache")
-    cache.load_or_build("mutable-demo", factory=MutableDemoApp)
+    cache.load_or_build("mini", factory=MiniApp)
     assert cache.misses == 1
     # Same name, same config — but a new build version: cold again.
-    cache.load_or_build("mutable-demo", factory=RebuiltDemo)
+    cache.load_or_build("mini", factory=RebuiltMini)
     assert cache.misses == 2 and cache.hits == 0
     # Both builds now coexist under distinct version-aware keys.
-    assert cache.path_for("mutable-demo", app_version="1.0").exists()
-    assert cache.path_for("mutable-demo", app_version="2.0").exists()
-    cache.load_or_build("mutable-demo", factory=MutableDemoApp)
-    cache.load_or_build("mutable-demo", factory=RebuiltDemo)
+    assert cache.path_for("mini", app_version="1.0").exists()
+    assert cache.path_for("mini", app_version="2.0").exists()
+    cache.load_or_build("mini", factory=MiniApp)
+    cache.load_or_build("mini", factory=RebuiltMini)
     assert cache.hits == 2
 
 

@@ -285,10 +285,39 @@ def test_cache_key_depends_on_ripper_config_and_app(tmp_path):
             != cache.path_for("word"))
 
 
-def test_cache_treats_corrupt_entries_as_misses(tmp_path):
+def _wrong_shape(field, value):
+    def corrupt(payload):
+        payload[field] = value
+        return json.dumps(payload)
+    return corrupt
+
+
+def _wrong_node_field(field, value):
+    def corrupt(payload):
+        payload["nodes"][-1][field] = value
+        return json.dumps(payload)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda payload: "{not json",
+    lambda payload: json.dumps([payload]),
+    _wrong_shape("rip_report", [1]),
+    _wrong_shape("nodes", ["not an object"]),
+    _wrong_shape("edges", [5]),
+    lambda payload: "null",
+    _wrong_shape("root_id", "no such node"),
+    _wrong_shape("root_id", ["root"]),
+    _wrong_node_field("name", 7),
+    _wrong_shape("rip_report", {"clicks": "many"}),
+], ids=["unparsable", "top-level-list", "report-list", "node-not-object",
+        "edge-not-pair", "top-level-null", "root-not-a-node",
+        "root-not-string", "node-name-not-string", "report-count-not-int"])
+def test_cache_treats_corrupt_entries_as_misses(tmp_path, corrupt, ppt_artifacts):
     cache = ArtifactCache(tmp_path, DMIConfig())
-    cache.load_or_build("powerpoint")
-    cache.path_for("powerpoint").write_text("{not json", encoding="utf-8")
+    path = cache.store("powerpoint", ppt_artifacts)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(corrupt(payload), encoding="utf-8")
     again = ArtifactCache(tmp_path, DMIConfig())
     assert again.get("powerpoint") is None
     rebuilt = again.load_or_build("powerpoint")

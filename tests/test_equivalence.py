@@ -17,7 +17,6 @@ from equivalence import (
     SYNTHETIC_SPEC,
     assert_paths_bit_identical,
     outcomes_bytes,
-    prime_cache_with_incremental_models,
     run_all_paths,
     run_chaos_store_broker,
     run_multi_plan_broker,
@@ -39,31 +38,6 @@ def test_every_execution_path_is_bit_identical(tmp_path, seed, shard_count):
     assert set(payload) == set(DEFAULT_SETTINGS)
     for key in DEFAULT_SETTINGS:
         assert len(payload[key]["results"]) == len(DEFAULT_TASKS)
-
-
-def test_incremental_models_keep_every_path_bit_identical(tmp_path):
-    """PR 6 satellite: warm the parallel path's cache with models produced
-    by the incremental (replay + splice) ripper, then run all four paths.
-    Serial runs with no cache — its scratch-ripped models are the
-    reference — so byte-identical exports prove incremental models are
-    indistinguishable across every execution path."""
-    primed = prime_cache_with_incremental_models(
-        tmp_path / "parallel" / "parallel-cache", task_ids=DEFAULT_TASKS)
-    assert sorted(primed) == ["powerpoint", "word"]
-    # Word transfers through the replay pipeline; PowerPoint's context
-    # setup perturbs its own state, so the ripper detects the divergence
-    # and falls back to a scratch rip for it.
-    assert primed["word"] == "incremental"
-    assert primed["powerpoint"] == "full"
-    assert_paths_bit_identical(
-        seed=DEFAULT_SEED, trials=1, setting_keys=DEFAULT_SETTINGS,
-        task_ids=DEFAULT_TASKS, shard_count=2, work_dir=tmp_path)
-    # The primed entries were actually served, not rebuilt: both files
-    # still carry the version-aware key the prime step stored them under.
-    cache_files = [p.name for p in
-                   (tmp_path / "parallel" / "parallel-cache").glob("*.json")
-                   if not p.name.startswith(".")]
-    assert len(cache_files) == 2
 
 
 def test_two_plans_sharing_a_broker_stay_bit_identical_to_serial(tmp_path):

@@ -40,16 +40,17 @@ def test_modal_dialog_becomes_topmost_and_close_restores():
     assert desktop.events.events_of_kind(EventKind.WINDOW_CLOSED)
 
 
-def test_window_listener_receives_open_and_close():
-    desktop, window, *_ = build_desktop()
-    events = []
-    remove = desktop.add_window_listener(lambda w, what: events.append((w.name, what)))
-    dialog = Dialog("D")
-    desktop.open_window(dialog)
-    dialog.close()
-    remove()
-    desktop.open_window(Dialog("E"))
-    assert events == [("D", "opened"), ("D", "closed")]
+def test_application_dialog_open_and_close_reach_desktop_events(mini_app):
+    """An app's own dialog traffic is visible on ``Desktop.events``: one
+    open and one close event, both carrying the dialog itself."""
+    mini_app._open_settings()
+    dialog = mini_app.open_dialogs()[0]
+    mini_app.close_all_dialogs()
+    events = mini_app.desktop.events
+    assert [e.source for e in events.events_of_kind(EventKind.WINDOW_OPENED)
+            if e.source is not mini_app.window] == [dialog]
+    assert [e.source for e in events.events_of_kind(EventKind.WINDOW_CLOSED)
+            ] == [dialog]
 
 
 def test_process_registry_and_filtering():

@@ -1,12 +1,20 @@
 """Tests for the GUI ripper, UNG, blocklist and exploration contexts."""
 
+import hashlib
+
 import pytest
 
-from repro.apps import PowerPointApp, WordApp
+from repro.apps import PowerPointApp, WordApp, app_factory
+from repro.apps.synthetic import SyntheticSpec
+from repro.bench.telemetry import EventSink
+from repro.dmi.interface import build_offline_artifacts
+from repro.gui.ribbon import DialogBuilder
+from repro.gui.widgets import Button
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
 from repro.ripping.ripper import GuiRipper, RipperConfig, rip_application
 from repro.ripping.ung import NavigationGraph, UNGNode, VIRTUAL_ROOT_ID
+from repro.topology.persistence import ung_digest
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
 
@@ -169,6 +177,115 @@ def test_ripper_max_depth_limits_exploration(mini_app):
     shallow = GuiRipper(mini_app, config=RipperConfig(max_depth=1)).rip()
     deep = GuiRipper(type(mini_app)(), config=RipperConfig(max_depth=10)).rip()
     assert shallow.node_count() <= deep.node_count()
+
+
+def test_full_rip_emits_rip_full_event(mini_app):
+    events = []
+
+    class Capture(EventSink):
+        def emit(self, event):
+            events.append(event)
+
+    ripper = GuiRipper(mini_app, sink=Capture())
+    ripper.rip()
+    assert [event.name for event in events] == ["rip_full"]
+    assert events[0].nodes_visited == ripper.report.clicks > 0
+    assert events[0].nodes == ripper.report.nodes
+
+
+@pytest.fixture(scope="module")
+def synthetic_seed3_artifacts():
+    return build_offline_artifacts(app_factory(SyntheticSpec(seed=3).app_name)())
+
+
+PINNED_APPS = ["word_artifacts", "excel_artifacts", "ppt_artifacts",
+               "synthetic_seed3_artifacts"]
+
+
+@pytest.mark.parametrize("fixture, digest", zip(PINNED_APPS, [
+    "42a7a8541c75295a", "0eb556c9fa4044e3", "2079e4ddb672599c",
+    "44dc7f3858307ede"]), ids=PINNED_APPS)
+def test_rip_output_is_pinned(request, fixture, digest):
+    """The ripper against fixed bytes, not only against itself: a change to
+    the exploration loop must leave every app's UNG digest where it was."""
+    assert ung_digest(request.getfixturevalue(fixture).ung) == digest
+
+
+@pytest.mark.parametrize("fixture, digest", zip(PINNED_APPS, [
+    "2e005689502f2936", "19e8187e9ceededa", "024de9e4b3e30e10",
+    "3f52f6b9d266c72d"]), ids=PINNED_APPS)
+def test_core_topology_is_pinned(request, fixture, digest):
+    """The core view the agent reads, derived from the pinned UNG through
+    decycling and forest construction, is pinned to fixed bytes too."""
+    core = request.getfixturevalue(fixture).core.serialize()
+    assert hashlib.sha256(core.encode("utf-8")).hexdigest()[:16] == digest
+
+
+@pytest.fixture
+def growing_settings_app(mini_app):
+    """A MiniApp subclass whose Settings dialog gains a checkbox per entry of
+    ``extra_settings`` the next time it opens."""
+
+    class GrowingSettingsApp(type(mini_app)):
+        def __init__(self, desktop=None):
+            self.extra_settings = []
+            super().__init__(desktop=desktop)
+
+        def _open_settings(self) -> None:
+            super()._open_settings()
+            dialog = self.open_dialogs()[-1]
+            for label in self.extra_settings:
+                DialogBuilder(dialog.name).add_checkbox(dialog, label)
+
+    return GrowingSettingsApp
+
+
+def _home(app):
+    return app.window.find(automation_id="Mini.Home")
+
+
+def _add_and_remove(app):
+    button = _home(app).add_child(Button("Temp", automation_id="Mini.Temp"))
+    _home(app).remove_child(button)
+
+
+def _open_and_close_settings(app):
+    app._open_settings()
+    app.close_all_dialogs()
+
+
+@pytest.mark.parametrize("mutate, appeared, vanished", [
+    (lambda app: _home(app).add_child(
+        Button("Format Painter", automation_id="Mini.FormatPainter")),
+     {"Format Painter"}, set()),
+    (lambda app: _home(app).remove_child(
+        app.window.find(automation_id="Mini.Bold")), set(), {"Bold"}),
+    (lambda app: app.extra_settings.append("Night mode"),
+     {"Night mode"}, set()),
+    (_add_and_remove, set(), set()),
+    (_open_and_close_settings, set(), set()),
+], ids=["main-window-button-added", "main-window-button-removed",
+        "dialog-row-added", "added-then-removed", "dialog-opened-and-closed"])
+def test_full_rip_follows_ui_changes_made_after_build(growing_settings_app,
+                                                      mutate, appeared,
+                                                      vanished):
+    """A rip reads the live UI: a control added or removed after the app was
+    built shows up in (or drops out of) the graph, exactly as in a rip of a
+    fresh twin given the same change, and a change that is undone leaves the
+    graph as the unchanged app's."""
+    baseline, _ = rip_application(growing_settings_app())
+    app = growing_settings_app()
+    mutate(app)
+    ung, _ = rip_application(app)
+    before = {node.name for node in baseline.nodes.values()}
+    after = {node.name for node in ung.nodes.values()}
+    assert after - before == appeared
+    assert before - after == vanished
+    twin = growing_settings_app()
+    mutate(twin)
+    assert ung_digest(rip_application(twin)[0]) == ung_digest(ung)
+    if not appeared and not vanished:
+        assert ung_digest(ung) == ung_digest(baseline)
 
 
 def test_word_rip_has_paper_like_structural_properties(word_artifacts):

@@ -6,11 +6,14 @@ import pytest
 
 from repro.apps import PowerPointApp
 from repro.dmi.interface import DMI, OfflineArtifacts
+from repro.ripping.ripper import RipReport
 from repro.topology.core import extract_core
 from repro.topology.forest import build_forest
 from repro.topology.persistence import (
     FORMAT_VERSION,
+    load_model,
     load_ung,
+    rip_report_from_dict,
     save_ung,
     ung_from_dict,
     ung_to_dict,
@@ -29,15 +32,28 @@ def test_ung_round_trips_through_dict(ppt_artifacts):
     assert restored.nodes[sample.node_id].control_type == sample.control_type
 
 
-def test_ung_round_trips_through_json_file(tmp_path, ppt_artifacts):
+#: Rip-report keys written by builds that could also rip incrementally.
+OLDER_BUILD_REPORT_KEYS = {"mode": "full", "nodes_visited": 609,
+                           "nodes_reused": 0, "nodes_patched": 0,
+                           "fallback_reason": ""}
+
+
+@pytest.mark.parametrize("extra_report_keys", [{}, OLDER_BUILD_REPORT_KEYS],
+                         ids=["current", "older-build"])
+def test_ung_round_trips_through_json_file(tmp_path, ppt_artifacts,
+                                           extra_report_keys):
     path = save_ung(ppt_artifacts.ung, tmp_path / "models" / "ppt.json",
                     report=ppt_artifacts.rip_report)
     assert path.exists()
     payload = json.loads(path.read_text())
     assert payload["format_version"] == FORMAT_VERSION
     assert payload["rip_report"]["app_name"] == "PowerPoint"
+    payload["rip_report"].update(extra_report_keys)
+    path.write_text(json.dumps(payload), encoding="utf-8")
     restored = load_ung(path)
     assert restored.node_count() == ppt_artifacts.ung.node_count()
+    _, report = load_model(path)
+    assert report.as_dict() == ppt_artifacts.rip_report.as_dict()
 
 
 def test_unknown_format_version_is_rejected(ppt_artifacts):
@@ -45,6 +61,49 @@ def test_unknown_format_version_is_rejected(ppt_artifacts):
     payload["format_version"] = 999
     with pytest.raises(ValueError):
         ung_from_dict(payload)
+
+
+def _set_node_field(field, value):
+    def corrupt(payload):
+        payload["nodes"][-1][field] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda payload: payload.update(app_name=5),
+    _set_node_field("node_id", ["not", "hashable"]),
+    _set_node_field("description", {"text": "x"}),
+    _set_node_field("contexts", [1]),
+    lambda payload: payload["edges"].append(["no such node", "either"]),
+    lambda payload: payload.pop("edges"),
+], ids=["app-name-not-string", "node-id-not-string", "description-not-string",
+        "context-not-string", "edge-to-unknown-node", "edges-missing"])
+def test_wrong_shaped_model_is_rejected(ppt_artifacts, corrupt):
+    payload = json.loads(json.dumps(ung_to_dict(ppt_artifacts.ung)))
+    corrupt(payload)
+    with pytest.raises(ValueError, match="navigation model"):
+        ung_from_dict(payload)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("clicks", "many"),
+    ("blocked", True),
+    ("duration_seconds", "slow"),
+    ("contexts", "default"),
+    ("contexts", [1]),
+    ("cycles", 1),
+], ids=["count-is-string", "count-is-bool", "duration-is-string",
+        "contexts-is-string", "context-is-number", "flag-is-number"])
+def test_wrong_typed_rip_report_field_is_rejected(field, value):
+    payload = RipReport(app_name="Word", clicks=3).as_dict()
+    payload[field] = value
+    with pytest.raises(ValueError, match=field):
+        rip_report_from_dict(payload)
+
+
+def test_rip_report_accepts_an_integral_duration():
+    report = rip_report_from_dict({"app_name": "Word", "duration_seconds": 2})
+    assert report.duration_seconds == 2
 
 
 def test_loaded_model_rebuilds_forest_and_drives_dmi(tmp_path, ppt_artifacts):
