@@ -11,11 +11,18 @@ The ripper drives a live (simulated) application:
    ripper takes a visibility snapshot, clicks the control, takes a second
    snapshot, and records every newly revealed control as a successor.  The
    snapshots span every open window of the application, so controls in a
-   top-level or modal window the click opened count as revealed.
+   top-level or modal window the click opened count as revealed.  Each
+   snapshot is one walk of the visible tree that computes control
+   identifiers top-down (:func:`~repro.uia.identifiers.visible_identifiers`):
+   a child extends its parent's escaped path, so a snapshot costs one escape
+   per visible control rather than one per control and ancestor.
 3. **State restoration** — after exploring a branch the ripper restores the
    prior UI state (closes windows the click opened, collapses expansions,
    re-selects the previously selected tab) so sibling branches are explored
-   from a consistent state.
+   from a consistent state.  Capture is one walk of every open window;
+   restore collapses expansions and collects tab strips in one walk too, and
+   lays the desktop out again only if it collapsed something or re-selected
+   a tab (closing a window already relays out, and so does every click).
 4. **Context-aware exploration** — the whole procedure repeats for every
    exploration context the application registers (e.g. "image selected"),
    and the per-context results merge into a single UNG.
@@ -38,7 +45,7 @@ from repro.uia.control_types import (
     is_clickable_type,
 )
 from repro.uia.element import UIElement
-from repro.uia.identifiers import identifier_string
+from repro.uia.identifiers import identifier_string, visible_identifiers
 from repro.uia.patterns import ExpandCollapseState, PatternId
 
 #: Lazily bound telemetry module (importing :mod:`repro.bench.telemetry` at
@@ -141,7 +148,7 @@ class GuiRipper:
     # per-context exploration
     # ------------------------------------------------------------------
     def _rip_context(self, context: str) -> None:
-        initial = self._visible_app_elements()
+        initial = [element for _, element in self._visible_identifiers()]
         scoped = self._active_tab_scoped_elements()
 
         frontier: List[Tuple[UIElement, str, int]] = []
@@ -175,10 +182,10 @@ class GuiRipper:
             others = [t for t in tab_control.tabs() if t is not selected and t.visible]
             if selected is None or not others:
                 continue
-            before = {e.runtime_id for e in self._visible_app_elements()}
+            before = {e.runtime_id for _, e in self._visible_identifiers()}
             others[0].select()
             self.app.desktop.relayout()
-            after = {e.runtime_id for e in self._visible_app_elements()}
+            after = {e.runtime_id for _, e in self._visible_identifiers()}
             selected.select()
             self.app.desktop.relayout()
             disappeared = before - after - {selected.runtime_id}
@@ -257,86 +264,94 @@ class GuiRipper:
         its widget tree (fresh objects, same controls) does not produce
         spurious "new control" edges.
         """
-        before = {identifier_string(e) for e in self._visible_app_elements()}
+        seen = {identifier for identifier, _ in self._visible_identifiers()}
         self._clicks += 1
         try:
             self.app.input.click(element)
         except Exception:
             # Disabled controls, pattern errors and the like simply produce
-            # no outgoing edges.
+            # no outgoing edges.  The click may have failed half-way through
+            # its effect, before its relayout; lay out now so geometry never
+            # goes stale (restore relays out only when it changes something).
+            self.app.desktop.relayout()
             return []
-        after_elements = self._visible_app_elements()
         revealed = []
-        seen_new = set()
-        for candidate in after_elements:
-            identifier = identifier_string(candidate)
-            if identifier in before or identifier in seen_new:
-                continue
-            seen_new.add(identifier)
-            revealed.append(candidate)
+        for identifier, candidate in self._visible_identifiers():
+            if identifier not in seen:
+                seen.add(identifier)
+                revealed.append(candidate)
         return revealed
 
     # ------------------------------------------------------------------
     # state capture / restore
     # ------------------------------------------------------------------
     def _capture_state(self) -> _UIState:
+        windows = self.app.desktop.open_windows(self.app.process_id)
         expanded = set()
         selected_tabs = set()
-        for window in self.app.desktop.open_windows(self.app.process_id):
-            for node in window.iter_subtree():
-                pattern = node.get_pattern(PatternId.EXPAND_COLLAPSE)
-                if pattern is not None and pattern.state == ExpandCollapseState.EXPANDED:
-                    expanded.add(node.runtime_id)
-                if isinstance(node, TabItem) and node.is_selected:
-                    selected_tabs.add(node.runtime_id)
+        expand_collapse, expanded_state = PatternId.EXPAND_COLLAPSE, ExpandCollapseState.EXPANDED
+        stack: List[UIElement] = list(windows)
+        while stack:
+            node = stack.pop()
+            pattern = node.patterns.get(expand_collapse)
+            if pattern is not None and pattern.state == expanded_state:
+                expanded.add(node.runtime_id)
+            if isinstance(node, TabItem) and node.is_selected:
+                selected_tabs.add(node.runtime_id)
+            stack.extend(node.children)
         return _UIState(
-            open_window_ids={w.runtime_id
-                             for w in self.app.desktop.open_windows(self.app.process_id)},
+            open_window_ids={w.runtime_id for w in windows},
             expanded_ids=expanded,
             selected_tab_ids=selected_tabs,
         )
 
     def _restore_state(self, state: _UIState) -> None:
-        # 1. Close windows opened by the explored branch (newest first).
-        for window in reversed(self.app.desktop.open_windows(self.app.process_id)):
+        desktop = self.app.desktop
+        # 1. Close windows opened by the explored branch (newest first);
+        #    each close relays the desktop out.
+        for window in reversed(desktop.open_windows(self.app.process_id)):
             if window.runtime_id not in state.open_window_ids:
                 window.close()
-        # 2. Collapse expansions introduced by the branch.
-        for window in self.app.desktop.open_windows(self.app.process_id):
-            for node in window.iter_subtree():
-                pattern = node.get_pattern(PatternId.EXPAND_COLLAPSE)
-                if (pattern is not None
-                        and pattern.state == ExpandCollapseState.EXPANDED
-                        and node.runtime_id not in state.expanded_ids):
-                    try:
-                        pattern.collapse()
-                    except Exception:
-                        pass
+        # 2. Collapse expansions introduced by the branch, in pre-order, and
+        #    collect the tab strips on the way.  A node's children are read
+        #    after it is collapsed, as the collapse may change them.
+        changed = False
+        tab_controls: List[TabControl] = []
+        expand_collapse, expanded_state = PatternId.EXPAND_COLLAPSE, ExpandCollapseState.EXPANDED
+        stack: List[UIElement] = list(reversed(desktop.open_windows(self.app.process_id)))
+        while stack:
+            node = stack.pop()
+            pattern = node.patterns.get(expand_collapse)
+            if (pattern is not None
+                    and pattern.state == expanded_state
+                    and node.runtime_id not in state.expanded_ids):
+                changed = True
+                try:
+                    pattern.collapse()
+                except Exception:
+                    pass
+            if isinstance(node, TabControl):
+                tab_controls.append(node)
+            stack.extend(reversed(node.children))
         # 3. Re-select tabs whose selection the branch changed.
-        for tab_control in self._find_tab_controls():
+        for tab_control in tab_controls:
             selected = tab_control.selected_tab()
             if selected is not None and selected.runtime_id in state.selected_tab_ids:
                 continue
             for tab in tab_control.tabs():
                 if tab.runtime_id in state.selected_tab_ids:
                     tab.select()
+                    changed = True
                     break
-        self.app.desktop.relayout()
+        if changed:
+            desktop.relayout()
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _visible_app_elements(self) -> List[UIElement]:
-        result: List[UIElement] = []
-        for window in self.app.desktop.open_windows(self.app.process_id):
-            stack: List[UIElement] = [window]
-            while stack:
-                node = stack.pop()
-                if not node.visible:
-                    continue
-                result.append(node)
-                stack.extend(reversed(node.children))
-        return result
+    def _visible_identifiers(self) -> List[Tuple[str, UIElement]]:
+        """(identifier, element) for every visible control of the app."""
+        return visible_identifiers(self.app.desktop.open_windows(self.app.process_id))
 
     def _add_element(self, element: UIElement, context: str) -> UNGNode:
         return self.ung.add_element(element, context=context,

@@ -10,12 +10,19 @@ falling back to ``[Unnamed]``; ``control_type`` is the UIA type name; and
 ``ancestor_path`` is a slash-delimited sequence of ancestor primary ids
 (root first).  Index-based addressing is deliberately avoided because dynamic
 menus shift indices unpredictably.
+
+Every identifier string is produced by :func:`_format` from an escaped
+primary id and an escaped ancestor path.  :func:`identifier_string` builds
+the path bottom-up for one element (O(depth));
+:func:`visible_identifiers` builds it top-down for a whole visible tree,
+extending each parent's escaped path by one segment, so a snapshot costs one
+escape per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
@@ -37,12 +44,10 @@ class ControlIdentifier:
     ancestor_path: Tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        return FIELD_SEPARATOR.join(
-            (
-                _escape(self.primary_id),
-                self.control_type.value,
-                PATH_SEPARATOR.join(_escape(seg) for seg in self.ancestor_path),
-            )
+        return _format(
+            _escape(self.primary_id),
+            self.control_type,
+            PATH_SEPARATOR.join(_escape(seg) for seg in self.ancestor_path),
         )
 
     @property
@@ -56,6 +61,11 @@ class ControlIdentifier:
             element.primary_id == self.primary_id
             and element.control_type == self.control_type
         )
+
+
+def _format(escaped_primary: str, control_type: ControlType, escaped_path: str) -> str:
+    """The one identifier format: ``primary|type|path`` from escaped parts."""
+    return f"{escaped_primary}{FIELD_SEPARATOR}{control_type.value}{FIELD_SEPARATOR}{escaped_path}"
 
 
 def _escape(segment: str) -> str:
@@ -114,6 +124,31 @@ def synthesize_identifier(element: UIElement) -> ControlIdentifier:
 def identifier_string(element: UIElement) -> str:
     """Convenience wrapper returning ``str(synthesize_identifier(element))``."""
     return str(synthesize_identifier(element))
+
+
+def visible_identifiers(roots: Iterable[UIElement]) -> List[Tuple[str, UIElement]]:
+    """``(identifier_string(e), e)`` for every visible element under ``roots``.
+
+    Elements come in depth-first pre-order, root by root; a hidden element
+    and its whole subtree are skipped.  The walk carries each parent's
+    escaped ancestor path down to its children, so every element costs one
+    escape and one join however deep it sits.
+    """
+    result: List[Tuple[str, UIElement]] = []
+    for root in roots:
+        path = PATH_SEPARATOR.join(_escape(a.primary_id) for a in reversed(root.ancestors()))
+        stack = [(root, path)]
+        while stack:
+            node, path = stack.pop()
+            if not node.visible:
+                continue
+            escaped = _escape(node.primary_id)
+            result.append((_format(escaped, node.control_type, path), node))
+            if node.children:
+                # Primary ids are never empty, so an empty path has no segments.
+                child_path = f"{path}{PATH_SEPARATOR}{escaped}" if path else escaped
+                stack.extend([(child, child_path) for child in reversed(node.children)])
+    return result
 
 
 def parse_identifier(text: str) -> ControlIdentifier:

@@ -9,7 +9,8 @@ from repro.apps.synthetic import SyntheticSpec
 from repro.bench.telemetry import EventSink
 from repro.dmi.interface import build_offline_artifacts
 from repro.gui.ribbon import DialogBuilder
-from repro.gui.widgets import Button
+from repro.gui.screen import ScreenLayout
+from repro.gui.widgets import Button, Group
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
 from repro.ripping.ripper import GuiRipper, RipperConfig, rip_application
@@ -17,6 +18,13 @@ from repro.ripping.ung import NavigationGraph, UNGNode, VIRTUAL_ROOT_ID
 from repro.topology.persistence import ung_digest
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
+from repro.uia.identifiers import identifier_string
+from repro.uia.patterns import (
+    ExpandCollapsePattern,
+    ExpandCollapseState,
+    InvokePattern,
+    PatternId,
+)
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +227,139 @@ def test_core_topology_is_pinned(request, fixture, digest):
     decycling and forest construction, is pinned to fixed bytes too."""
     core = request.getfixturevalue(fixture).core.serialize()
     assert hashlib.sha256(core.encode("utf-8")).hexdigest()[:16] == digest
+
+
+# ----------------------------------------------------------------------
+# the per-click snapshot and the conditional relayout, checked mid-rip
+# ----------------------------------------------------------------------
+def _visible_preorder(element):
+    if not element.visible:
+        return []
+    found = [element]
+    for child in element.children:
+        found.extend(_visible_preorder(child))
+    return found
+
+
+def _stale_elements(desktop):
+    """Visible elements whose rect differs from a fresh layout of the
+    desktop; every rect is put back afterwards, so the rip is undisturbed."""
+    windows = desktop.open_windows()
+    saved = [(node, node.rect) for window in windows for node in window.iter_subtree()]
+    visible = [node for window in windows for node in _visible_preorder(window)]
+    current = [node.rect for node in visible]
+    ScreenLayout(desktop.layout.width, desktop.layout.height).layout_windows(windows)
+    stale = [node for node, rect in zip(visible, current) if node.rect != rect]
+    for node, rect in saved:
+        node.rect = rect
+    return stale
+
+
+class _CheckingRipper(GuiRipper):
+    """Compares the ripper's top-down snapshot with ``identifier_string`` at
+    the initial screen, the first open menu and the first open dialog, and
+    the geometry after every restore with a fresh layout."""
+
+    def __init__(self, app):
+        super().__init__(app)
+        self.snapshots = {}
+        self.restores = self.restores_without_relayout = 0
+        self.stale = []
+        self.relayouts = 0
+        relayout = app.desktop.relayout
+
+        def counting_relayout():
+            self.relayouts += 1
+            relayout()
+
+        app.desktop.relayout = counting_relayout
+        self._check_snapshot("initial")
+
+    def _check_snapshot(self, label):
+        windows = self.app.desktop.open_windows(self.app.process_id)
+        expected = [(identifier_string(e), e)
+                    for window in windows for e in _visible_preorder(window)]
+        self.snapshots[label] = self._visible_identifiers() == expected
+
+    def _menu_open(self):
+        return any((pattern := e.patterns.get(PatternId.EXPAND_COLLAPSE)) is not None
+                   and pattern.state == ExpandCollapseState.EXPANDED
+                   for _, e in self._visible_identifiers())
+
+    def _activate_and_diff(self, element):
+        revealed = super()._activate_and_diff(element)
+        if "dialog" not in self.snapshots and self.app.open_dialogs():
+            self._check_snapshot("dialog")
+        elif "menu" not in self.snapshots and self._menu_open():
+            self._check_snapshot("menu")
+        return revealed
+
+    def _restore_state(self, state):
+        relayouts = self.relayouts
+        super()._restore_state(state)
+        self.restores += 1
+        self.restores_without_relayout += self.relayouts == relayouts
+        self.stale.extend(identifier_string(e) for e in _stale_elements(self.app.desktop))
+
+
+CHECKED_APPS = {"word": "word_artifacts", "excel": "excel_artifacts",
+                "powerpoint": "ppt_artifacts",
+                SyntheticSpec(seed=3).app_name: "synthetic_seed3_artifacts"}
+
+
+@pytest.fixture(scope="module", params=list(CHECKED_APPS), ids=list(CHECKED_APPS.values()))
+def checked_rip(request):
+    ripper = _CheckingRipper(app_factory(request.param)())
+    ung = ripper.rip()
+    return ripper, ung, request.getfixturevalue(CHECKED_APPS[request.param]).ung
+
+
+def test_checked_rip_matches_the_plain_rip(checked_rip):
+    ripper, ung, plain = checked_rip
+    assert ung_digest(ung) == ung_digest(plain)
+
+
+def test_top_down_identifiers_match_identifier_string(checked_rip):
+    """Initial screen, an open menu and an open dialog: the snapshot walk
+    yields exactly ``identifier_string`` of every visible control, in
+    pre-order."""
+    ripper, _, _ = checked_rip
+    assert ripper.snapshots == {"initial": True, "menu": True, "dialog": True}
+
+
+def test_restore_never_leaves_stale_geometry(checked_rip):
+    """Restore skips the relayout when it changed nothing; after every
+    restore each visible control still sits where a fresh layout puts it."""
+    ripper, _, _ = checked_rip
+    assert ripper.restores == ripper.report.clicks
+    assert 0 < ripper.restores_without_relayout < ripper.restores
+    assert ripper.stale == []
+
+
+def test_restore_relays_out_after_collapsing_a_sibling_pane(mini_app):
+    """A disclosure control whose expansion shows a *sibling* pane reshapes
+    every control beside it, so the collapse in restore must relay out."""
+
+    class DisclosureApp(type(mini_app)):
+        def build_ui(self):
+            super().build_ui()
+            home = self.window.find(automation_id="Mini.Home")
+            details = home.add_child(Group(name="Details", automation_id="Mini.Details"))
+            details.add_child(Button("Detail A", automation_id="Mini.DetailA"))
+            details.visible = False
+            toggle = home.add_child(UIElement(name="Show Details",
+                                              control_type=ControlType.BUTTON,
+                                              automation_id="Mini.ShowDetails"))
+            expander = toggle.add_pattern(ExpandCollapsePattern(
+                toggle, on_expand=lambda: setattr(details, "visible", True),
+                on_collapse=lambda: setattr(details, "visible", False)))
+            toggle.add_pattern(InvokePattern(toggle, on_invoke=expander.expand))
+
+    ripper = _CheckingRipper(DisclosureApp())
+    ung = ripper.rip()
+    assert ung.find_nodes_by_name("Detail A")
+    assert ripper.restores_without_relayout < ripper.restores
+    assert ripper.stale == []
 
 
 @pytest.fixture

@@ -15,7 +15,12 @@ import pytest
 
 from repro.bench import store as store_module
 from repro.bench.shard import ShardError
-from repro.bench.store import FileSystemObjectStore, InMemoryObjectStore
+from repro.bench.store import (
+    FileSystemObjectStore,
+    InMemoryObjectStore,
+    RetryPolicy,
+    call_with_retries,
+)
 
 STORE_KINDS = ("memory", "fs")
 
@@ -132,14 +137,21 @@ def test_empty_and_non_bytes_values_are_rejected(store):
 
 def test_concurrent_cas_increments_lose_no_updates(store):
     """N threads × M read-modify-write increments through the CAS retry
-    loop: every update lands exactly once on both backends."""
+    loop: every update lands exactly once on both backends.
+
+    A filesystem read that keeps losing to the other writers may raise
+    TransientStoreError (part of the store contract); like the broker, the
+    loop absorbs it with bounded retries."""
     store.put_if_absent("counter", b"0")
     threads, increments = 4, 25
 
     def bump():
+        policy = RetryPolicy()
         for _ in range(increments):
             while True:
-                data, etag = store.get("counter")
+                data, etag = call_with_retries(lambda: store.get("counter"),
+                                               op="get", key="counter",
+                                               policy=policy)
                 value = int(data.decode("ascii")) + 1
                 if store.put_if_match("counter", str(value).encode("ascii"),
                                       etag):

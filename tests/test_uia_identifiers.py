@@ -13,6 +13,7 @@ from repro.uia.identifiers import (
     identifiers_equal,
     parse_identifier,
     synthesize_identifier,
+    visible_identifiers,
 )
 
 
@@ -110,3 +111,65 @@ def test_identifier_string_round_trips(primary, ancestors, control_type):
     identifier = ControlIdentifier(primary_id=primary, control_type=control_type,
                                    ancestor_path=tuple(ancestors))
     assert parse_identifier(str(identifier)) == identifier
+
+
+# ----------------------------------------------------------------------
+# top-down snapshot walk against the bottom-up formatter
+# ----------------------------------------------------------------------
+#: Names and automation ids full of separators and escapes; "" falls back
+#: to the name, then to [Unnamed].
+tricky_text = st.text(alphabet="ab|/\\", max_size=4)
+
+#: A tree as (name, automation id, visible, children).
+tree_strategy = st.recursive(
+    st.tuples(tricky_text, tricky_text, st.booleans(), st.just(())),
+    lambda children: st.tuples(tricky_text, tricky_text, st.booleans(),
+                               st.lists(children, max_size=4).map(tuple)),
+    max_leaves=30,
+)
+
+
+def build_tree(spec):
+    name, automation_id, visible, children = spec
+    element = UIElement(name=name, automation_id=automation_id, visible=visible,
+                        control_type=ControlType.GROUP)
+    for child in children:
+        element.add_child(build_tree(child))
+    return element
+
+
+def visible_preorder(element):
+    if not element.visible:
+        return []
+    found = [element]
+    for child in element.children:
+        found.extend(visible_preorder(child))
+    return found
+
+
+@given(chain=st.lists(st.tuples(tricky_text, tricky_text), max_size=40),
+       trees=st.lists(tree_strategy, min_size=1, max_size=3))
+def test_visible_identifiers_match_identifier_string(chain, trees):
+    """Roots hung under a deep chain of ancestors (so the walk starts from a
+    non-empty path) yield identifier_string of every visible descendant in
+    pre-order, hidden subtrees skipped."""
+    top = anchor = UIElement(name="Desktop", control_type=ControlType.PANE)
+    for name, automation_id in chain:
+        anchor = anchor.add_child(UIElement(name=name, automation_id=automation_id,
+                                            control_type=ControlType.GROUP))
+    roots = [anchor.add_child(build_tree(tree)) for tree in trees]
+    expected = [(identifier_string(e), e) for root in roots for e in visible_preorder(root)]
+    assert visible_identifiers(roots) == expected
+    assert visible_identifiers([top])[0] == (identifier_string(top), top)
+
+
+def test_visible_identifiers_escape_separators_and_name_unnamed():
+    root = UIElement(name="a|b", control_type=ControlType.WINDOW)
+    child = root.add_child(UIElement(automation_id="c/d\\", control_type=ControlType.PANE))
+    leaf = child.add_child(UIElement(control_type=ControlType.BUTTON))
+    assert [text for text, _ in visible_identifiers([root])] == [
+        "a\\|b|Window|",
+        "c\\/d\\\\|Pane|a\\|b",
+        "[Unnamed]|Button|a\\|b/c\\/d\\\\",
+    ]
+    assert visible_identifiers([leaf])[0][0] == identifier_string(leaf)
