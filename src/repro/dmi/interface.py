@@ -61,6 +61,9 @@ Observation declaration:
   data items is already included below.
 """
 
+#: Token count of :data:`DMI_USAGE_PROMPT`, counted once.
+DMI_USAGE_PROMPT_TOKENS = estimate_tokens(DMI_USAGE_PROMPT)
+
 
 @dataclass
 class DMIConfig:
@@ -142,7 +145,7 @@ class DMI:
 
     def context_token_breakdown(self) -> Dict[str, int]:
         """Token cost of each context component (paper §5.4)."""
-        usage = estimate_tokens(self.usage_prompt())
+        usage = DMI_USAGE_PROMPT_TOKENS
         topology = self.core.token_estimate()
         digest = self.passive_digest().token_estimate()
         return {

@@ -5,12 +5,21 @@ LLM a *core* view by default: the forest limited to a configurable depth,
 with large enumerations (font lists, colour galleries beyond a sample) and a
 manual prune list removed.  Whatever the core view omits remains reachable
 through ``further_query``.
+
+A :class:`CoreTopology` is immutable: :func:`extract_core` is its only
+constructor, its id sets are frozensets, and the forest it views does not
+change once built.  The text and token count every agent round asks for are
+therefore computed once per core, on first use: :meth:`CoreTopology.serialize`
+memoizes its text per (frozen) :class:`SerializationConfig` value and
+:meth:`CoreTopology.token_estimate` memoizes the default text's token count.
+Neither memo is filled by :func:`extract_core`, so building or loading a
+model does no extra work; two racing first callers store the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.topology.forest import ForestNode, NavigationForest
 from repro.topology.serialize import SerializationConfig, serialize_forest
@@ -43,17 +52,26 @@ class CoreTopology:
 
     forest: NavigationForest
     config: CoreTopologyConfig
-    visible_ids: Set[int]
-    pruned_ids: Set[int]
+    visible_ids: FrozenSet[int]
+    pruned_ids: FrozenSet[int]
+    _texts: Dict[SerializationConfig, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _tokens: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def contains(self, node_id: int) -> bool:
         return node_id in self.visible_ids
 
     def serialize(self, serialization: SerializationConfig = SerializationConfig()) -> str:
-        return serialize_forest(self.forest, serialization, visible_ids=self.visible_ids)
+        text = self._texts.get(serialization)
+        if text is None:
+            text = serialize_forest(self.forest, serialization, visible_ids=self.visible_ids)
+            self._texts[serialization] = text
+        return text
 
     def token_estimate(self) -> int:
-        return estimate_tokens(self.serialize())
+        if self._tokens is None:
+            self._tokens = estimate_tokens(self.serialize())
+        return self._tokens
 
     def visible_node_count(self) -> int:
         return len(self.visible_ids)
@@ -127,4 +145,5 @@ def extract_core(forest: NavigationForest,
     roots.extend(forest.shared_subtrees.values())
     for root in roots:
         walk(root, 0)
-    return CoreTopology(forest=forest, config=config, visible_ids=visible, pruned_ids=pruned)
+    return CoreTopology(forest=forest, config=config, visible_ids=frozenset(visible),
+                        pruned_ids=frozenset(pruned))

@@ -13,12 +13,19 @@ executor resolves against the live UI.  For any functional control the
 forest yields a *unique* root-to-control path; controls inside shared
 subtrees additionally need the reference node(s) that select which entry
 path is meant (``entry_ref_id`` in the visit command).
+
+A forest is immutable once built: :func:`build_forest` is its only writer.
+Two query caches rely on that and are never invalidated.  The name index
+behind :meth:`NavigationForest.find_by_name` and the shared key names
+behind :meth:`NavigationForest.shared_key_names` are each built on first use
+by one walk of the forest, and live on the forest instance.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.ripping.ung import NavigationGraph, VIRTUAL_ROOT_ID
 from repro.topology.decycle import DecycleResult, decycle
@@ -27,7 +34,7 @@ from repro.topology.externalize import (
     ExternalizationResult,
     plan_externalization,
 )
-from repro.uia.control_types import ControlType
+from repro.uia.control_types import KEY_CONTROL_TYPES, ControlType
 
 
 @dataclass
@@ -100,6 +107,12 @@ class NavigationForest:
         self.entry_map: Dict[int, int] = {}
         #: externalized control id -> shared subtree id
         self.subtree_id_by_control: Dict[str, int] = {}
+        #: Query caches, built on first use (see the module docstring):
+        #: lower-cased name -> nodes, and (lower-cased name, node) pairs,
+        #: both in :meth:`iter_all_nodes` order.
+        self._nodes_by_name: Optional[Dict[str, List[ForestNode]]] = None
+        self._named_nodes: List[Tuple[str, ForestNode]] = []
+        self._shared_key_names: Optional[FrozenSet[str]] = None
 
     # ------------------------------------------------------------------
     # queries
@@ -130,15 +143,43 @@ class NavigationForest:
 
     def find_by_name(self, name: str, exact: bool = True,
                      leaves_only: bool = False) -> List[ForestNode]:
+        """Nodes whose name equals (or, unless ``exact``, contains) ``name``.
+
+        Matching ignores case; matches come in :meth:`iter_all_nodes` order.
+        """
+        if self._nodes_by_name is None:
+            self._index_names()
         wanted = name.lower()
-        matches = []
+        if exact:
+            matches = self._nodes_by_name.get(wanted, ())
+        else:
+            matches = [node for candidate, node in self._named_nodes if wanted in candidate]
+        return [node for node in matches if node.is_leaf or not leaves_only]
+
+    def _index_names(self) -> None:
+        by_name: Dict[str, List[ForestNode]] = {}
+        named: List[Tuple[str, ForestNode]] = []
         for node in self.iter_all_nodes():
-            if leaves_only and not node.is_leaf:
-                continue
             candidate = node.name.lower()
-            if (exact and candidate == wanted) or (not exact and wanted in candidate):
-                matches.append(node)
-        return matches
+            by_name.setdefault(candidate, []).append(node)
+            named.append((candidate, node))
+        # Published whole, pairs first: a racing first caller rebuilds the
+        # same index instead of reading a half-built one.
+        self._named_nodes = named
+        self._nodes_by_name = by_name
+
+    def shared_key_names(self) -> FrozenSet[str]:
+        """Names carried by several nodes, at least one of a key control type.
+
+        The serializer describes every node of such a group (paper §4.2).
+        """
+        if self._shared_key_names is None:
+            nodes = list(self.iter_all_nodes())
+            counts = Counter(n.name for n in nodes if n.name)
+            self._shared_key_names = frozenset(
+                n.name for n in nodes
+                if counts[n.name] > 1 and n.control_type in KEY_CONTROL_TYPES)
+        return self._shared_key_names
 
     def references_to_subtree(self, subtree_id: int) -> List[ForestNode]:
         return [self.nodes_by_id[ref_id] for ref_id, sid in self.entry_map.items()

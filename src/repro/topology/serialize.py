@@ -16,19 +16,21 @@ selectively attached:
 * non-leaf (navigational) nodes get full descriptions by default — they are
   few but pivotal;
 * descriptions are truncated to a configurable length.
+
+:class:`SerializationConfig` is frozen, so a config is a value: the core
+topology memoizes its text per config (see :mod:`repro.topology.core`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import AbstractSet, Dict, List, Optional
 
 from repro.topology.forest import ForestNode, NavigationForest
 from repro.uia.control_types import KEY_CONTROL_TYPES
 
 
-@dataclass
+@dataclass(frozen=True)
 class SerializationConfig:
     """Controls what gets included in the textual topology."""
 
@@ -42,19 +44,7 @@ class SerializationConfig:
     include_types: bool = True
 
 
-def _shared_name_groups(nodes: Iterable[ForestNode]) -> Set[str]:
-    """Names that appear on multiple controls, at least one of key type."""
-    nodes = list(nodes)
-    counts = Counter(n.name for n in nodes if n.name)
-    duplicated = {name for name, count in counts.items() if count > 1}
-    keyed = set()
-    for node in nodes:
-        if node.name in duplicated and node.control_type in KEY_CONTROL_TYPES:
-            keyed.add(node.name)
-    return keyed
-
-
-def _wants_description(node: ForestNode, shared_names: Set[str],
+def _wants_description(node: ForestNode, shared_names: AbstractSet[str],
                        config: SerializationConfig) -> bool:
     if not node.description:
         return False
@@ -72,8 +62,8 @@ def _escape(text: str) -> str:
 
 
 def serialize_node(node: ForestNode, config: SerializationConfig = SerializationConfig(),
-                   shared_names: Optional[Set[str]] = None,
-                   visible_ids: Optional[Set[int]] = None,
+                   shared_names: Optional[AbstractSet[str]] = None,
+                   visible_ids: Optional[AbstractSet[int]] = None,
                    max_depth: Optional[int] = None) -> str:
     """Serialize one node (and its visible descendants) to schema text.
 
@@ -113,7 +103,7 @@ def serialize_node(node: ForestNode, config: SerializationConfig = Serialization
 
 def serialize_forest(forest: NavigationForest,
                      config: SerializationConfig = SerializationConfig(),
-                     visible_ids: Optional[Set[int]] = None,
+                     visible_ids: Optional[AbstractSet[int]] = None,
                      max_depth: Optional[int] = None) -> str:
     """Serialize the whole forest: the main tree followed by shared subtrees.
 
@@ -122,7 +112,7 @@ def serialize_forest(forest: NavigationForest,
     """
     if forest.main_root is None:
         return ""
-    shared_names = _shared_name_groups(forest.iter_all_nodes())
+    shared_names = forest.shared_key_names()
     sections: List[str] = []
     sections.append("## Main tree")
     sections.append(serialize_node(forest.main_root, config, shared_names,

@@ -11,8 +11,9 @@ import random
 
 import pytest
 
-from repro.apps import ExcelApp, PowerPointApp, WordApp
+from repro.apps import ExcelApp, PowerPointApp, WordApp, app_factory
 from repro.apps.base import Application
+from repro.apps.synthetic import SyntheticSpec
 from repro.dmi.interface import DMI, build_offline_artifacts
 from repro.gui.ribbon import DialogBuilder, build_color_dropdown, build_menu_button
 from repro.gui.widgets import Button, Edit, Group, ListBox, ListItemControl, ScrollBarControl
@@ -132,6 +133,11 @@ def excel_artifacts():
 @pytest.fixture(scope="session")
 def ppt_artifacts():
     return build_offline_artifacts(PowerPointApp())
+
+
+@pytest.fixture(scope="session")
+def synthetic_seed3_artifacts():
+    return build_offline_artifacts(app_factory(SyntheticSpec(seed=3).app_name)())
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ import pytest
 from repro.apps import PowerPointApp, WordApp, app_factory
 from repro.apps.synthetic import SyntheticSpec
 from repro.bench.telemetry import EventSink
-from repro.dmi.interface import build_offline_artifacts
 from repro.gui.ribbon import DialogBuilder
 from repro.gui.screen import ScreenLayout
 from repro.gui.widgets import Button, Group
@@ -199,11 +198,6 @@ def test_full_rip_emits_rip_full_event(mini_app):
     assert [event.name for event in events] == ["rip_full"]
     assert events[0].nodes_visited == ripper.report.clicks > 0
     assert events[0].nodes == ripper.report.nodes
-
-
-@pytest.fixture(scope="module")
-def synthetic_seed3_artifacts():
-    return build_offline_artifacts(app_factory(SyntheticSpec(seed=3).app_name)())
 
 
 PINNED_APPS = ["word_artifacts", "excel_artifacts", "ppt_artifacts",
