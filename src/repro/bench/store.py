@@ -17,25 +17,23 @@ Two backends ship here:
     A directory emulating the conditional-write semantics, so the whole
     object-store code path can be exercised (and even deployed, over shared
     storage) without any cloud dependency.  Each key is a subdirectory
-    holding immutable *generation* files; the current value is the highest
-    generation and the etag is that generation's file name.  A CAS from
-    generation *n* creates generation *n+1* with :func:`os.link` — atomic,
-    so exactly one of any number of racing writers succeeds.  Superseded
-    generation files are truncated but kept for a window (their *names*
-    are what make stale CAS attempts fail), then pruned behind an
-    atomically advanced floor marker so hot keys (lease heartbeats) don't
-    grow without bound.  :meth:`delete` links an empty *tombstone*
-    generation instead of removing files, so the generation lineage — and
-    with it etag freshness — survives delete + recreate: an etag read
-    before a delete can never match again (no ABA).
+    holding one ``value`` file: a fixed-width version header, then the
+    payload; the etag is ``v<version>``.  Every write takes one store-wide
+    lock (a process-wide thread lock, then ``flock`` on ``root/.lock``),
+    compares the version, and :func:`os.replace`\\ s a fully written temp
+    file onto ``value``; reads take no lock.  :meth:`delete` writes a
+    header-only *tombstone* at the next version, so an etag read before a
+    delete can never match the re-created key (no ABA).  POSIX-only: it
+    needs :mod:`fcntl`.
 
-Both backends refuse empty values: zero bytes is how a truncated generation
-file marks itself superseded and how a tombstone marks a deleted key, so an
-empty object would be indistinguishable from both.
+Both backends refuse empty values: a header-only value file is how the
+filesystem store marks a deleted key, so an empty object would be
+indistinguishable from a deleted one.
 """
 
 from __future__ import annotations
 
+import fcntl
 import math
 import os
 import random
@@ -43,8 +41,10 @@ import re
 import threading
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
+                    Union)
 from urllib.parse import quote, unquote
 
 from repro.bench import telemetry
@@ -62,10 +62,12 @@ class TransientStoreError(ShardError):
 
     Raised for failures that say nothing about the *state* of the store —
     an injected chaos fault (:mod:`repro.bench.faults`), a cloud 5xx or
-    throttle, a :class:`FileSystemObjectStore` read that kept losing to
-    concurrent writers.  Consumers (``ObjectStoreBroker``, ``ShardWorker``)
-    absorb these with :func:`call_with_retries`; everything else in the
-    :class:`ShardError` family is a semantic error retrying cannot fix.
+    throttle.  :class:`FileSystemObjectStore` never raises it (its reads
+    cannot lose to a writer), but the contract still allows any backend
+    to, so callers must not assume it away.  Consumers
+    (``ObjectStoreBroker``, ``ShardWorker``) absorb these with
+    :func:`call_with_retries`; everything else in the :class:`ShardError`
+    family is a semantic error retrying cannot fix.
     """
 
 
@@ -203,7 +205,7 @@ def _check_value(key: str, data: bytes) -> None:
                          f"got {type(data).__name__}")
     if not data:
         raise ShardError(f"object {key!r}: stored values must be non-empty "
-                         "(zero bytes marks a superseded generation)")
+                         "(a header-only value file marks a deleted key)")
 
 
 def _emit_cas_lost(sink: Optional[EventSink], key: str) -> None:
@@ -265,17 +267,25 @@ class InMemoryObjectStore(ObjectStore):
         return "memory-store"
 
 
-#: Generation file names: ``g`` + zero-padded generation number.
-_GENERATION_RE = re.compile(r"^g(\d{10})$")
+#: A value file is the key's version as this many ASCII digits, a newline,
+#: then the payload; a header-only file is a tombstone (a deleted key).
+_VERSION_DIGITS = 20
+_HEADER_BYTES = _VERSION_DIGITS + 1
 
-#: Floor marker names: ``f`` + the lowest generation whose file is
-#: guaranteed to still exist (everything below it may be pruned).
-_FLOOR_RE = re.compile(r"^f(\d{10})$")
+#: Etags are ``v`` + the version, as :class:`InMemoryObjectStore`'s are.
+_ETAG_RE = re.compile(r"v\d+", re.ASCII)
 
-#: Superseded generations kept behind the current one before pruning; the
-#: prune itself triggers only once twice this many accumulate, so the cost
-#: is amortized.
-_PRUNE_KEEP = 16
+#: Serializes this process's writers.  ``flock`` alone is not enough: over
+#: NFS, Linux emulates it with POSIX record locks, which belong to the
+#: process and so do not exclude its threads from one another.
+_WRITE_LOCK = threading.Lock()
+
+# A fork must land between writes: a child forked mid-write would inherit
+# a held _WRITE_LOCK, and its copy of the lock file's descriptor would keep
+# the flock held until the child exits.
+os.register_at_fork(before=_WRITE_LOCK.acquire,
+                    after_in_parent=_WRITE_LOCK.release,
+                    after_in_child=_WRITE_LOCK.release)
 
 
 class FileSystemObjectStore(ObjectStore):
@@ -283,10 +293,9 @@ class FileSystemObjectStore(ObjectStore):
 
     Layout::
 
-        root/p<parent>/k<leaf>/g0000000000   generation files; the current
-        root/p<parent>/k<leaf>/g0000000001   value is the highest
-        ...                                  generation, its file name is
-                                             the etag
+        root/.lock                     the store's write lock
+        root/.tmp                      the one write in progress, if any
+        root/p<parent>/k<leaf>/value   the key's version header + payload
 
     A key splits after its last ``/``: ``<parent>`` is everything up to and
     including that slash (empty for a key without one) and ``<leaf>`` the
@@ -297,54 +306,31 @@ class FileSystemObjectStore(ObjectStore):
     in the store.  Only :meth:`_key_dir` and :meth:`list_prefix` know this
     layout.
 
-    New generations are materialized with :func:`os.link` from a fully
-    written temp file — creation is atomic and exclusive, so concurrent CAS
-    writers race safely even over NFS.  Superseded generations are
-    truncated, not immediately unlinked: a stale writer holding etag
-    ``g…n`` finds ``g…n+1`` already present and fails.
+    Every write — :meth:`put_if_absent`, :meth:`put_if_match` and
+    :meth:`delete` — holds one store-wide lock: the process-wide
+    :data:`_WRITE_LOCK`, then ``fcntl.flock`` on ``root/.lock`` to exclude
+    other processes.  Under it the write reads the key's version, compares,
+    writes ``root/.tmp`` and :func:`os.replace`\\ s it onto ``value``.  The
+    replace is atomic, so a reader (one read, no lock) sees the old file or
+    the new one, never a torn write.
 
-    That alone would grow hot keys (a heartbeat-renewed lease object) one
-    file per write forever, so old generations are pruned behind a *floor*:
-    an ``f<generation>`` marker file whose creation strictly precedes any
-    unlink below it, and whose value only advances (the highest marker
-    wins, and the highest is never removed).  A CAS whose target file was
-    pruned away can therefore link "successfully", but it re-reads the
-    floor after linking — if its new generation is at or below the floor,
-    its lineage was pruned: it undoes the link and reports the swap lost.
-    Honest writers always land :data:`_PRUNE_KEEP` generations above the
-    floor, so only genuinely stale writers take that path.
+    The etag is ``v<version>`` and every write bumps the version.  A delete
+    writes a header-only *tombstone* at the next version, so a re-created
+    key continues the count and an etag read before the delete never
+    matches again (no ABA).
 
-    Readers double-check the listing after reading: if a newer generation
-    appeared meanwhile, the read retries, so a read never returns a
-    generation that was truncated under it (pruning never touches the
-    highest generation).
-
-    :meth:`delete` is a write like any other: it links an empty *tombstone*
-    as the next generation (so delete-vs-CAS races collide on the same
-    file name and exactly one wins), and :meth:`put_if_absent` on a
-    tombstoned key continues the lineage at the next generation.  The one
-    live invariant: the highest generation is non-empty exactly when the
-    key exists.
+    The store is POSIX-only (``fcntl``); shared storage must honour
+    ``flock`` across hosts (NFSv4 on Linux does).
     """
-
-    #: A read retries this many times against concurrent writers before
-    #: giving up; in practice one retry is already rare.  Exhaustion (a
-    #: key under genuine CAS-storm churn) raises
-    #: :class:`TransientStoreError` — the caller's retry-with-backoff
-    #: layer, not the read loop, decides when to give up for real.
-    READ_ATTEMPTS = 8
 
     def __init__(self, root: Union[str, Path],
                  sink: Optional[EventSink] = None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.sink = sink
-        self._tmp_counter = 0
-        self._tmp_lock = threading.Lock()
+        self._lock_path = self.root / ".lock"
+        self._tmp = self.root / ".tmp"
 
-    # ------------------------------------------------------------------
-    # layout helpers
-    # ------------------------------------------------------------------
     def _key_dir(self, key: str) -> Path:
         if not key:
             raise ShardError(f"{self.describe()}: object keys must be "
@@ -353,192 +339,69 @@ class FileSystemObjectStore(ObjectStore):
         return (self.root / ("p" + quote(parent + slash, safe=""))
                 / ("k" + quote(leaf, safe="")))
 
-    @staticmethod
-    def _generation_name(generation: int) -> str:
-        return f"g{generation:010d}"
-
-    @staticmethod
-    def _parse_etag(key: str, etag: str) -> int:
-        match = _GENERATION_RE.match(etag)
-        if match is None:
-            raise ShardError(f"object {key!r}: malformed etag {etag!r} "
-                             "(expected g<generation>)")
-        return int(match.group(1))
-
-    def _generations(self, key_dir: Path) -> List[Path]:
+    def _read(self, key: str, value: Path) -> Tuple[int, bytes]:
+        """``(version, payload)``; an empty payload means the key is absent
+        (version 0: it was never written)."""
         try:
-            entries = [path for path in key_dir.iterdir()
-                       if _GENERATION_RE.match(path.name)]
+            raw = value.read_bytes()
         except FileNotFoundError:
-            return []
-        return sorted(entries)
+            return 0, b""
+        header = raw[:_VERSION_DIGITS]
+        if (len(raw) < _HEADER_BYTES or not header.isdigit()
+                or raw[_VERSION_DIGITS:_HEADER_BYTES] != b"\n"):
+            raise ShardError(f"{self.describe()}: object {key!r} has a "
+                             "corrupt value file (unreadable version "
+                             "header: torn write or bit rot)")
+        return int(header), raw[_HEADER_BYTES:]
 
-    def _floor(self, key_dir: Path) -> int:
-        """The pruning floor: generations below this may no longer exist."""
-        try:
-            markers = [_FLOOR_RE.match(path.name)
-                       for path in key_dir.iterdir()]
-        except FileNotFoundError:
-            return 0
-        return max((int(match.group(1)) for match in markers if match),
-                   default=0)
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        with _WRITE_LOCK:
+            fd = os.open(self._lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                yield
+            finally:
+                os.close(fd)  # releases the flock
 
-    def _maybe_prune(self, key_dir: Path, top: int) -> None:
-        """Advance the floor to ``top - _PRUNE_KEEP`` and drop older files.
-
-        Order matters: the new floor marker is created *before* anything is
-        unlinked, so any writer that manages to link into pruned territory
-        is guaranteed to see the advanced floor when it re-checks.
-        """
-        new_floor = top - _PRUNE_KEEP
-        marker = key_dir / f"f{new_floor:010d}"
-        try:
-            with open(marker, "x"):
-                pass
-        except FileExistsError:
-            pass  # another pruner placed this floor already
-        except FileNotFoundError:
-            return  # the key was deleted concurrently
-        for path in self._generations(key_dir):
-            if int(path.name[1:]) < new_floor:
-                path.unlink(missing_ok=True)
-        # Drop superseded floor markers, keeping the highest (the floor
-        # a concurrent reader computes only ever advances).
-        try:
-            markers = sorted(path.name for path in key_dir.iterdir()
-                             if _FLOOR_RE.match(path.name))
-        except FileNotFoundError:
-            return
-        for name in markers[:-1]:
-            (key_dir / name).unlink(missing_ok=True)
-
-    def _tmp_path(self, key_dir: Path) -> Path:
-        with self._tmp_lock:
-            self._tmp_counter += 1
-            counter = self._tmp_counter
-        return key_dir / (f".tmp.{os.getpid()}."
-                          f"{threading.get_ident()}.{counter}")
-
-    def _link_generation(self, key_dir: Path, generation: int,
-                         data: bytes) -> bool:
-        """Atomically materialize one generation; ``False`` if it exists."""
-        key_dir.mkdir(parents=True, exist_ok=True)
-        tmp = self._tmp_path(key_dir)
-        tmp.write_bytes(data)
-        try:
-            os.link(tmp, key_dir / self._generation_name(generation))
-            return True
-        except FileExistsError:
-            return False
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    @staticmethod
-    def _is_live(path: Path) -> Optional[bool]:
-        """Whether a generation file holds a value (``None``: it vanished)."""
-        try:
-            return path.stat().st_size > 0
-        except FileNotFoundError:
-            return None
-
-    def _prune_if_due(self, key_dir: Path, top: int) -> None:
-        if top - self._floor(key_dir) > 2 * _PRUNE_KEEP:
-            self._maybe_prune(key_dir, top)
+    def _write(self, value: Path, version: int, data: bytes) -> None:
+        """Replace ``value`` with ``data`` at ``version``; under the lock."""
+        if version == 1:
+            value.parent.mkdir(parents=True, exist_ok=True)
+        self._tmp.write_bytes(b"%0*d\n" % (_VERSION_DIGITS, version) + data)
+        os.replace(self._tmp, value)
 
     # ------------------------------------------------------------------
     # the store contract
     # ------------------------------------------------------------------
     def put_if_absent(self, key: str, data: bytes) -> bool:
         _check_value(key, data)
-        key_dir = self._key_dir(key)
-        generations = self._generations(key_dir)
-        if not generations:
-            return self._link_generation(key_dir, 0, data)
-        if self._is_live(generations[-1]) is not False:
-            return False  # the key exists (or racing writers are active)
-        # A tombstone: the key was deleted.  Continue its lineage at the
-        # next generation so pre-delete etags can never match again.
-        reborn = int(generations[-1].name[1:]) + 1
-        if not self._link_generation(key_dir, reborn, data):
-            return False  # a racing creator (or deleter) got there first
-        self._prune_if_due(key_dir, reborn)
-        return True
+        value = self._key_dir(key) / "value"
+        with self._locked():
+            version, payload = self._read(key, value)
+            if payload:
+                return False
+            self._write(value, version + 1, data)
+            return True
 
     def put_if_match(self, key: str, data: bytes, etag: str) -> bool:
-        swapped = self._put_if_match(key, data, etag)
+        _check_value(key, data)
+        if not _ETAG_RE.fullmatch(etag):
+            raise ShardError(f"object {key!r}: malformed etag {etag!r} "
+                             "(expected v<version>)")
+        value = self._key_dir(key) / "value"
+        with self._locked():
+            version, payload = self._read(key, value)
+            swapped = bool(payload) and f"v{version}" == etag
+            if swapped:
+                self._write(value, version + 1, data)
         if not swapped:
             _emit_cas_lost(self.sink, key)
         return swapped
 
-    def _put_if_match(self, key: str, data: bytes, etag: str) -> bool:
-        _check_value(key, data)
-        generation = self._parse_etag(key, etag)
-        key_dir = self._key_dir(key)
-        if generation < self._floor(key_dir):
-            return False  # pruned ancestry: this etag lost long ago
-        current = key_dir / self._generation_name(generation)
-        if not self._is_live(current):
-            # Absent: the etag never existed or was pruned.  Empty: either
-            # a superseded (truncated) generation or a tombstone — a
-            # deleted key cannot be swapped, only re-created.
-            return False
-        if not self._link_generation(key_dir, generation + 1, data):
-            return False  # a competing writer swapped first
-        if generation + 1 <= self._floor(key_dir):
-            # The target file only "linked" because pruning removed it; a
-            # newer lineage exists above the floor.  Undo and report lost.
-            (key_dir / self._generation_name(generation + 1)).unlink(
-                missing_ok=True)
-            return False
-        # Truncate (not unlink) the superseded generation: its file name
-        # must survive until the floor passes it, so writers holding
-        # not-yet-pruned older etags keep failing honestly.
-        try:
-            os.truncate(current, 0)
-        except FileNotFoundError:
-            pass  # pruning passed it already
-        self._prune_if_due(key_dir, generation + 1)
-        return True
-
     def get(self, key: str) -> Optional[StoredObject]:
-        key_dir = self._key_dir(key)
-        for _ in range(self.READ_ATTEMPTS):
-            generations = self._generations(key_dir)
-            if not generations:
-                return None
-            current = generations[-1]
-            try:
-                data = current.read_bytes()
-            except FileNotFoundError:
-                continue  # lost a race with a pruner; re-list
-            after = self._generations(key_dir)
-            if after and after[-1].name == current.name:
-                # An empty current generation is a tombstone: deleted.
-                return (data, current.name) if data else None
-            # A newer generation landed while we read (our bytes may be a
-            # torn truncation) — retry against the fresh listing.
-        raise TransientStoreError(
-            f"{self.describe()}: object {key!r} kept changing across "
-            f"{self.READ_ATTEMPTS} read attempts")
-
-    def _key_exists(self, key: str, key_dir: Path) -> bool:
-        """Whether the key's highest generation holds a value, with the
-        same stable-read retry as :meth:`get`: a concurrent CAS may
-        truncate the generation we just statted, so only a verdict whose
-        generation is still the highest afterwards counts."""
-        for _ in range(self.READ_ATTEMPTS):
-            generations = self._generations(key_dir)
-            if not generations:
-                return False
-            current = generations[-1]
-            live = self._is_live(current)
-            after = self._generations(key_dir)
-            if after and after[-1].name == current.name:
-                return bool(live)
-            # A newer generation landed while we statted; re-examine.
-        raise TransientStoreError(
-            f"{self.describe()}: object {key!r} kept changing across "
-            f"{self.READ_ATTEMPTS} read attempts")
+        version, payload = self._read(key, self._key_dir(key) / "value")
+        return (payload, f"v{version}") if payload else None
 
     def list_prefix(self, prefix: str) -> List[str]:
         keys = []
@@ -564,45 +427,23 @@ class FileSystemObjectStore(ObjectStore):
                 if not key.startswith(prefix):
                     continue
                 try:
-                    exists = self._key_exists(key,
-                                              self.root / bucket / leaf)
-                except FileNotFoundError:
-                    # The key directory vanished between the bucket scan
-                    # and the per-entry stat (a concurrent pruner or
-                    # external cleanup): the key is gone, not the listing
-                    # — skip the entry instead of aborting every other
-                    # key's result.
+                    size = os.stat(self.root / bucket / leaf / "value").st_size
+                except (FileNotFoundError, NotADirectoryError):
+                    # Removed since the bucket scan (external cleanup), or
+                    # a foreign file: absent, and the listing stands.
                     continue
-                if exists:
+                if size > _HEADER_BYTES:  # header-only: a tombstone
                     keys.append(key)
         return sorted(keys)
 
     def delete(self, key: str) -> bool:
-        key_dir = self._key_dir(key)
-        for _ in range(self.READ_ATTEMPTS):
-            generations = self._generations(key_dir)
-            if not generations:
+        value = self._key_dir(key) / "value"
+        with self._locked():
+            version, payload = self._read(key, value)
+            if not payload:
                 return False
-            current = generations[-1]
-            live = self._is_live(current)
-            if live is None:
-                continue  # lost a race with a pruner; re-list
-            if not live:
-                return False  # already a tombstone
-            # Delete is a write: link the tombstone as the next generation,
-            # so a racing CAS and a racing delete collide on one file name
-            # and exactly one of them wins.
-            if self._link_generation(key_dir, int(current.name[1:]) + 1,
-                                     b""):
-                try:
-                    os.truncate(current, 0)
-                except FileNotFoundError:
-                    pass
-                return True
-            # A writer beat us to the next generation; re-examine.
-        raise TransientStoreError(
-            f"{self.describe()}: object {key!r} kept changing across "
-            f"{self.READ_ATTEMPTS} delete attempts")
+            self._write(value, version + 1, b"")
+            return True
 
     def describe(self) -> str:
         return str(self.root)

@@ -2,16 +2,19 @@
 
 Both backends must agree on the semantics the broker is built on —
 create-if-absent and compare-and-swap where exactly one racer wins — and
-the filesystem backend must additionally survive its own emulation details:
-stale etags from arbitrarily far back, persistence across instances, and
-concurrent writers.
+the filesystem backend must additionally hold up as a deployable store:
+stale etags from arbitrarily far back, persistence across instances,
+writers in other threads and other processes, and corrupt value files.
 """
 
 import json
+import multiprocessing
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import store as store_module
 from repro.bench.shard import ShardError
@@ -59,7 +62,7 @@ def test_put_if_match_swaps_only_against_the_current_etag(store):
 
 
 def test_stale_etag_from_arbitrarily_far_back_still_fails(store):
-    """Regression for the filesystem emulation: superseded generations must
+    """Regression for the filesystem emulation: superseded versions must
     keep blocking CAS attempts no matter how many swaps ago they were."""
     store.put_if_absent("a", b"v0")
     etags = [store.get("a")[1]]
@@ -197,36 +200,42 @@ def test_fs_store_leaves_no_temp_files_behind(tmp_path):
     store = FileSystemObjectStore(tmp_path / "store")
     store.put_if_absent("a", b"one")
     store.put_if_match("a", b"two", store.get("a")[1])
-    store.put_if_match("a", b"rogue", "g0000000000")  # failed CAS
-    leftovers = [path.name for path in store._key_dir("a").iterdir()
-                 if path.name.startswith(".tmp")]
-    assert leftovers == []
+    store.put_if_match("a", b"rogue", "v1")  # failed CAS
+    store.delete("a")
+    assert sorted(path.name for path in store.root.iterdir()
+                  if path.name.startswith(".")) == [".lock"]
+    assert [path.name for path in store._key_dir("a").iterdir()] == ["value"]
 
 
 def test_fs_store_layout_is_one_directory_per_key(tmp_path):
     """The on-disk layout is part of the deployable contract: one
-    directory per key, generation files inside."""
+    directory per key holding one value file — a fixed-width version
+    header, then the payload."""
     store = FileSystemObjectStore(tmp_path / "store")
     store.put_if_absent("lease/shard-000.json", b'{"state": "queued"}')
     key_dir = store._key_dir("lease/shard-000.json")
     assert key_dir.is_dir()
-    assert [path.name for path in key_dir.iterdir()] == ["g0000000000"]
-    payload = json.loads((key_dir / "g0000000000").read_text())
-    assert payload == {"state": "queued"}
+    assert [path.name for path in key_dir.iterdir()] == ["value"]
+    header, payload = (key_dir / "value").read_bytes().split(b"\n", 1)
+    assert header == b"0" * 19 + b"1"
+    assert json.loads(payload) == {"state": "queued"}
+    assert store.get("lease/shard-000.json")[1] == "v1"
+    assert store.delete("lease/shard-000.json") is True
+    # The tombstone: the header alone, one version on.
+    assert (key_dir / "value").read_bytes() == b"0" * 19 + b"2\n"
 
 
-def test_fs_store_prunes_superseded_generations_on_hot_keys(tmp_path):
+def test_fs_store_hot_key_keeps_one_value_file(tmp_path):
     """Regression: a heartbeat-renewed lease key must not grow one file per
-    renewal forever — old generations are pruned behind the floor marker."""
+    renewal — after 200 swaps its directory holds exactly one value file."""
     store = FileSystemObjectStore(tmp_path / "store")
     store.put_if_absent("lease", b"v0")
     for index in range(1, 201):
         data, etag = store.get("lease")
         assert store.put_if_match("lease", b"v%d" % index, etag) is True
     assert store.get("lease")[0] == b"v200"
-    entries = list(store._key_dir("lease").iterdir())
-    # Bounded by the keep-window plus the floor marker, not by 200 writes.
-    assert len(entries) <= 2 * 16 + 2
+    assert [path.name for path in store._key_dir("lease").iterdir()] \
+        == ["value"]
 
 
 def test_fs_store_pruned_ancestry_etags_still_lose(tmp_path):
@@ -275,53 +284,141 @@ def test_delete_vs_cas_race_exactly_one_wins(store):
     assert store.delete("k") is False  # idempotent second delete
 
 
-def test_fs_list_prefix_retries_when_a_cas_lands_mid_check(tmp_path,
-                                                           monkeypatch):
-    """Regression: a heartbeat CAS truncating the generation list_prefix
-    just statted must not make the (live) key vanish from the listing."""
-    store = FileSystemObjectStore(tmp_path / "store")
-    store.put_if_absent("k", b"v0")
-    store.put_if_match("k", b"v1", store.get("k")[1])  # g0 truncated, g1 live
-    key_dir = store._key_dir("k")
-    real = store._generations
-    calls = {"n": 0}
-
-    def stale_once(directory):
-        calls["n"] += 1
-        if calls["n"] == 1:  # the pre-CAS view: only the now-empty g0
-            return [key_dir / "g0000000000"]
-        return real(directory)
-
-    monkeypatch.setattr(store, "_generations", stale_once)
-    assert store.list_prefix("") == ["k"]
-    assert calls["n"] > 2  # the stale verdict was re-examined, not trusted
-
-
 def test_fs_list_prefix_survives_a_key_deleted_mid_listing(tmp_path,
                                                            monkeypatch):
-    """Regression: a key directory deleted (concurrent pruner, external
-    cleanup) between the root scan and the per-key check must drop only
-    that key from the listing — not abort every other key's result with a
+    """Regression: a key directory deleted (external cleanup) between the
+    bucket scan and the per-key check must drop only that key from the
+    listing — not abort every other key's result with a
     ``FileNotFoundError``."""
     store = FileSystemObjectStore(tmp_path / "store")
     store.put_if_absent("doomed", b"v")
     store.put_if_absent("survivor", b"v")
-    real = store._key_exists
+    doomed = store._key_dir("doomed")
+    real_stat = store_module.os.stat
 
-    def interleaved_delete(key, key_dir):
-        if key == "doomed":
+    def interleaved_delete(path, *args, **kwargs):
+        if Path(path).parent == doomed and doomed.exists():
             # The race, made deterministic: the whole directory vanishes
-            # right after the root scan saw it.
-            for path in sorted(key_dir.iterdir(), reverse=True):
-                path.unlink()
-            key_dir.rmdir()
-            raise FileNotFoundError(str(key_dir))  # the stat that lost
-        return real(key, key_dir)
+            # right after the bucket scan saw it.
+            (doomed / "value").unlink()
+            doomed.rmdir()
+        return real_stat(path, *args, **kwargs)
 
-    monkeypatch.setattr(store, "_key_exists", interleaved_delete)
+    monkeypatch.setattr(store_module.os, "stat", interleaved_delete)
     assert store.list_prefix("") == ["survivor"]
-    monkeypatch.setattr(store, "_key_exists", real)
+    monkeypatch.undo()
     assert store.list_prefix("") == ["survivor"]  # the key stayed gone
+
+
+@pytest.mark.parametrize("raw", [b"", b"garbage", b"0" * 19 + b"x\npayload",
+                                 b"0" * 20 + b"payload", b"0" * 19])
+def test_fs_corrupt_value_file_raises_labeled_error(tmp_path, raw):
+    """A value file whose version header does not parse (a torn write or
+    bit rot) fails every op on that key with a ShardError naming the store
+    and the key, never a bare ValueError; other keys are unaffected."""
+    store = FileSystemObjectStore(tmp_path / "store")
+    store.put_if_absent("lease/s0", b"v")
+    store.put_if_absent("lease/s1", b"v")
+    (store._key_dir("lease/s0") / "value").write_bytes(raw)
+    ops = (lambda: store.get("lease/s0"),
+           lambda: store.put_if_absent("lease/s0", b"w"),
+           lambda: store.put_if_match("lease/s0", b"w", "v1"),
+           lambda: store.delete("lease/s0"))
+    for op in ops:
+        with pytest.raises(ShardError, match="corrupt value file") as caught:
+            op()
+        assert str(store.root) in str(caught.value)
+        assert "'lease/s0'" in str(caught.value)
+    assert store.get("lease/s1") == (b"v", "v1")
+
+
+# ----------------------------------------------------------------------
+# writers in other processes
+# ----------------------------------------------------------------------
+def _spawned_cas_increments(root, attempts, start, results):
+    """One spawned process: two threads each try ``attempts`` CAS
+    increments of ``counter``; reports each thread's count of swaps that
+    returned True, or the error that stopped it."""
+    store = FileSystemObjectStore(root)
+    outcomes = []
+
+    def bump():
+        won = 0
+        try:
+            for _ in range(attempts):
+                data, etag = store.get("counter")
+                won += store.put_if_match("counter",
+                                          b"%d" % (int(data) + 1), etag)
+        except Exception as error:  # a torn write must fail the test
+            outcomes.append(repr(error))
+        else:
+            outcomes.append(won)
+
+    threads = [threading.Thread(target=bump) for _ in range(2)]
+    start.wait()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    results.put(outcomes)
+
+
+def test_fs_cas_excludes_writers_in_other_processes(tmp_path):
+    """The thread lock alone serializes one process's writers; this proves
+    the flock excludes another process's.  Every CAS that returned True
+    must be one increment of the final count — no more, no fewer."""
+    root = tmp_path / "store"
+    FileSystemObjectStore(root).put_if_absent("counter", b"0")
+    context = multiprocessing.get_context("spawn")
+    start, results = context.Barrier(2), context.Queue()
+    processes = [context.Process(target=_spawned_cas_increments,
+                                 args=(str(root), 150, start, results))
+                 for _ in range(2)]
+    for process in processes:
+        process.start()
+    wins = [won for _ in processes for won in results.get(timeout=300)]
+    for process in processes:
+        process.join(timeout=60)
+    assert all(isinstance(won, int) for won in wins), wins
+    assert [process.exitcode for process in processes] == [0, 0]
+    assert int(FileSystemObjectStore(root).get("counter")[0]) == sum(wins)
+
+
+def _forked_write(root, key):
+    FileSystemObjectStore(root).put_if_absent(key, b"child")
+
+
+def test_fs_store_fork_lands_between_writes(tmp_path):
+    """A process forked while another thread writes must neither inherit a
+    held write lock (the child would hang on its first write) nor keep the
+    parent's flock held through its copy of the lock file descriptor."""
+    store = FileSystemObjectStore(tmp_path / "store")
+    store.put_if_absent("counter", b"0")
+    stop = threading.Event()
+
+    def hammer():
+        while not stop.is_set():
+            data, etag = store.get("counter")
+            store.put_if_match("counter", b"%d" % (int(data) + 1), etag)
+
+    writer = threading.Thread(target=hammer)
+    writer.start()
+    context = multiprocessing.get_context("fork")
+    try:
+        for index in range(5):
+            child = context.Process(target=_forked_write,
+                                    args=(str(store.root), f"child/{index}"))
+            child.start()
+            child.join(timeout=30)
+            if child.exitcode is None:
+                child.kill()
+            assert child.exitcode == 0, f"child {index} hung or failed"
+    finally:
+        stop.set()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert store.list_prefix("child/") == [f"child/{index}"
+                                           for index in range(5)]
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +449,72 @@ def test_every_key_shape_survives_a_full_lifecycle(store, key):
     assert store.list_prefix("") == []
     assert store.put_if_absent(key, b"v2") is True
     assert store.list_prefix("") == [key]
+
+
+@st.composite
+def store_ops(draw):
+    """Ops ``(name, key or prefix, payload, pick)`` over a few keys drawn
+    from :data:`KEY_SHAPES`, so one sequence revisits each key.  ``pick``
+    chooses a CAS etag among every etag the key has ever had, current or
+    superseded, before a delete or after it."""
+    keys = st.sampled_from(draw(st.lists(st.sampled_from(KEY_SHAPES),
+                                         min_size=1, max_size=3,
+                                         unique=True)))
+    payloads = st.binary(min_size=1, max_size=4)
+    prefixes = keys.flatmap(
+        lambda key: st.integers(0, len(key)).map(lambda cut: key[:cut]))
+    return draw(st.lists(st.one_of(
+        st.tuples(st.just("put_if_absent"), keys, payloads, st.just(0)),
+        st.tuples(st.just("put_if_match"), keys, payloads,
+                  st.integers(0, 63)),
+        st.tuples(st.sampled_from(("delete", "get")), keys, st.just(b""),
+                  st.just(0)),
+        st.tuples(st.just("list_prefix"), prefixes, st.just(b""),
+                  st.just(0))), min_size=1, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(store_ops())
+def test_fs_store_agrees_with_the_reference_store(ops):
+    """Differential check: any op sequence gives the same return values,
+    payloads and listings on the filesystem store as on the in-memory
+    reference, and an etag matches on one store exactly when its
+    counterpart matches on the other."""
+    reference = InMemoryObjectStore()
+    with tempfile.TemporaryDirectory() as root:
+        store = FileSystemObjectStore(root)
+        # Per key, every (reference etag, fs etag) pair it has had.
+        history = {}
+
+        def observe(key):
+            expected, actual = reference.get(key), store.get(key)
+            assert (expected is None) == (actual is None), key
+            if expected is None:
+                return
+            assert expected[0] == actual[0], key
+            pairs = history.setdefault(key, [])
+            if (expected[1], actual[1]) not in pairs:
+                # A new etag on one store is a new etag on the other.
+                assert all(expected[1] != ref_etag and actual[1] != fs_etag
+                           for ref_etag, fs_etag in pairs), (key, pairs)
+                pairs.append((expected[1], actual[1]))
+
+        for name, key, payload, pick in ops:
+            if name == "list_prefix":
+                assert store.list_prefix(key) == reference.list_prefix(key)
+                continue
+            if name == "put_if_match":
+                pairs = history.get(key)
+                if not pairs:
+                    continue
+                ref_etag, fs_etag = pairs[pick % len(pairs)]
+                assert store.put_if_match(key, payload, fs_etag) == \
+                    reference.put_if_match(key, payload, ref_etag), (key, pick)
+            elif name != "get":  # observe() below compares the reads
+                args = (key, payload) if payload else (key,)
+                assert getattr(store, name)(*args) \
+                    == getattr(reference, name)(*args), (name, key)
+            observe(key)
 
 
 #: Pairs a careless encoding of the parent/leaf split would map onto one

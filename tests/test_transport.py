@@ -262,12 +262,12 @@ def test_store_broker_does_not_release_a_done_shard(tmp_path):
 # fault injection: corrupt objects in the store
 # ----------------------------------------------------------------------
 def corrupt_object(store: FileSystemObjectStore, key: str, text: str) -> None:
-    """Overwrite the current generation of ``key`` on disk, bypassing the
-    store API — what a torn upload or bit rot would leave behind."""
-    key_dir = store._key_dir(key)
-    generations = sorted(path for path in key_dir.iterdir()
-                         if path.name.startswith("g"))
-    generations[-1].write_text(text, encoding="utf-8")
+    """Replace the payload of ``key``'s value file on disk, keeping its
+    version header and bypassing the store API — what a torn upload or bit
+    rot in the payload would leave behind."""
+    value = store._key_dir(key) / "value"
+    header = value.read_bytes().split(b"\n", 1)[0]
+    value.write_bytes(header + b"\n" + text.encode("utf-8"))
 
 
 def test_corrupt_plan_object_raises_clean_shard_error(tmp_path):
