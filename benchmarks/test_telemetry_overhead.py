@@ -2,7 +2,7 @@
 
 PR 5 threads instrumentation points through every hot path (trial
 execution, cache loads, broker leases).  The contract that makes that
-acceptable is the NullSink guard pattern — ``sink = resolve(self.sink);
+acceptable is the NullSink guard pattern — ``sink = default_sink();
 if sink: sink.emit(Event(...))`` — which, with telemetry off, pays one
 module-global read and one (constant-false) truthiness check and never
 constructs an event.  This bench pins that contract two ways:
@@ -23,7 +23,7 @@ import time
 from repro.bench.metrics import aggregate
 from repro.bench.runner import BenchmarkConfig, BenchmarkRunner, setting_by_key
 from repro.bench.tasks import tasks_for_app
-from repro.bench.telemetry import AggregatingSink, resolve, use_sink
+from repro.bench.telemetry import AggregatingSink, default_sink, use_sink
 
 TRIALS = 2
 SETTING_KEYS = ("gui-gpt5-medium", "dmi-gpt5-medium")
@@ -39,12 +39,12 @@ MAX_SECONDS_PER_CHECK = 5e-6
 
 
 def test_null_sink_guard_is_nanoscale(benchmark):
-    """The emit-site pattern with telemetry off: resolve + truthiness."""
+    """The emit-site pattern with telemetry off: default_sink + truthiness."""
 
     def guard_loop():
         checked = 0
         for _ in range(GUARD_ITERATIONS):
-            sink = resolve(None)
+            sink = default_sink()
             if sink:  # pragma: no cover - never true under the NullSink
                 checked += 1
         return checked

@@ -147,7 +147,7 @@ class SerialExecutor(Executor):
 _WORKER_RUNNER: Optional["BenchmarkRunner"] = None
 
 
-def _worker_init(trials: int, seed: int, dmi_config, cache_dir: str,
+def _worker_init(dmi_config, cache_dir: str,
                  cache_max_entries: Optional[int] = None) -> None:
     global _WORKER_RUNNER
     from repro.bench.runner import BenchmarkConfig, BenchmarkRunner
@@ -157,8 +157,10 @@ def _worker_init(trials: int, seed: int, dmi_config, cache_dir: str,
     # emits every trial's events itself, so a worker emitting too would
     # double-count each trial.  Telemetry is parent-side only in pool runs.
     telemetry.set_default_sink(None)
+    # run_spec reads each spec's own seed, so the config's trials and seed
+    # are never read here.
     _WORKER_RUNNER = BenchmarkRunner(BenchmarkConfig(
-        trials=trials, seed=seed, dmi=dmi_config, cache_dir=cache_dir,
+        dmi=dmi_config, cache_dir=cache_dir,
         cache_max_entries=cache_max_entries))
 
 
@@ -251,7 +253,7 @@ class ParallelExecutor(Executor):
             # reported as None so the trial_seconds timer stays honest; the
             # simulated wall clock and plan/act phases come from the result
             # and match what a serial run would have emitted.
-            sink = telemetry.resolve(runner.sink)
+            sink = telemetry.default_sink()
             # Trace contexts are parent-side too: each trial gets its
             # deterministic trace (parented to the ambient span, e.g. a
             # shard lease, when one is active) and the finished event
@@ -259,8 +261,7 @@ class ParallelExecutor(Executor):
             spans: Dict[int, Tuple[tracectx.SpanContext, float]] = {}
             with ProcessPoolExecutor(
                     max_workers=self.jobs, initializer=_worker_init,
-                    initargs=(runner.config.trials, runner.config.seed,
-                              runner.config.dmi, str(cache_dir),
+                    initargs=(runner.config.dmi, str(cache_dir),
                               runner.config.cache_max_entries)) as pool:
                 futures = {}
                 for index, spec in enumerate(specs):

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.bench import telemetry
 from repro.bench.shard import ShardError
 from repro.bench.store import ObjectStore, StoredObject, TransientStoreError
-from repro.bench.telemetry import CasRetry, EventSink
+from repro.bench.telemetry import CasRetry
 
 _SCHEDULE_KIND = "repro-fault-schedule"
 _SCHEDULE_FORMAT_VERSION = 1
@@ -304,11 +304,9 @@ class FaultyObjectStore(ObjectStore):
     """
 
     def __init__(self, inner: ObjectStore, schedule: FaultSchedule,
-                 sleep: Callable[[float], None] = time.sleep,
-                 sink: Optional[EventSink] = None) -> None:
+                 sleep: Callable[[float], None] = time.sleep) -> None:
         self.inner = inner
         self.schedule = schedule
-        self.sink = sink
         self.enabled = True
         self.injected = _InjectionCounters()
         self._sleep = sleep
@@ -337,9 +335,9 @@ class FaultyObjectStore(ObjectStore):
             # Report the swap lost without attempting it: to the caller
             # this is exactly a competing writer winning first.
             self.injected.bump("cas_lost")
-            resolved = telemetry.resolve(self.sink)
-            if resolved:
-                resolved.emit(CasRetry(key=key, op="put_if_match"))
+            sink = telemetry.default_sink()
+            if sink:
+                sink.emit(CasRetry(key=key, op="put_if_match"))
             return False
         return self.inner.put_if_match(key, data, etag)
 

@@ -133,9 +133,6 @@ class BenchmarkRunner:
         self._artifacts: Dict[str, OfflineArtifacts] = {}
         self._settings: Dict[str, EvaluationSetting] = {}
         self._tasks: Dict[str, TaskSpec] = {}
-        #: Telemetry sink for trial events (None = the process default at
-        #: emit time; see :mod:`repro.bench.telemetry`).
-        self.sink: Optional[telemetry.EventSink] = None
         self.cache: Optional[ArtifactCache] = (
             ArtifactCache(self.config.cache_dir, self.config.dmi,
                           max_entries=self.config.cache_max_entries)
@@ -188,12 +185,12 @@ class BenchmarkRunner:
 
         Instrumented: emits :class:`~repro.bench.telemetry.TrialStarted` /
         :class:`~repro.bench.telemetry.TrialFinished` (with the measured
-        rip/build and simulated plan/act phase breakdown) to the runner's
+        rip/build and simulated plan/act phase breakdown) to the process-wide
         sink.  With the default :class:`~repro.bench.telemetry.NullSink`
         even the ``perf_counter`` reads are skipped, so the hot path pays
         only the truthiness checks.
         """
-        sink = telemetry.resolve(self.sink)
+        sink = telemetry.default_sink()
         measuring = bool(sink)
         ctx = None
         if measuring:

@@ -41,7 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.agent.session import SessionResult
 from repro.bench.engine import ProgressCallback, TrialSpec, expand_trial_specs
-from repro.dmi.cache import ArtifactCache, config_fingerprint
+from repro.bench.runner import (
+    BenchmarkConfig,
+    BenchmarkRunner,
+    RunOutcome,
+    setting_by_key,
+)
+from repro.dmi.cache import config_fingerprint
 from repro.dmi.interface import DMIConfig
 
 #: Version of the manifest / results JSON layout.  Bumped on any change to
@@ -402,60 +408,41 @@ class ShardResults:
 
 
 class ManifestExecutor:
-    """Runs one :class:`ShardManifest` on this machine.
+    """Runs shard manifests on this machine.
 
-    A thin adapter over the ordinary engine stack: it rebuilds a
-    :class:`~repro.bench.runner.BenchmarkRunner` from the manifest's seed
-    and trial count, selects the serial or process-pool executor via
-    ``jobs`` and reuses the on-disk :class:`~repro.dmi.cache.ArtifactCache`
-    when ``cache_dir`` is given, so a warm cache skips GUI ripping exactly
-    as a local run would.
+    A thin adapter over the ordinary engine stack: one
+    :class:`~repro.bench.runner.BenchmarkRunner` runs every manifest, so a
+    worker rips (or loads from ``cache_dir``) each app's offline model once
+    per session rather than once per manifest.  ``jobs`` selects the serial
+    or process-pool executor.  The runner's configured seed and trial count
+    never matter: every spec carries its own seed.
     """
 
     def __init__(self, jobs: int = 1,
                  cache_dir: Optional[Union[str, Path]] = None,
                  dmi_config: Optional[DMIConfig] = None,
-                 cache_max_entries: Optional[int] = None,
-                 sink=None) -> None:
+                 cache_max_entries: Optional[int] = None) -> None:
         if jobs < 1:
             raise ShardError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.dmi_config = dmi_config or DMIConfig()
-        self.cache_max_entries = cache_max_entries
-        #: Telemetry sink handed to the runner and cache of every manifest
-        #: this executor runs (None = the process default at emit time).
-        self.sink = sink
-        #: One cache shared across every manifest this executor runs, so
-        #: hit/miss counters aggregate over a whole worker session.
-        self.cache: Optional[ArtifactCache] = (
-            ArtifactCache(cache_dir, self.dmi_config,
-                          max_entries=cache_max_entries, sink=sink)
-            if cache_dir is not None else None)
+        self.runner = BenchmarkRunner(BenchmarkConfig(
+            dmi=dmi_config or DMIConfig(), jobs=jobs, cache_dir=cache_dir,
+            cache_max_entries=cache_max_entries))
 
     def cache_stats(self) -> Optional[Dict[str, object]]:
-        """Cumulative cache hit/miss stats, or None without a cache_dir."""
-        return self.cache.stats() if self.cache is not None else None
+        """Cache hit/miss stats over every manifest this executor ran, or
+        None without a cache_dir."""
+        cache = self.runner.cache
+        return cache.stats() if cache is not None else None
 
     def run(self, manifest: ShardManifest,
             progress: Optional[ProgressCallback] = None) -> ShardResults:
-        from repro.bench.runner import BenchmarkConfig, BenchmarkRunner
-
-        local = config_fingerprint(self.dmi_config)
+        runner = self.runner
+        local = config_fingerprint(runner.config.dmi)
         if manifest.fingerprint != local:
             raise ShardError(
                 f"manifest was planned for DMI configuration "
                 f"{manifest.fingerprint} but this executor runs {local}; "
                 "results would not merge with the plan's other shards")
-        runner = BenchmarkRunner(BenchmarkConfig(
-            trials=manifest.trials, seed=manifest.seed, dmi=self.dmi_config,
-            jobs=self.jobs, cache_dir=self.cache_dir,
-            cache_max_entries=self.cache_max_entries))
-        runner.sink = self.sink
-        if self.cache is not None:
-            # Share the executor-lifetime cache (and its counters) instead
-            # of the runner's per-run instance.
-            runner.cache = self.cache
         # Register the grid's settings/tasks so spec resolution matches a
         # local run (registry lookup; ad-hoc objects never cross machines).
         try:
@@ -481,7 +468,7 @@ def _describe_results(shard: ShardResults) -> str:
     return shard.source if shard.source else "<in-memory ShardResults>"
 
 
-def merge_shard_results(shards: Sequence[ShardResults]) -> Dict[str, "RunOutcome"]:
+def merge_shard_results(shards: Sequence[ShardResults]) -> Dict[str, RunOutcome]:
     """Validate ``shards`` and reassemble them into per-setting outcomes.
 
     The merged mapping is byte-identical to what
@@ -490,8 +477,6 @@ def merge_shard_results(shards: Sequence[ShardResults]) -> Dict[str, "RunOutcome
     order (settings × tasks × trials) before aggregation, so shard layout
     and completion order never leak into the output.
     """
-    from repro.bench.runner import RunOutcome, setting_by_key
-
     shards = list(shards)
     if not shards:
         raise ShardError("no shard results to merge")

@@ -48,8 +48,9 @@ from typing import (Callable, Dict, Iterator, List, Optional, Tuple, TypeVar,
 from urllib.parse import quote, unquote
 
 from repro.bench import telemetry
+from repro.bench.observe import trace as tracectx
 from repro.bench.shard import ShardError
-from repro.bench.telemetry import CasRetry, EventSink, StoreRetry
+from repro.bench.telemetry import CasRetry, StoreRetry
 
 #: (value, etag) as returned by :meth:`ObjectStore.get`.
 StoredObject = Tuple[bytes, str]
@@ -85,9 +86,8 @@ class RetryPolicy:
     ``attempts`` is the total call budget (first try included).  Sleep
     before retry *n* (1-based) is ``min(cap, base * 2^(n-1))`` jittered
     into ``[0.5, 1.0)`` of nominal so a fleet of workers retrying the same
-    blip doesn't re-hit the store in lock-step.  ``sleep`` is injectable —
-    workers pass their stop-event wait so shutdown interrupts a backoff,
-    tests pass a no-op — and the jitter RNG is seeded, so a given policy
+    blip doesn't re-hit the store in lock-step.  ``sleep`` is injectable
+    (tests pass a no-op) and the jitter RNG is seeded, so a given policy
     instance produces a reproducible sleep schedule.
     """
 
@@ -118,8 +118,7 @@ class RetryPolicy:
 
 
 def call_with_retries(fn: Callable[[], _T], *, op: str, key: str,
-                      policy: RetryPolicy,
-                      sink: Optional[EventSink] = None) -> _T:
+                      policy: RetryPolicy) -> _T:
     """Run ``fn`` absorbing :class:`TransientStoreError` under ``policy``.
 
     Each absorbed failure emits a :class:`~repro.bench.telemetry.StoreRetry`
@@ -134,16 +133,15 @@ def call_with_retries(fn: Callable[[], _T], *, op: str, key: str,
     With the NullSink none of that runs: no clock read, no hash.
     """
     last: Optional[TransientStoreError] = None
-    resolved = telemetry.resolve(sink)
+    sink = telemetry.default_sink()
     for attempt in range(1, policy.attempts + 1):
-        started = time.perf_counter() if resolved else 0.0
+        started = time.perf_counter() if sink else 0.0
         try:
             return fn()
         except TransientStoreError as error:
             last = error
-            if resolved:
-                from repro.bench.observe import trace as _trace
-                resolved.emit(_trace.leaf(
+            if sink:
+                sink.emit(tracectx.leaf(
                     StoreRetry(op=op, key=key, attempt=attempt),
                     qualifier=f"{op}|{key}|{attempt}",
                     duration_s=time.perf_counter() - started))
@@ -208,22 +206,20 @@ def _check_value(key: str, data: bytes) -> None:
                          "(a header-only value file marks a deleted key)")
 
 
-def _emit_cas_lost(sink: Optional[EventSink], key: str) -> None:
+def _emit_cas_lost(key: str) -> None:
     """A conditional swap lost its race: the caller will re-read and retry
     (or, for a lease renewal, treat the lease as gone).  Counting these is
     how lease contention becomes visible in a run's telemetry."""
-    resolved = telemetry.resolve(sink)
-    if resolved:
-        from repro.bench.observe import trace as _trace
-        resolved.emit(_trace.leaf(CasRetry(key=key, op="put_if_match"),
-                                  qualifier=key))
+    sink = telemetry.default_sink()
+    if sink:
+        sink.emit(tracectx.leaf(CasRetry(key=key, op="put_if_match"),
+                                qualifier=key))
 
 
 class InMemoryObjectStore(ObjectStore):
     """The reference semantics over a dict; thread-safe, in-process only."""
 
-    def __init__(self, sink: Optional[EventSink] = None) -> None:
-        self.sink = sink
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._objects: Dict[str, StoredObject] = {}
         self._version = 0
@@ -247,7 +243,7 @@ class InMemoryObjectStore(ObjectStore):
             if current is not None and current[1] == etag:
                 self._objects[key] = (bytes(data), self._next_etag())
                 return True
-        _emit_cas_lost(self.sink, key)
+        _emit_cas_lost(key)
         return False
 
     def get(self, key: str) -> Optional[StoredObject]:
@@ -323,11 +319,9 @@ class FileSystemObjectStore(ObjectStore):
     ``flock`` across hosts (NFSv4 on Linux does).
     """
 
-    def __init__(self, root: Union[str, Path],
-                 sink: Optional[EventSink] = None) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.sink = sink
         self._lock_path = self.root / ".lock"
         self._tmp = self.root / ".tmp"
 
@@ -396,7 +390,7 @@ class FileSystemObjectStore(ObjectStore):
             if swapped:
                 self._write(value, version + 1, data)
         if not swapped:
-            _emit_cas_lost(self.sink, key)
+            _emit_cas_lost(key)
         return swapped
 
     def get(self, key: str) -> Optional[StoredObject]:

@@ -16,7 +16,7 @@ Three sinks ship here:
 :class:`NullSink`
     The default.  Falsy, so every instrumentation point guards event
     *construction* behind ``if sink:`` — with telemetry off, the hot path
-    pays one attribute read and one truthiness check, nothing else.
+    pays one global read and one truthiness check, nothing else.
 :class:`JsonlSink`
     Appends one JSON object per event to a file, flushed per event, so a
     crashed run loses at most the line being written.
@@ -26,11 +26,11 @@ Three sinks ship here:
     :meth:`TelemetryEvent.timings` key).  Thread-safe: heartbeat threads
     emit concurrently with the main loop.
 
-Sinks are threaded two ways: every instrumented component takes an optional
-``sink`` argument, and a component constructed without one resolves the
-process-wide default at *emit* time (:func:`resolve`), so a CLI command can
-install one sink for everything it touches with :func:`use_sink` and never
-plumb it through ten constructors.  The default default is :data:`NULL_SINK`.
+Every instrumentation point reads the process-wide sink at *emit* time
+(:func:`default_sink`), so a CLI command installs one sink for everything it
+touches with :func:`use_sink` and no constructor takes one.  Heartbeat
+threads read the same global, so their events reach it too.  The default
+is :data:`NULL_SINK`.
 
 This module is dependency-free on purpose (stdlib only, and nothing from
 the rest of the package), so any layer may import it without cycles.
@@ -780,7 +780,7 @@ _default_sink: EventSink = NULL_SINK
 
 
 def default_sink() -> EventSink:
-    """The sink used by components constructed without an explicit one."""
+    """The sink every instrumentation point emits to *right now*."""
     return _default_sink
 
 
@@ -800,9 +800,3 @@ def use_sink(sink: Optional[EventSink]) -> Iterator[EventSink]:
         yield _default_sink
     finally:
         set_default_sink(previous)
-
-
-def resolve(sink: Optional[EventSink]) -> EventSink:
-    """The sink an instrumentation point should emit to *right now*:
-    the component's own if it was given one, else the process default."""
-    return sink if sink is not None else _default_sink

@@ -226,13 +226,6 @@ def _parse_plan_header(payload: Dict[str, object],
                  for label in PLAN_IDENTITY_LABELS)
 
 
-def _plan_priority(payload: Dict[str, object], source: str) -> int:
-    """The header's priority field (headers from PR 3/4 predate it)."""
-    if "priority" not in payload:
-        return 0
-    return _require_int(payload, "priority", source)
-
-
 def _check_posted_results(reference: Tuple[object, ...],
                           results: ShardResults, source: str) -> None:
     """Posted results must carry a manifest of this plan, in index range."""
@@ -245,11 +238,11 @@ def _check_posted_results(reference: Tuple[object, ...],
                          f"{manifest.shard_count}-shard plan")
 
 
-def _emit_collected(sink: EventSink, collected: List[ShardResults],
-                    plan: str) -> None:
+def _emit_collected(collected: List[ShardResults], plan: str) -> None:
     """One :class:`~repro.bench.telemetry.ShardCollected` per gathered shard,
     each stamped as a ``collect`` span in the shard's trace (parented to
     the plan's submit span, so a trial timeline ends with its collect)."""
+    sink = telemetry.default_sink()
     if sink:
         for shard in collected:
             ctx = tracectx.shard_context(plan, shard.manifest, "collect")
@@ -440,7 +433,6 @@ class ObjectStoreBroker:
     def __init__(self, store: ObjectStore,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  clock: Clock = time.time,
-                 sink: Optional[EventSink] = None,
                  retry: Optional[RetryPolicy] = None,
                  skew_allowance: float = 0.0) -> None:
         if lease_ttl <= 0:
@@ -451,7 +443,6 @@ class ObjectStoreBroker:
         self.store = store
         self.lease_ttl = lease_ttl
         self.skew_allowance = skew_allowance
-        self.sink = sink
         self.retry = retry if retry is not None else RetryPolicy()
         self._clock = clock
         self._skew_ms = int(skew_allowance * 1000)
@@ -465,8 +456,7 @@ class ObjectStoreBroker:
         return f"{self.store.describe()}: object {key!r}"
 
     def _store_call(self, op: str, key: str, fn):
-        return call_with_retries(fn, op=op, key=key, policy=self.retry,
-                                 sink=self.sink)
+        return call_with_retries(fn, op=op, key=key, policy=self.retry)
 
     def _get_json(self, key: str) -> Optional[Tuple[Dict[str, object], str]]:
         stored = self._store_call("get", key, lambda: self.store.get(key))
@@ -590,7 +580,7 @@ class ObjectStoreBroker:
     # ------------------------------------------------------------------
     def _emit_plan_submitted(self, name: str, plan: ShardPlan,
                              priority: int) -> None:
-        sink = telemetry.resolve(self.sink)
+        sink = telemetry.default_sink()
         if sink:
             ctx = tracectx.plan_context(name, plan.manifests[0])
             sink.emit(ctx.attach(PlanSubmitted(
@@ -650,8 +640,8 @@ class ObjectStoreBroker:
             if not keys:
                 continue
             pending[name] = keys
-            candidates.append((name, _plan_priority(header, source),
-                               len(keys)))
+            priority = _require_int(header, "priority", source)
+            candidates.append((name, priority, len(keys)))
         for name in self._fair_share_order(candidates):
             lease = self._lease_from_plan(name, pending[name], worker_id)
             if lease is not None:
@@ -745,7 +735,7 @@ class ObjectStoreBroker:
                     "grant": payload.get("grant", 0)}
             if self._put_if_match(key, self._dump(done), etag):
                 break
-        sink = telemetry.resolve(self.sink)
+        sink = telemetry.default_sink()
         # PlanDrained goes only to a live sink, so only then is the result
         # listing it needs worth reading.
         if sink and first_post \
@@ -771,7 +761,7 @@ class ObjectStoreBroker:
                 continue  # deleted mid-listing
             collected.append(ShardResults.from_dict(
                 found[0], source=self._source(key)))
-        _emit_collected(telemetry.resolve(self.sink), collected, name)
+        _emit_collected(collected, name)
         return collected
 
     def status(self) -> BrokerStatus:
@@ -803,7 +793,8 @@ class ObjectStoreBroker:
                     else:
                         leased += 1
             rows.append(PlanStatus(name=name,
-                                   priority=_plan_priority(header, source),
+                                   priority=_require_int(header, "priority",
+                                                         source),
                                    queued=queued, leased=leased,
                                    done=len(done),
                                    shard_count=int(identity[0])))
@@ -837,7 +828,6 @@ class LeaseHeartbeat:
     def __init__(self, broker: ObjectStoreBroker, lease: ShardLease,
                  interval: float,
                  on_renew: Optional[RenewCallback] = None,
-                 sink: Optional[EventSink] = None,
                  context: Optional[tracectx.SpanContext] = None) -> None:
         if not math.isfinite(interval) or interval <= 0:
             raise ShardError(f"heartbeat interval must be a finite number "
@@ -845,7 +835,6 @@ class LeaseHeartbeat:
         self.broker = broker
         self.interval = interval
         self.on_renew = on_renew
-        self.sink = sink
         #: The worker's lease span, passed explicitly because the renewal
         #: thread cannot see the worker thread's ambient (thread-local)
         #: context.  Renewal/lost events become its child spans.
@@ -886,7 +875,7 @@ class LeaseHeartbeat:
                 # further chances before expiry, and a lease that really
                 # was reclaimed shows up as renew() -> None next tick.
                 continue
-            sink = telemetry.resolve(self.sink)
+            sink = telemetry.default_sink()
             if renewed is None:
                 self._lost.set()
                 if sink:
@@ -977,7 +966,6 @@ class ShardWorker:
                  heartbeat: Optional[float] = None,
                  on_renew: Optional[RenewCallback] = None,
                  sleep: Optional[Callable[[float], None]] = None,
-                 sink: Optional[EventSink] = None,
                  daemon: bool = False,
                  max_idle_s: Optional[float] = None,
                  clock: Clock = time.monotonic) -> None:
@@ -1012,7 +1000,6 @@ class ShardWorker:
         self.max_manifests = max_manifests
         self.heartbeat = heartbeat
         self.on_renew = on_renew
-        self.sink = sink
         self.daemon = daemon
         self.max_idle_s = max_idle_s
         #: Manifests whose lease was lost mid-run and were dropped unposted.
@@ -1055,7 +1042,7 @@ class ShardWorker:
         idle_since: Optional[float] = None
         while not self._stop.is_set() and (self.max_manifests is None
                                            or executed < self.max_manifests):
-            sink = telemetry.resolve(self.sink)
+            sink = telemetry.default_sink()
             lease_started = time.perf_counter() if sink else 0.0
             lease = self.broker.lease(self.worker_id)
             if lease is None:
@@ -1093,7 +1080,7 @@ class ShardWorker:
             if self.heartbeat > 0:
                 beat = LeaseHeartbeat(self.broker, lease, self.heartbeat,
                                       on_renew=self.on_renew,
-                                      sink=self.sink, context=ctx).start()
+                                      context=ctx).start()
             stats_before = self.executor.cache_stats()
             try:
                 if ctx is not None:

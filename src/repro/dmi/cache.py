@@ -50,6 +50,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.apps import app_factory
 from repro.apps.base import Application
+from repro.bench import telemetry
+from repro.bench.observe import trace as tracectx
 from repro.dmi.interface import (
     DMIConfig,
     OfflineArtifacts,
@@ -58,37 +60,9 @@ from repro.dmi.interface import (
 )
 from repro.topology.persistence import FORMAT_VERSION, load_model, save_ung
 
-#: Lazily bound telemetry module.  ``repro.bench.runner`` imports this
-#: module, so a top-level ``repro.bench.telemetry`` import here would be a
-#: cycle; the first emit resolves it instead (a cached module reference —
-#: no per-call import machinery after that).
-_telemetry = None
-
 #: Sidecar recency index file name.  Dot-prefixed and filtered explicitly so
 #: it is never mistaken for a cache entry.
 INDEX_NAME = ".recency-index.json"
-
-
-def _events():
-    global _telemetry
-    if _telemetry is None:
-        from repro.bench import telemetry
-        _telemetry = telemetry
-    return _telemetry
-
-
-#: Lazily bound trace-context module, same cycle-avoidance story as
-#: :func:`_events` — only ever resolved behind an ``if sink:`` guard, so
-#: the NullSink path never imports it.
-_tracing = None
-
-
-def _trace():
-    global _tracing
-    if _tracing is None:
-        from repro.bench.observe import trace
-        _tracing = trace
-    return _tracing
 
 
 def config_fingerprint(config: DMIConfig, app_version: str = "") -> str:
@@ -135,20 +109,18 @@ class ArtifactCache:
     insert the oldest entries beyond the bound are evicted), so long-lived
     workers cycling through many app×config fingerprints don't grow the
     directory without limit.  Hits, misses and evictions are counted on the
-    instance and emitted as telemetry events (``sink``; default: the
-    process-wide sink from :mod:`repro.bench.telemetry`).
+    instance and emitted as telemetry events to the process-wide sink
+    (:func:`repro.bench.telemetry.default_sink`).
     """
 
     def __init__(self, cache_dir: Union[str, Path],
                  config: Optional[DMIConfig] = None, *,
-                 max_entries: Optional[int] = None,
-                 sink=None) -> None:
+                 max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.cache_dir = Path(cache_dir)
         self.config = config or DMIConfig()
         self.max_entries = max_entries
-        self.sink = sink
         #: Entries served from disk without ripping.
         self.hits = 0
         #: Entries that required a fresh offline build.
@@ -207,7 +179,7 @@ class ArtifactCache:
                       factory: Optional[Callable[[], Application]] = None
                       ) -> OfflineArtifacts:
         """Return artefacts for ``app_name``, ripping only on a cold cache."""
-        sink = _events().resolve(self.sink)
+        sink = telemetry.default_sink()
         loading = time.perf_counter() if sink else 0.0
         version = app_version_for(app_name, factory)
         cached = self.get(app_name, app_version=version)
@@ -215,14 +187,14 @@ class ArtifactCache:
             self.hits += 1
             self._touch(self.path_for(app_name, app_version=version))
             if sink:
-                sink.emit(_trace().leaf(
-                    _events().CacheHit(app=app_name), qualifier=app_name,
+                sink.emit(tracectx.leaf(
+                    telemetry.CacheHit(app=app_name), qualifier=app_name,
                     duration_s=time.perf_counter() - loading))
             return cached
         self.misses += 1
         if sink:
-            sink.emit(_trace().leaf(
-                _events().CacheMiss(app=app_name), qualifier=app_name))
+            sink.emit(tracectx.leaf(
+                telemetry.CacheMiss(app=app_name), qualifier=app_name))
         factory = factory or app_factory(app_name)
         artifacts = build_offline_artifacts(factory(), self.config)
         self.store(app_name, artifacts, app_version=version)
@@ -300,9 +272,9 @@ class ArtifactCache:
         except OSError:
             return 0
         self.evictions += 1
-        sink = _events().resolve(self.sink)
+        sink = telemetry.default_sink()
         if sink:
-            sink.emit(_trace().leaf(_events().CacheEvicted(entry=path.name),
+            sink.emit(tracectx.leaf(telemetry.CacheEvicted(entry=path.name),
                                     qualifier=path.name))
         return size
 
@@ -330,10 +302,10 @@ class ArtifactCache:
             excess -= 1
             self.evictions += 1
             self._forget(index, victim.name)
-            sink = _events().resolve(self.sink)
+            sink = telemetry.default_sink()
             if sink:
-                sink.emit(_trace().leaf(
-                    _events().CacheEvicted(entry=victim.name),
+                sink.emit(tracectx.leaf(
+                    telemetry.CacheEvicted(entry=victim.name),
                     qualifier=victim.name))
         self._save_index(index)
 
@@ -400,9 +372,9 @@ class ArtifactCache:
             "max_total_bytes": max_total_bytes,
         }
         seconds = time.perf_counter() - started
-        sink = _events().resolve(self.sink)
+        sink = telemetry.default_sink()
         if sink:
-            sink.emit(_trace().leaf(_events().CacheGc(
+            sink.emit(tracectx.leaf(telemetry.CacheGc(
                 evicted=evicted, reclaimed_bytes=reclaimed,
                 remaining_entries=len(remaining),
                 remaining_bytes=int(stats["remaining_bytes"]),

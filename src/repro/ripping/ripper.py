@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.apps.base import Application
+from repro.bench import telemetry
 from repro.gui.widgets import TabControl, TabItem, Window
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
@@ -47,20 +48,6 @@ from repro.uia.control_types import (
 from repro.uia.element import UIElement
 from repro.uia.identifiers import identifier_string, visible_identifiers
 from repro.uia.patterns import ExpandCollapseState, PatternId
-
-#: Lazily bound telemetry module (importing :mod:`repro.bench.telemetry` at
-#: the top level would pull in the whole ``repro.bench`` package, which
-#: imports the runner, which imports the DMI stack, which imports us).
-_telemetry = None
-
-
-def _events():
-    global _telemetry
-    if _telemetry is None:
-        from repro.bench import telemetry
-        _telemetry = telemetry
-    return _telemetry
-
 
 @dataclass
 class RipperConfig:
@@ -106,11 +93,10 @@ class GuiRipper:
     """Builds the UI Navigation Graph for one application instance."""
 
     def __init__(self, app: Application, blocklist: Optional[AccessBlocklist] = None,
-                 config: Optional[RipperConfig] = None, sink=None) -> None:
+                 config: Optional[RipperConfig] = None) -> None:
         self.app = app
         self.blocklist = blocklist if blocklist is not None else default_blocklist_for(app.APP_NAME)
         self.config = config or RipperConfig()
-        self.sink = sink
         self.ung = NavigationGraph(app_name=app.APP_NAME)
         self.report = RipReport(app_name=app.APP_NAME)
         self._visited: Set[str] = set()
@@ -137,9 +123,9 @@ class GuiRipper:
         self.report.merge_nodes = stats["merge_nodes"]
         self.report.cycles = stats["has_cycle"]
         self.report.clicks = self._clicks
-        sink = _events().resolve(self.sink)
+        sink = telemetry.default_sink()
         if sink:
-            sink.emit(_events().RipFull(
+            sink.emit(telemetry.RipFull(
                 app=self.app.APP_NAME, nodes_visited=self._clicks,
                 nodes=self.report.nodes, seconds=self.report.duration_seconds))
         return self.ung

@@ -57,7 +57,7 @@ from repro.bench.store import (
     ObjectStore,
     RetryPolicy,
 )
-from repro.bench.telemetry import AggregatingSink
+from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.bench.transport import (
     DEFAULT_PLAN,
     BrokerStatus,
@@ -178,7 +178,7 @@ def make_broker(kind: str, tmp_path, **kwargs) -> ObjectStoreBroker:
     ``chaos-*`` kinds are the same stores wrapped in a seeded hostile
     :class:`FaultSchedule` (see :func:`make_chaos_broker`); ``kwargs``
     always reach the broker, so clauses can keep steering
-    ``lease_ttl``/``clock``/``sink``.
+    ``lease_ttl``/``clock``.
     """
     if kind.startswith("chaos-"):
         return make_chaos_broker(kind[len("chaos-"):], tmp_path, **kwargs)
@@ -488,12 +488,12 @@ class BrokerContractSuite:
         assert len(broker.collect("small")) == 1
 
     def test_plan_lifecycle_events_are_emitted(self, fresh_broker):
-        sink = AggregatingSink()
-        broker = fresh_broker(sink=sink)
-        broker.submit(small_plan(shards=1), name="watched")
-        broker.submit(small_plan(shards=2, trials=2), name="other")
-        assert sink.snapshot()["counters"]["plan_submitted"] == 2
-        assert len(drain(broker)) == 3
+        broker = fresh_broker()
+        with use_sink(AggregatingSink()) as sink:
+            broker.submit(small_plan(shards=1), name="watched")
+            broker.submit(small_plan(shards=2, trials=2), name="other")
+            assert sink.snapshot()["counters"]["plan_submitted"] == 2
+            assert len(drain(broker)) == 3
         assert sink.snapshot()["counters"]["plan_drained"] == 2
 
     def test_plan_names_are_sorted_and_status_rows_follow(self,
@@ -521,18 +521,19 @@ class BrokerContractSuite:
 
     def test_plan_drained_is_emitted_once_after_the_last_shard(
             self, fresh_broker):
-        sink = AggregatingSink()
-        broker = fresh_broker(sink=sink)
-        broker.submit(small_plan(shards=3))
-        leases = [broker.lease("worker-a") for _ in range(3)]
-        for lease in leases[:2]:
-            broker.post(lease, run_manifest(lease.manifest))
-        assert "plan_drained" not in sink.snapshot()["counters"]
-        broker.post(leases[2], run_manifest(leases[2].manifest))
-        assert sink.snapshot()["counters"]["plan_drained"] == 1
-        # A duplicate post of the last shard is a no-op, not a re-drain.
-        assert broker.post(leases[2], run_manifest(leases[2].manifest)) \
-            is False
+        broker = fresh_broker()
+        with use_sink(AggregatingSink()) as sink:
+            broker.submit(small_plan(shards=3))
+            leases = [broker.lease("worker-a") for _ in range(3)]
+            for lease in leases[:2]:
+                broker.post(lease, run_manifest(lease.manifest))
+            assert "plan_drained" not in sink.snapshot()["counters"]
+            broker.post(leases[2], run_manifest(leases[2].manifest))
+            assert sink.snapshot()["counters"]["plan_drained"] == 1
+            # A duplicate post of the last shard is a no-op, not a
+            # re-drain.
+            assert broker.post(leases[2],
+                               run_manifest(leases[2].manifest)) is False
         assert sink.snapshot()["counters"]["plan_drained"] == 1
 
     def test_post_rejects_results_with_a_foreign_trial_count(self,

@@ -191,7 +191,7 @@ def test_worker_init_forwards_the_cache_bound(tmp_path, monkeypatch):
     import repro.bench.engine as engine
 
     monkeypatch.setattr(engine, "_WORKER_RUNNER", None)
-    engine._worker_init(1, 11, DMIConfig(), str(tmp_path / "cache"), 3)
+    engine._worker_init(DMIConfig(), str(tmp_path / "cache"), 3)
     assert engine._WORKER_RUNNER.cache.max_entries == 3
     # And workers reset the fork-inherited default sink to null, so the
     # parent's events file never receives duplicate trial events.

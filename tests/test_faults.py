@@ -52,7 +52,7 @@ from repro.bench.store import (
     TransientStoreError,
     call_with_retries,
 )
-from repro.bench.telemetry import AggregatingSink
+from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.bench.transport import ObjectStoreBroker, ShardWorker
 
 
@@ -168,12 +168,12 @@ class TestFaultyObjectStore:
         inner = InMemoryObjectStore()
         inner.put_if_absent("k", b"old")
         _, etag = inner.get("k")
-        sink = AggregatingSink()
         store = FaultyObjectStore(
             inner, FaultSchedule(seed=1, ops={
                 "put_if_match": FaultSpec(cas_lost_rate=1.0)}),
-            sleep=no_sleep, sink=sink)
-        assert store.put_if_match("k", b"new", etag) is False
+            sleep=no_sleep)
+        with use_sink(AggregatingSink()) as sink:
+            assert store.put_if_match("k", b"new", etag) is False
         assert inner.get("k")[0] == b"old"  # the swap never happened
         assert sink.snapshot()["counters"]["cas_retry"] == 1
         assert store.injected.snapshot()["cas_lost"] == 1
@@ -219,7 +219,6 @@ class TestFaultyObjectStore:
 # ----------------------------------------------------------------------
 class TestCallWithRetries:
     def test_absorbs_transients_and_counts_each_attempt(self):
-        sink = AggregatingSink()
         calls = []
 
         def flaky():
@@ -229,8 +228,9 @@ class TestCallWithRetries:
             return "ok"
 
         policy = RetryPolicy(attempts=5, sleep=no_sleep)
-        assert call_with_retries(flaky, op="get", key="k",
-                                 policy=policy, sink=sink) == "ok"
+        with use_sink(AggregatingSink()) as sink:
+            assert call_with_retries(flaky, op="get", key="k",
+                                     policy=policy) == "ok"
         assert len(calls) == 3
         assert sink.snapshot()["counters"]["store_retry"] == 2
 
@@ -288,10 +288,10 @@ class TestGiveUpPaths:
         store = FaultyObjectStore(InMemoryObjectStore(),
                                   always_fail(*STORE_OPS), sleep=no_sleep)
         store.enabled = False
-        sink = AggregatingSink()
         broker = ObjectStoreBroker(
-            store, retry=RetryPolicy(attempts=3, sleep=no_sleep), sink=sink)
-        return store, broker, sink
+            store, retry=RetryPolicy(attempts=3, sleep=no_sleep))
+        with use_sink(AggregatingSink()) as sink:
+            yield store, broker, sink
 
     def expect_give_up(self, store, sink, match, fn):
         store.enabled = True

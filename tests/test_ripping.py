@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import PowerPointApp, WordApp, app_factory
 from repro.apps.synthetic import SyntheticSpec
-from repro.bench.telemetry import EventSink
+from repro.bench.telemetry import EventSink, use_sink
 from repro.gui.ribbon import DialogBuilder
 from repro.gui.screen import ScreenLayout
 from repro.gui.widgets import Button, Group
@@ -193,8 +193,9 @@ def test_full_rip_emits_rip_full_event(mini_app):
         def emit(self, event):
             events.append(event)
 
-    ripper = GuiRipper(mini_app, sink=Capture())
-    ripper.rip()
+    ripper = GuiRipper(mini_app)
+    with use_sink(Capture()):
+        ripper.rip()
     assert [event.name for event in events] == ["rip_full"]
     assert events[0].nodes_visited == ripper.report.clicks > 0
     assert events[0].nodes == ripper.report.nodes

@@ -35,7 +35,6 @@ from repro.bench.telemetry import (
     WorkerIdle,
     phases_from_result,
     read_jsonl_events,
-    resolve,
     set_default_sink,
     use_sink,
 )
@@ -58,15 +57,14 @@ def test_default_sink_is_null_and_use_sink_scopes_and_restores():
     inner = AggregatingSink()
     with use_sink(outer):
         assert telemetry.default_sink() is outer
-        assert resolve(None) is outer
         with use_sink(inner):
-            assert resolve(None) is inner
-        assert resolve(None) is outer
+            assert telemetry.default_sink() is inner
+        assert telemetry.default_sink() is outer
     assert telemetry.default_sink() is NULL_SINK
     # use_sink(None) explicitly turns telemetry off inside an active scope.
     with use_sink(outer):
         with use_sink(None):
-            assert resolve(None) is NULL_SINK
+            assert telemetry.default_sink() is NULL_SINK
 
 
 def test_use_sink_restores_after_exceptions():
@@ -74,12 +72,6 @@ def test_use_sink_restores_after_exceptions():
         with use_sink(AggregatingSink()):
             raise RuntimeError("boom")
     assert telemetry.default_sink() is NULL_SINK
-
-
-def test_resolve_prefers_an_explicit_component_sink():
-    component_sink = AggregatingSink()
-    with use_sink(AggregatingSink()):
-        assert resolve(component_sink) is component_sink
 
 
 def test_set_default_sink_returns_previous_and_none_means_off():

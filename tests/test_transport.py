@@ -32,7 +32,7 @@ from repro.bench.shard import (
     shard_file_name,
 )
 from repro.bench.store import FileSystemObjectStore, InMemoryObjectStore
-from repro.bench.telemetry import AggregatingSink, use_sink
+from repro.bench.telemetry import AggregatingSink, EventSink, use_sink
 from repro.bench.transport import (
     DEFAULT_LEASE_TTL,
     IDLE_BACKOFF_BASE,
@@ -320,6 +320,7 @@ def test_lease_object_missing_state_field_raises_clean_shard_error(tmp_path):
 def test_corrupt_plan_header_raises_clean_shard_error(tmp_path):
     store, broker = store_broker(tmp_path)
     broker.submit(small_plan(shards=1))
+    valid = json.loads(store.get("plans/default")[0])
     corrupt_object(store, "plans/default", "not json at all")
     with pytest.raises(ShardError, match="not valid JSON"):
         broker.status()
@@ -327,6 +328,12 @@ def test_corrupt_plan_header_raises_clean_shard_error(tmp_path):
     corrupt_object(store, "plans/default", json.dumps(header))
     with pytest.raises(ShardError, match="missing required field "
                                          "'shard_count'") as excinfo:
+        broker.status()
+    assert "'plans/default'" in str(excinfo.value)
+    del valid["priority"]
+    corrupt_object(store, "plans/default", json.dumps(valid))
+    with pytest.raises(ShardError, match="missing required field "
+                                         "'priority'") as excinfo:
         broker.status()
     assert "'plans/default'" in str(excinfo.value)
 
@@ -410,10 +417,10 @@ def test_idle_polling_backs_off_exponentially_up_to_poll(tmp_path):
         if len(sleeps) == 12:  # the peer finally posts; the queue drains
             broker.post(peer_lease, run_manifest(peer_lease.manifest))
 
-    sink = AggregatingSink()
     worker = ShardWorker(broker, ManifestExecutor(), worker_id="idler",
-                         poll=1.0, heartbeat=0, sleep=fake_sleep, sink=sink)
-    assert worker.run() == []  # the peer posted; nothing left to execute
+                         poll=1.0, heartbeat=0, sleep=fake_sleep)
+    with use_sink(AggregatingSink()) as sink:
+        assert worker.run() == []  # the peer posted; nothing left to execute
     assert len(sleeps) == 12
     # Jittered exponential growth: while the nominal delay (base * 2^n) is
     # still below the --poll cap it doubles each round, and jitter within
@@ -486,12 +493,12 @@ def test_lost_lease_emits_lease_lost_and_manifest_abandoned(tmp_path):
         assert broker.lease("thief") is not None
         wait_until(lambda: len(lost) >= 1)  # heartbeat notices the theft
 
-    sink = AggregatingSink()
     worker = ShardWorker(broker, StubExecutor(before=steal),
                          worker_id="victim-counted", poll=0, heartbeat=0.02,
                          on_renew=lambda lease, ok: lost.append(ok)
-                         if not ok else None, sink=sink)
-    completed = worker.run()
+                         if not ok else None)
+    with use_sink(AggregatingSink()) as sink:
+        completed = worker.run()
     assert completed == [] and worker.abandoned == 1
     assert sink.count("lease_acquired") == 1
     assert sink.count("lease_lost") == 1
@@ -563,9 +570,28 @@ def test_cache_counters_aggregate_across_manifests_of_one_worker(tmp_path):
     executor = ManifestExecutor(cache_dir=tmp_path / "cache")
     ShardWorker(broker, executor, worker_id="w", poll=0).run()
     stats = executor.cache_stats()
-    # 2 shards × 3 apps = 6 artefact loads: 3 cold builds + 3 warm loads.
+    # 2 shards × 3 apps, but one runner serves both manifests: each app is
+    # built once and the second shard reuses the in-memory model.
     assert stats["misses"] == 3
-    assert stats["hits"] == 3
+    assert stats["hits"] == 0
+
+
+def test_one_executor_rips_each_app_once_across_manifests():
+    plan = small_plan(shards=2, trials=2)
+    assert all({spec.task_id for spec in manifest.specs} == set(TASKS)
+               for manifest in plan.manifests)
+    ripped = []
+
+    class Capture(EventSink):
+        def emit(self, event):
+            if event.name == "rip_full":
+                ripped.append(event.app)
+
+    executor = ManifestExecutor()
+    with use_sink(Capture()):
+        for manifest in plan.manifests:
+            executor.run(manifest)
+    assert len(ripped) == len(TASKS) == len(set(ripped))
 
 
 def test_executor_without_cache_dir_reports_no_stats():
