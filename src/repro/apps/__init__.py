@@ -39,9 +39,9 @@ __all__ = [
     "Worksheet",
 ]
 
-#: Factory registry used by the benchmark runner to instantiate fresh
-#: applications per trial.  Hand-written apps only; generated apps resolve
-#: through :func:`app_factory`.
+#: Factory registry used by the benchmark runner to build each application
+#: (once per runner; trials restore it).  Hand-written apps only; generated
+#: apps resolve through :func:`app_factory`.
 APP_FACTORIES = {
     "word": WordApp,
     "excel": ExcelApp,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.apps.snapshot import AppSnapshot
 from repro.gui.desktop import Desktop
 from repro.gui.input import InputSimulator, Shortcut
 from repro.gui.widgets import Dialog, Window
@@ -55,6 +56,23 @@ class Application:
     def state(self):
         """The checkable application state model (subclass hook)."""
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # state snapshots
+    # ------------------------------------------------------------------
+    def snapshot(self) -> AppSnapshot:
+        """Record the state of everything reachable from this application:
+        its desktop and windows, every control and pattern, the document
+        model and the closures of the controls' callbacks."""
+        return AppSnapshot(self)
+
+    def restore(self, snapshot: AppSnapshot) -> None:
+        """Put this application back into the state ``snapshot`` recorded,
+        in place: the window, the controls and the model stay the same
+        objects.  Windows opened since drop off the desktop."""
+        if snapshot.root is not self:
+            raise ValueError(f"snapshot of {snapshot.root!r} cannot restore {self!r}")
+        snapshot.restore()
 
     # ------------------------------------------------------------------
     # dialogs

@@ -13,6 +13,14 @@ work units and hands them to a :class:`~repro.bench.engine.SerialExecutor`
 (``jobs > 1``); both yield identical aggregate results for a fixed seed.
 With ``cache_dir`` set, offline models are loaded from the content-addressed
 :class:`~repro.dmi.cache.ArtifactCache` instead of re-ripping the GUI.
+
+Applications are reused across trials the same way: a runner builds each app
+once, snapshots it as built (:meth:`~repro.apps.base.Application.snapshot`)
+and restores that snapshot in place at the start of every trial, so every
+trial starts from a fresh build's state, even after a trial that raised.
+The serial, ``--jobs``, shard and broker paths all run trials through
+:meth:`BenchmarkRunner.run_spec`, so each worker process builds each app
+once too.
 """
 
 from __future__ import annotations
@@ -21,11 +29,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.agent.host_agent import HostAgent
 from repro.agent.session import InterfaceSetting, SessionResult
-from repro.apps import APP_FACTORIES, app_factory
+from repro.apps import APP_FACTORIES, Application, app_factory
+from repro.apps.snapshot import AppSnapshot
 from repro.bench.engine import (
     Executor,
     ParallelExecutor,
@@ -126,11 +135,13 @@ class RunOutcome:
 
 
 class BenchmarkRunner:
-    """Runs tasks under evaluation settings, reusing offline artefacts."""
+    """Runs tasks under evaluation settings, reusing offline artefacts and
+    one restored instance of each application."""
 
     def __init__(self, config: Optional[BenchmarkConfig] = None) -> None:
         self.config = config or BenchmarkConfig()
         self._artifacts: Dict[str, OfflineArtifacts] = {}
+        self._apps: Dict[str, Tuple[Application, AppSnapshot]] = {}
         self._settings: Dict[str, EvaluationSetting] = {}
         self._tasks: Dict[str, TaskSpec] = {}
         self.cache: Optional[ArtifactCache] = (
@@ -150,6 +161,21 @@ class BenchmarkRunner:
                 scratch = app_factory(app_name)()
                 self._artifacts[app_name] = build_offline_artifacts(scratch, self.config.dmi)
         return self._artifacts[app_name]
+
+    def _restored_app(self, app_name: str) -> Application:
+        """This runner's one instance of ``app_name``, in its as-built state.
+
+        The first call builds the application and snapshots it; every call
+        restores that snapshot in place, so a trial starts from the state a
+        fresh build would have even if the previous trial raised midway.
+        """
+        entry = self._apps.get(app_name)
+        if entry is None:
+            app = app_factory(app_name)()
+            entry = self._apps[app_name] = (app, app.snapshot())
+        app, as_built = entry
+        app.restore(as_built)
+        return app
 
     def all_offline_artifacts(self) -> Dict[str, OfflineArtifacts]:
         """Models for the hand-written apps (generated apps build on demand)."""
@@ -183,12 +209,16 @@ class BenchmarkRunner:
     def run_spec(self, spec: TrialSpec) -> SessionResult:
         """Run the single work unit described by ``spec``.
 
+        The trial gets this runner's instance of its app, restored to the
+        as-built state (see :meth:`_restored_app`).
+
         Instrumented: emits :class:`~repro.bench.telemetry.TrialStarted` /
         :class:`~repro.bench.telemetry.TrialFinished` (with the measured
-        rip/build and simulated plan/act phase breakdown) to the process-wide
-        sink.  With the default :class:`~repro.bench.telemetry.NullSink`
-        even the ``perf_counter`` reads are skipped, so the hot path pays
-        only the truthiness checks.
+        rip/build and simulated plan/act phase breakdown: ``rip`` loads or
+        builds the offline model, ``build`` restores the app and sets up
+        the agents) to the process-wide sink.  With the default
+        :class:`~repro.bench.telemetry.NullSink` even the ``perf_counter``
+        reads are skipped, so the hot path pays only the truthiness checks.
         """
         sink = telemetry.default_sink()
         measuring = bool(sink)
@@ -209,10 +239,10 @@ class BenchmarkRunner:
             task = self._resolve_task(spec.task_id)
             setting = self._resolve_setting(spec.setting_key)
             rng = random.Random(spec.seed)
-            app = app_factory(task.app)()
             rip_started = time.perf_counter() if measuring else 0.0
             artifacts = self.offline_artifacts(task.app)
             build_started = time.perf_counter() if measuring else 0.0
+            app = self._restored_app(task.app)
             profile = setting.profile
             if setting.knowledge == "Nav.forest" and not setting.interface.uses_dmi:
                 # The ablation provides the forest as prose knowledge only.

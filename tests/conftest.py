@@ -2,7 +2,8 @@
 
 Expensive artefacts (offline navigation models) are built once per test
 session and shared; live applications are rebuilt per test because tests
-mutate them.
+mutate them.  :func:`observe` is the one definition of "the same app
+state" that restore tests compare against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,66 @@ from repro.apps.synthetic import SyntheticSpec
 from repro.dmi.interface import DMI, build_offline_artifacts
 from repro.gui.ribbon import DialogBuilder, build_color_dropdown, build_menu_button
 from repro.gui.widgets import Button, Edit, Group, ListBox, ListItemControl, ScrollBarControl
+from repro.uia.identifiers import identifier_string
+
+
+# ----------------------------------------------------------------------
+# "same state", defined once
+# ----------------------------------------------------------------------
+#: Model fields numbered from process-global counters, like runtime ids and
+#: process ids: a fresh build numbers them anew, and no checker reads them.
+_COUNTER_FIELDS = frozenset({"slide_id"})
+
+
+def observe(app: Application):
+    """Everything a trial can see of ``app``, with no object identities.
+
+    Every open window of the app, top-down: each control's identifier, name,
+    text, flags, geometry and pattern states (a pattern's public
+    attributes); then the focused control; then the checker-visible model
+    (``app.state``) as plain data.  Two apps are in the same state exactly
+    when their ``observe`` values are equal.
+    """
+    windows = [[(identifier_string(element), element.name, element.text,
+                 element.is_enabled, element.visible, _plain(element.rect),
+                 sorted((pattern_id.value, _pattern_state(pattern))
+                        for pattern_id, pattern in element.patterns.items()))
+                for element in window.iter_subtree()]
+               for window in app.desktop.open_windows(app.process_id)]
+    focus = app.desktop.focus
+    return (windows, None if focus is None else identifier_string(focus),
+            _plain(app.state))
+
+
+@pytest.fixture(scope="session", name="observe")
+def observe_fixture():
+    """:func:`observe` for test modules (``conftest`` is not importable by
+    name when the benchmarks' conftest is collected too)."""
+    return observe
+
+
+def _pattern_state(pattern):
+    return {name: _plain(value) for name, value in vars(pattern).items()
+            if not name.startswith("_") and name not in ("element", "containing_grid")}
+
+
+def _plain(value):
+    """``value`` as comparable plain data; numbers keep their type."""
+    if isinstance(value, (bool, int, float)):
+        return (type(value).__name__, value)
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(repr, value))
+    if hasattr(value, "__dict__"):
+        return (type(value).__name__,
+                {name: _plain(item) for name, item in vars(value).items()
+                 if name not in _COUNTER_FIELDS and not callable(item)})
+    raise TypeError(f"observe cannot compare a {type(value).__name__}")
 
 
 class MiniApp(Application):

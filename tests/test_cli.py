@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,20 @@ def test_run_command_with_jobs_cache_and_export(tmp_path, capsys):
     assert main(args) == 0
     capsys.readouterr()
     assert json.loads(export.read_text()) == payload
+
+
+def test_run_export_of_the_default_grid_is_pinned(tmp_path, capsys):
+    """All 81 per-trial records of the default grid against fixed bytes.
+
+    The execution paths are checked against each other, and dmibench's
+    reference comes from the same runner, so this pin is what ties every
+    trial's record to the behaviour of a freshly built app per trial.
+    """
+    export = tmp_path / "export.json"
+    assert main(["run", "--trials", "1", "--seed", "3", "--export", str(export)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(export.read_bytes()).hexdigest() == (
+        "0f7cdc0726da335bfbb6d21e4e4e35f4b5723d97b5e579d80ec579d1a3d49266")
 
 
 def test_model_command_save_then_load_round_trip(tmp_path, capsys):

@@ -224,6 +224,21 @@ def test_core_topology_is_pinned(request, fixture, digest):
     assert hashlib.sha256(core.encode("utf-8")).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("app_name, digest", [
+    ("word", "42a7a8541c75295a"), ("excel", "0eb556c9fa4044e3"),
+    ("powerpoint", "2079e4ddb672599c"),
+    (SyntheticSpec(seed=3).app_name, "44dc7f3858307ede")], ids=PINNED_APPS)
+def test_rip_after_restore_is_pinned(app_name, digest):
+    """A rip's clicks edit the document model, so ripping one instance
+    again gives another graph; restoring the as-built snapshot in between
+    gives the pinned one (the digests of ``test_rip_output_is_pinned``)."""
+    app = app_factory(app_name)()
+    as_built = app.snapshot()
+    rip_application(app)
+    app.restore(as_built)
+    assert ung_digest(rip_application(app)[0]) == digest
+
+
 # ----------------------------------------------------------------------
 # the per-click snapshot and the conditional relayout, checked mid-rip
 # ----------------------------------------------------------------------

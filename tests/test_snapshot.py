@@ -1,0 +1,235 @@
+"""Snapshot and restore: one as-built app per runner, restored before every trial.
+
+"The same state" is ``observe`` (``tests/conftest.py``).  A restore must
+reproduce a fresh build's ``observe`` after any interaction, in place (the
+main window and the model stay the same objects), and the benchmark runner
+must build each app once and still give every trial a fresh build's
+starting state.
+"""
+
+from __future__ import annotations
+
+import collections
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.agent.host_agent import HostAgent
+from repro.apps import app_factory
+from repro.apps.base import Application
+from repro.apps.synthetic import SyntheticSpec, synthetic_suite
+from repro.bench.runner import (
+    BenchmarkConfig,
+    BenchmarkRunner,
+    CORE_SETTING_KEYS,
+    setting_by_key,
+)
+from repro.bench.tasks import task_by_id
+from repro.bench.telemetry import EventSink, TrialFinished, use_sink
+from repro.dmi.cache import ArtifactCache
+from repro.dmi.interface import DMIConfig
+from repro.gui.widgets import Button
+
+RESTORE_APPS = ["word", "excel", "powerpoint",
+                SyntheticSpec(seed=3).app_name, SyntheticSpec(seed=8).app_name]
+
+
+def _visible_controls(app):
+    return [element for window in app.desktop.open_windows(app.process_id)
+            for element in window.iter_subtree()
+            if element.is_on_screen() and element.is_enabled]
+
+
+def _click_nth(app, pick: int) -> None:
+    controls = _visible_controls(app)
+    try:
+        app.input.click(controls[pick % len(controls)])
+    except Exception:
+        pass  # a click that fails half-way is part of what a restore undoes
+
+
+@pytest.fixture(scope="module")
+def as_built(observe):
+    """``name -> (app, its as-built snapshot, a fresh build's observe)``,
+    one instance per app for the whole module, as the runner keeps them."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            app = app_factory(name)()
+            built[name] = (app, app.snapshot(), observe(app_factory(name)()))
+        return built[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", RESTORE_APPS)
+@settings(max_examples=25, deadline=None)
+@given(picks=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=10))
+def test_restore_after_random_clicks_matches_a_fresh_build(observe, as_built, name, picks):
+    app, snapshot, fresh = as_built(name)
+    window, model = app.window, app.state
+    for pick in picks:
+        _click_nth(app, pick)
+    app.restore(snapshot)
+    assert app.window is window and app.state is model
+    assert observe(app) == fresh
+
+
+def test_observe_sees_a_dialog_and_an_edit_and_restore_undoes_both(observe):
+    app = app_factory("word")()
+    snapshot = app.snapshot()
+    fresh = observe(app)
+    status = app.window.find(name_contains="Words:")
+    app.input.click(app.window.find(automation_id="Word.Review.WordCount"))
+    app.document.add_paragraph("three more words")
+    assert len(app.desktop.open_windows(app.process_id)) == 2
+    assert observe(app) != fresh
+    app.restore(snapshot)
+    assert observe(app) == fresh
+    assert app.window.find(name_contains="Words:") is status
+    assert app.desktop.open_windows(app.process_id) == [app.window]
+
+
+def test_restore_rebinds_closure_variables_and_refills_sets(mini_app):
+    clicks = 0
+    seen = {0}
+
+    def count():
+        nonlocal clicks
+        clicks += 1
+        seen.add(clicks)
+
+    button = mini_app.window.add_child(Button("Count", on_click=count))
+    snapshot = mini_app.snapshot()
+    mini_app.input.click(button)
+    assert (clicks, seen) == (1, {0, 1})
+    mini_app.restore(snapshot)
+    assert (clicks, seen) == (0, {0})
+
+
+def test_snapshot_refuses_state_it_cannot_see():
+    app = app_factory(SyntheticSpec(seed=3).app_name)()
+    app.window.properties["recent"] = collections.deque()
+    with pytest.raises(TypeError, match="deque"):
+        app.snapshot()
+
+
+def test_restore_refuses_another_apps_snapshot():
+    word, other = app_factory("word")(), app_factory("word")()
+    with pytest.raises(ValueError):
+        other.restore(word.snapshot())
+
+
+# ----------------------------------------------------------------------
+# the runner: one instance per app, restored at the start of every trial
+# ----------------------------------------------------------------------
+@pytest.fixture
+def warm_cache(tmp_path, word_artifacts, excel_artifacts, ppt_artifacts,
+               synthetic_seed3_artifacts):
+    """A model cache holding the session's models, so runners skip ripping."""
+    cache = ArtifactCache(tmp_path / "models", DMIConfig())
+    for name, artifacts in (("word", word_artifacts), ("excel", excel_artifacts),
+                            ("powerpoint", ppt_artifacts),
+                            (SyntheticSpec(seed=3).app_name, synthetic_seed3_artifacts)):
+        cache.store(name, artifacts)
+    return cache.cache_dir
+
+
+def _checking_restores(monkeypatch, observe, app_names):
+    """Check, at the start of every trial, that the restored app observes
+    as a fresh build does; count the checks per app name."""
+    checked = collections.Counter()
+    fresh = {name: observe(app_factory(name)()) for name in app_names}
+    restored_app = BenchmarkRunner._restored_app
+
+    def checking(runner, app_name):
+        app = restored_app(runner, app_name)
+        assert observe(app) == fresh[app_name], f"{app_name} restored to another state"
+        checked[app_name] += 1
+        return app
+
+    monkeypatch.setattr(BenchmarkRunner, "_restored_app", checking)
+    return checked
+
+
+def _counting_builds(monkeypatch):
+    builds = collections.Counter()
+    init = Application.__init__
+
+    def counting(app, *args, **kwargs):
+        builds[type(app).__name__] += 1
+        init(app, *args, **kwargs)
+
+    monkeypatch.setattr(Application, "__init__", counting)
+    return builds
+
+
+def test_one_runner_builds_each_app_once_over_the_default_grid(monkeypatch, observe,
+                                                              warm_cache):
+    runner = BenchmarkRunner(BenchmarkConfig(trials=1, seed=11, cache_dir=warm_cache))
+    checked = _checking_restores(monkeypatch, observe, ("word", "excel", "powerpoint"))
+    builds = _counting_builds(monkeypatch)
+    outcomes = runner.run_settings([setting_by_key(key) for key in CORE_SETTING_KEYS])
+    assert sum(len(outcome.results) for outcome in outcomes.values()) == 81
+    assert builds == {"WordApp": 1, "ExcelApp": 1, "PowerPointApp": 1}
+    assert checked == {"word": 27, "excel": 27, "powerpoint": 27}
+
+
+def test_every_trial_of_a_synthetic_grid_starts_from_a_fresh_builds_state(
+        monkeypatch, observe, warm_cache):
+    spec = SyntheticSpec(seed=3)
+    tasks = synthetic_suite(spec)[:8]
+    runner = BenchmarkRunner(BenchmarkConfig(trials=2, seed=5, tasks=tasks,
+                                             cache_dir=warm_cache))
+    checked = _checking_restores(monkeypatch, observe, (spec.app_name,))
+    runner.run_settings([setting_by_key(key) for key in CORE_SETTING_KEYS])
+    assert checked == {spec.app_name: 3 * 8 * 2}
+
+
+def test_a_trial_that_raises_midway_leaks_nothing_into_the_next(monkeypatch, warm_cache):
+    task = task_by_id("word-02-landscape")
+    setting = setting_by_key("dmi-gpt5-medium")
+    fresh = BenchmarkRunner(BenchmarkConfig(seed=11, cache_dir=warm_cache))
+    expected = fresh.run_trial(task, setting, 1).as_dict()
+
+    runner = BenchmarkRunner(BenchmarkConfig(seed=11, cache_dir=warm_cache))
+    run_task = HostAgent.run_task
+
+    def solve_then_raise(agent, task, app, *args, **kwargs):
+        run_task(agent, task, app, *args, **kwargs)
+        assert task.checker(app)  # the app is left changed
+        raise RuntimeError("trial failed after changing the app")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(HostAgent, "run_task", solve_then_raise)
+        with pytest.raises(RuntimeError, match="changing the app"):
+            runner.run_trial(task, setting, 0)
+    assert runner.run_trial(task, setting, 1).as_dict() == expected
+
+
+def test_the_restore_is_timed_in_the_trials_build_phase(monkeypatch, warm_cache):
+    delay = 0.05
+    restore = Application.restore
+
+    def slow_restore(app, snapshot):
+        time.sleep(delay)
+        restore(app, snapshot)
+
+    monkeypatch.setattr(Application, "restore", slow_restore)
+    finished = []
+
+    class Capture(EventSink):
+        def emit(self, event):
+            if isinstance(event, TrialFinished):
+                finished.append(event)
+
+    runner = BenchmarkRunner(BenchmarkConfig(seed=11, cache_dir=warm_cache))
+    runner.offline_artifacts("excel")  # so the rip phase is a lookup
+    with use_sink(Capture()):
+        runner.run_trial(task_by_id("excel-03-bold-header"),
+                         setting_by_key("gui-gpt5-medium"), 0)
+    [event] = finished
+    assert event.phases["build"] >= delay
+    assert event.phases["rip"] < delay
