@@ -105,7 +105,12 @@ class Desktop:
     # layout
     # ------------------------------------------------------------------
     def relayout(self) -> None:
-        """Recompute bounding rectangles for every visible element."""
+        """Recompute bounding rectangles for every visible element.
+
+        Windows whose stack index and visible structure are unchanged since
+        the previous relayout keep their rectangles (see
+        :class:`~repro.gui.screen.ScreenLayout`), so a relayout costs what
+        changed rather than every open window."""
         self.layout.layout_windows(self.open_windows())
 
     def element_at(self, x: float, y: float) -> Optional[UIElement]:

@@ -18,9 +18,9 @@ axis in document order.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.uia.element import BoundingRect, UIElement
+from repro.uia.element import BoundingRect, UIElement, seal_stamps
 
 #: Minimum size a leaf control is given, in pixels.
 MIN_LEAF_WIDTH = 24.0
@@ -28,16 +28,28 @@ MIN_LEAF_HEIGHT = 16.0
 
 
 class ScreenLayout:
-    """Assigns bounding rectangles to visible elements of open windows."""
+    """Assigns bounding rectangles to visible elements of open windows.
+
+    A window's tiling depends only on its rectangle and its visible
+    structure, so the layout remembers each window's stack index, rectangle
+    and layout stamp (see :mod:`repro.uia.element`) at its last layout and
+    lays out again only the windows where one of the three changed.  The
+    memo is per instance: a new ``ScreenLayout`` lays out every window.
+    """
 
     def __init__(self, width: int = 1920, height: int = 1080) -> None:
         self.width = width
         self.height = height
+        #: (stack index, rect, stamp) of each window at its last layout.
+        self._laid_out: Dict[UIElement, Tuple[int, BoundingRect, int]] = {}
 
     # ------------------------------------------------------------------
     def layout_windows(self, windows: List[UIElement]) -> None:
         """Lay out each open window; later windows are centred and smaller,
-        mimicking dialogs stacked over the main window."""
+        mimicking dialogs stacked over the main window.  A window whose
+        stack index, rectangle and stamp are those of its last layout keeps
+        the rectangles it has."""
+        laid_out = {}
         for index, window in enumerate(windows):
             if index == 0:
                 rect = BoundingRect(0.0, 0.0, float(self.width), float(self.height))
@@ -50,7 +62,13 @@ class ScreenLayout:
                 left = (self.width - width) / 2.0 + offset
                 top = (self.height - height) / 2.0 + offset
                 rect = BoundingRect(left, top, width, height)
-            self.layout_element(window, rect)
+            key = (index, rect, window.layout_stamp)
+            if self._laid_out.get(window) != key:
+                self.layout_element(window, rect)
+            laid_out[window] = key
+        self._laid_out = laid_out
+        # A write from here on must not match a stamp recorded above.
+        seal_stamps()
 
     def layout_element(self, element: UIElement, rect: BoundingRect, depth: int = 0) -> None:
         """Recursively assign ``rect`` to ``element`` and tile its children."""

@@ -19,10 +19,14 @@ The ripper drives a live (simulated) application:
 3. **State restoration** — after exploring a branch the ripper restores the
    prior UI state (closes windows the click opened, collapses expansions,
    re-selects the previously selected tab) so sibling branches are explored
-   from a consistent state.  Capture is one walk of every open window;
-   restore collapses expansions and collects tab strips in one walk too, and
-   lays the desktop out again only if it collapsed something or re-selected
-   a tab (closing a window already relays out, and so does every click).
+   from a consistent state.  A rip arms the pattern change journal
+   (:mod:`repro.uia.patterns`), so a capture is only the open windows and
+   the journal's length, and a restore reads what the branch changed from
+   the journal entries since then: it costs what changed, not a walk of
+   every window.  It lays the desktop out again only if it collapsed
+   something or re-selected a tab (closing a window already relays out, and
+   so does every click), and a relayout skips the windows whose structure
+   did not change (:class:`~repro.gui.screen.ScreenLayout`).
 4. **Context-aware exploration** — the whole procedure repeats for every
    exploration context the application registers (e.g. "image selected"),
    and the per-context results merge into a single UNG.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.apps.base import Application
 from repro.bench import telemetry
@@ -47,7 +51,14 @@ from repro.uia.control_types import (
 )
 from repro.uia.element import UIElement
 from repro.uia.identifiers import identifier_string, visible_identifiers
-from repro.uia.patterns import ExpandCollapseState, PatternId
+from repro.uia.patterns import (
+    ExpandCollapsePattern,
+    ExpandCollapseState,
+    PatternId,
+    UIAPattern,
+    arm_journal,
+    disarm_journal,
+)
 
 @dataclass
 class RipperConfig:
@@ -80,15 +91,6 @@ class RipReport:
         return dict(self.__dict__)
 
 
-@dataclass
-class _UIState:
-    """Snapshot of the restorable UI state around an activation."""
-
-    open_window_ids: Set[int]
-    expanded_ids: Set[int]
-    selected_tab_ids: Set[int]
-
-
 class GuiRipper:
     """Builds the UI Navigation Graph for one application instance."""
 
@@ -101,6 +103,8 @@ class GuiRipper:
         self.report = RipReport(app_name=app.APP_NAME)
         self._visited: Set[str] = set()
         self._clicks = 0
+        #: The change journal, armed while :meth:`rip` runs.
+        self._journal: List[Tuple[UIAPattern, object]] = []
 
     # ------------------------------------------------------------------
     # public API
@@ -110,11 +114,15 @@ class GuiRipper:
         started = time.perf_counter()
         contexts = context_plan_for(self.app) if self.config.explore_contexts else \
             context_plan_for(self.app)[:1]
-        for context in contexts:
-            context.enter()
-            self.app.desktop.relayout()
-            self._rip_context(context.name)
-            self.report.contexts.append(context.name)
+        self._journal = arm_journal()
+        try:
+            for context in contexts:
+                context.enter()
+                self.app.desktop.relayout()
+                self._rip_context(context.name)
+                self.report.contexts.append(context.name)
+        finally:
+            disarm_journal()
         self.report.duration_seconds = time.perf_counter() - started
         stats = self.ung.stats()
         self.report.nodes = stats["nodes"]
@@ -271,64 +279,78 @@ class GuiRipper:
     # ------------------------------------------------------------------
     # state capture / restore
     # ------------------------------------------------------------------
-    def _capture_state(self) -> _UIState:
-        windows = self.app.desktop.open_windows(self.app.process_id)
-        expanded = set()
-        selected_tabs = set()
-        expand_collapse, expanded_state = PatternId.EXPAND_COLLAPSE, ExpandCollapseState.EXPANDED
-        stack: List[UIElement] = list(windows)
-        while stack:
-            node = stack.pop()
-            pattern = node.patterns.get(expand_collapse)
-            if pattern is not None and pattern.state == expanded_state:
-                expanded.add(node.runtime_id)
-            if isinstance(node, TabItem) and node.is_selected:
-                selected_tabs.add(node.runtime_id)
-            stack.extend(node.children)
-        return _UIState(
-            open_window_ids={w.runtime_id for w in windows},
-            expanded_ids=expanded,
-            selected_tab_ids=selected_tabs,
-        )
+    def _capture_state(self) -> Tuple[FrozenSet[int], int]:
+        """The runtime ids of the open windows and the journal position.
 
-    def _restore_state(self, state: _UIState) -> None:
+        The journal records every expansion and selection change from here
+        on, so this is all a restore needs.
+        """
+        windows = self.app.desktop.open_windows(self.app.process_id)
+        return frozenset(w.runtime_id for w in windows), len(self._journal)
+
+    def _restore_state(self, state: Tuple[FrozenSet[int], int]) -> None:
+        """Undo what the branch since ``state`` changed, in three steps."""
+        open_window_ids, mark = state
         desktop = self.app.desktop
         # 1. Close windows opened by the explored branch (newest first);
         #    each close relays the desktop out.
         for window in reversed(desktop.open_windows(self.app.process_id)):
-            if window.runtime_id not in state.open_window_ids:
+            if window.runtime_id not in open_window_ids:
                 window.close()
-        # 2. Collapse expansions introduced by the branch, in pre-order, and
-        #    collect the tab strips on the way.  A node's children are read
-        #    after it is collapsed, as the collapse may change them.
+        journal = self._journal
+        if len(journal) == mark:
+            return
+        # Each pattern's value at the mark: its first journaled old value
+        # (None for a pattern created since).
+        at_mark: Dict[UIAPattern, object] = {}
+        for pattern, old in journal[mark:]:
+            at_mark.setdefault(pattern, old)
+        scanned = len(journal)
+        windows = {w: i for i, w in enumerate(desktop.open_windows(self.app.process_id))}
+        # 2. Collapse expansions introduced by the branch, in pre-order;
+        #    re-check each just before its collapse, as an earlier collapse
+        #    may have changed it.
         changed = False
-        tab_controls: List[TabControl] = []
-        expand_collapse, expanded_state = PatternId.EXPAND_COLLAPSE, ExpandCollapseState.EXPANDED
-        stack: List[UIElement] = list(reversed(desktop.open_windows(self.app.process_id)))
-        while stack:
-            node = stack.pop()
-            pattern = node.patterns.get(expand_collapse)
-            if (pattern is not None
-                    and pattern.state == expanded_state
-                    and node.runtime_id not in state.expanded_ids):
+        expanded = ExpandCollapseState.EXPANDED
+        collapsible = []
+        for pattern, old in at_mark.items():
+            if (isinstance(pattern, ExpandCollapsePattern) and old != expanded
+                    and pattern.state == expanded):
+                position = _preorder_position(pattern.element, windows)
+                if position is not None:
+                    collapsible.append((position, pattern))
+        collapsible.sort(key=lambda entry: entry[0])
+        for _, pattern in collapsible:
+            if pattern.state == expanded and \
+                    _preorder_position(pattern.element, windows) is not None:
                 changed = True
                 try:
                     pattern.collapse()
                 except Exception:
                     pass
-            if isinstance(node, TabControl):
-                tab_controls.append(node)
-            stack.extend(reversed(node.children))
-        # 3. Re-select tabs whose selection the branch changed.
-        for tab_control in tab_controls:
+        # The collapses journaled too: step 3 sees what they did to tabs.
+        for pattern, old in journal[scanned:]:
+            at_mark.setdefault(pattern, old)
+        # 3. Re-select tabs whose selection the branch changed, strip by
+        #    strip in pre-order.
+        tab_controls = {}
+        for pattern in at_mark:
+            tab_control = pattern.element.parent
+            if (isinstance(pattern.element, TabItem) and isinstance(tab_control, TabControl)
+                    and tab_control not in tab_controls):
+                position = _preorder_position(tab_control, windows)
+                if position is not None:
+                    tab_controls[tab_control] = position
+        selection_item = PatternId.SELECTION_ITEM
+        for tab_control in sorted(tab_controls, key=tab_controls.__getitem__):
+            was_selected = [tab for tab in tab_control.tabs()
+                            if at_mark.get(tab.patterns.get(selection_item), tab.is_selected)]
             selected = tab_control.selected_tab()
-            if selected is not None and selected.runtime_id in state.selected_tab_ids:
+            if selected is not None and selected in was_selected:
                 continue
-            for tab in tab_control.tabs():
-                if tab.runtime_id in state.selected_tab_ids:
-                    tab.select()
-                    changed = True
-                    break
+            if was_selected:
+                was_selected[0].select()
+                changed = True
         if changed:
             desktop.relayout()
 
@@ -347,6 +369,22 @@ class GuiRipper:
     def _window_title(element: UIElement) -> str:
         root = element.root()
         return root.name if isinstance(root, Window) or root.name else ""
+
+
+def _preorder_position(element: UIElement,
+                       windows: Dict[UIElement, int]) -> Optional[Tuple[int, ...]]:
+    """``element``'s window index and child indices from that window down,
+    which sort in pre-order; None unless it is in one of ``windows``."""
+    path = []
+    while element.parent is not None:
+        path.append(element.parent.children.index(element))
+        element = element.parent
+    index = windows.get(element)
+    if index is None:
+        return None
+    path.append(index)
+    path.reverse()
+    return tuple(path)
 
 
 def rip_application(app: Application, blocklist: Optional[AccessBlocklist] = None,

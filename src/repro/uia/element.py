@@ -6,6 +6,21 @@ every consumer in the reproduction (the ripper, DMI's executor, the agent
 baseline) sees only the UIA surface defined here: name, automation id,
 control type, enabled/offscreen flags, bounding rectangle, children, and the
 set of supported control patterns.
+
+**Layout stamps.**  Every element carries a ``layout_stamp``.  A
+structural write (a change of ``visible``, :meth:`UIElement.add_child`,
+:meth:`UIElement.remove_child`) stamps the element whose subtree it changes
+and every ancestor up to the root with the current stamp, so a root whose
+stamp is unchanged since its last layout has the same visible structure
+(:class:`repro.gui.screen.ScreenLayout` relies on this).  Stamps come from a
+process-global counter that only grows; :func:`seal_stamps` moves on to a
+fresh one after a layout has recorded the current stamps.  Until then a
+walk stops at the first element already carrying the current stamp, as
+every ancestor of such an element carries it too, so building an app costs
+one short walk per write rather than one walk to the root.  (Two threads
+sealing at once may install their stamps in either order; each stamp is
+still current for one stretch of time only, which is all the early stop
+needs.)
 """
 
 from __future__ import annotations
@@ -18,6 +33,37 @@ from repro.uia.control_types import ControlType
 from repro.uia.patterns import PatternId, UIAPattern
 
 _runtime_id_counter = itertools.count(1)
+
+_stamp_counter = itertools.count(1)
+_stamp = next(_stamp_counter)
+
+
+def seal_stamps() -> None:
+    """Give every later structural write a stamp no element carries yet."""
+    global _stamp
+    _stamp = next(_stamp_counter)
+
+
+def _touch(element: Optional["UIElement"]) -> None:
+    """Stamp ``element`` and its ancestors with the current stamp."""
+    stamp = _stamp
+    while element is not None and element.layout_stamp != stamp:
+        element.layout_stamp = stamp
+        element = element.parent
+
+
+class _Visible:
+    """``UIElement.visible``: a set-only data descriptor.
+
+    A read is a plain instance-dict lookup; a write that changes the value
+    stamps the element (see the module docstring).
+    """
+
+    def __set__(self, element: "UIElement", value: bool) -> None:
+        values = element.__dict__
+        if values.get("visible") != value:
+            values["visible"] = value
+            _touch(element)
 
 
 @dataclass(frozen=True)
@@ -79,6 +125,8 @@ class UIElement:
         on screen also depends on its ancestors (see :meth:`is_on_screen`).
     """
 
+    visible = _Visible()
+
     def __init__(
         self,
         name: str = "",
@@ -94,11 +142,12 @@ class UIElement:
         self.automation_id = automation_id
         self.description = description
         self.is_enabled = enabled
+        self.layout_stamp = 0
+        self.parent: Optional[UIElement] = None
         self.visible = visible
         self.rect = rect or BoundingRect()
         self.text: str = ""
         self.runtime_id: int = next(_runtime_id_counter)
-        self.parent: Optional[UIElement] = None
         self.children: List[UIElement] = []
         self.patterns: Dict[PatternId, UIAPattern] = {}
         #: Free-form property bag for application metadata (e.g. semantic
@@ -117,6 +166,7 @@ class UIElement:
             self.children.append(child)
         else:
             self.children.insert(index, child)
+        _touch(self)
         return child
 
     def add_children(self, children: List["UIElement"]) -> List["UIElement"]:
@@ -128,6 +178,7 @@ class UIElement:
         if child in self.children:
             self.children.remove(child)
             child.parent = None
+            _touch(self)
 
     def clear_children(self) -> None:
         for child in list(self.children):

@@ -11,12 +11,24 @@ and ``set_expanded``/``set_collapsed`` on ``ExpandCollapsePattern``.
 This module implements the subset of patterns the reproduction exercises.
 Each pattern is a small object attached to a :class:`repro.uia.element.UIElement`;
 widgets wire pattern callbacks to application behaviour.
+
+**The change journal.**  The two pattern states a GUI rip must put back
+after every click, :attr:`ExpandCollapsePattern.state` and
+:attr:`SelectionItemPattern.is_selected`, are journaled: while a journal is
+armed on the current thread (:func:`arm_journal`), every write that changes
+one appends ``(pattern, old value)`` to it, so "what did this branch
+change?" is a slice of the journal instead of a walk of every window.  A
+pattern's first write (in its constructor) journals an old value of
+``None``.  With no journal armed a write costs one ``is None`` check.  The
+journal is per thread, so rips on different threads never see each other's
+changes.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
+import threading
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.uia.element import UIElement
@@ -46,6 +58,45 @@ class PatternNotSupportedError(RuntimeError):
 
 class ElementDisabledError(RuntimeError):
     """Raised when a pattern operation targets a disabled control."""
+
+
+class _Armed(threading.local):
+    #: The journal armed on this thread, if any.
+    entries: Optional[List[Tuple["UIAPattern", Any]]] = None
+
+
+_armed = _Armed()
+
+
+def arm_journal() -> List[Tuple["UIAPattern", Any]]:
+    """Arm a new, empty journal on the current thread and return it."""
+    _armed.entries = []
+    return _armed.entries
+
+
+def disarm_journal() -> None:
+    """Stop journaling on the current thread."""
+    _armed.entries = None
+
+
+class _Journaled:
+    """A set-only data descriptor for a journaled pattern attribute.
+
+    It defines ``__set__`` but no ``__get__``, so a read is a plain
+    instance-dict lookup; only a write pays for the journal.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __set__(self, pattern: "UIAPattern", value: Any) -> None:
+        values = pattern.__dict__
+        old = values.get(self.name)
+        if old != value:
+            values[self.name] = value
+            entries = _armed.entries
+            if entries is not None:
+                entries.append((pattern, old))
 
 
 class UIAPattern:
@@ -141,6 +192,8 @@ class ExpandCollapsePattern(UIAPattern):
     """Controls that show/hide child content (menus, combo boxes, tree items)."""
 
     pattern_id = PatternId.EXPAND_COLLAPSE
+
+    state = _Journaled()
 
     def __init__(
         self,
@@ -257,6 +310,8 @@ class SelectionItemPattern(UIAPattern):
     """Selectable items inside a selection container."""
 
     pattern_id = PatternId.SELECTION_ITEM
+
+    is_selected = _Journaled()
 
     def __init__(
         self,

@@ -1,15 +1,22 @@
 """Tests for the GUI ripper, UNG, blocklist and exploration contexts."""
 
 import hashlib
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import PowerPointApp, WordApp, app_factory
 from repro.apps.synthetic import SyntheticSpec
+from repro.bench.runner import BenchmarkConfig, BenchmarkRunner, setting_by_key
+from repro.bench.tasks import task_by_id
 from repro.bench.telemetry import EventSink, use_sink
+from repro.dmi.cache import ArtifactCache
+from repro.dmi.interface import DMIConfig
 from repro.gui.ribbon import DialogBuilder
 from repro.gui.screen import ScreenLayout
-from repro.gui.widgets import Button, Group
+from repro.gui.widgets import Button, Dialog, Group, TabControl, TabItem
+from repro.uia import patterns
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
 from repro.ripping.ripper import GuiRipper, RipperConfig, rip_application
@@ -17,7 +24,7 @@ from repro.ripping.ung import NavigationGraph, UNGNode, VIRTUAL_ROOT_ID
 from repro.topology.persistence import ung_digest
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
-from repro.uia.identifiers import identifier_string
+from repro.uia.identifiers import identifier_string, visible_identifiers
 from repro.uia.patterns import (
     ExpandCollapsePattern,
     ExpandCollapseState,
@@ -268,7 +275,7 @@ def _stale_elements(desktop):
 class _CheckingRipper(GuiRipper):
     """Compares the ripper's top-down snapshot with ``identifier_string`` at
     the initial screen, the first open menu and the first open dialog, and
-    the geometry after every restore with a fresh layout."""
+    the geometry after every click and every restore with a fresh layout."""
 
     def __init__(self, app):
         super().__init__(app)
@@ -298,6 +305,7 @@ class _CheckingRipper(GuiRipper):
 
     def _activate_and_diff(self, element):
         revealed = super()._activate_and_diff(element)
+        self.stale.extend(identifier_string(e) for e in _stale_elements(self.app.desktop))
         if "dialog" not in self.snapshots and self.app.open_dialogs():
             self._check_snapshot("dialog")
         elif "menu" not in self.snapshots and self._menu_open():
@@ -338,7 +346,8 @@ def test_top_down_identifiers_match_identifier_string(checked_rip):
 
 
 def test_restore_never_leaves_stale_geometry(checked_rip):
-    """Restore skips the relayout when it changed nothing; after every
+    """Restore skips the relayout when it changed nothing, and a relayout
+    skips the windows that did not change; after every click and every
     restore each visible control still sits where a fresh layout puts it."""
     ripper, _, _ = checked_rip
     assert ripper.restores == ripper.report.clicks
@@ -370,6 +379,253 @@ def test_restore_relays_out_after_collapsing_a_sibling_pane(mini_app):
     assert ung.find_nodes_by_name("Detail A")
     assert ripper.restores_without_relayout < ripper.restores
     assert ripper.stale == []
+
+
+# ----------------------------------------------------------------------
+# incremental relayout: the cases a skipped window could get wrong
+# ----------------------------------------------------------------------
+def test_relayout_lays_out_a_subtree_changed_while_hidden_once_shown(mini_app):
+    """A change under a hidden control must still reach its window's stamp
+    when the control is shown after a relayout in between (a dirty flag
+    that stops at an already-dirty ancestor would miss it)."""
+    desktop = mini_app.desktop
+    hidden = _home(mini_app).add_child(Group(name="Hidden", automation_id="Mini.Hidden"))
+    inner = hidden.add_child(Group(name="Inner", automation_id="Mini.Inner"))
+    hidden.visible = False
+    desktop.relayout()
+    inner.add_child(Button("Deep A", automation_id="Mini.DeepA"))
+    desktop.relayout()
+    hidden.visible = True
+    desktop.relayout()
+    assert inner.find(name="Deep A").rect.area > 0
+    assert _stale_elements(desktop) == []
+
+
+def test_relayout_follows_a_control_moved_between_windows(mini_app):
+    desktop = mini_app.desktop
+    mini_app._open_settings()
+    dialog = mini_app.open_dialogs()[-1]
+    bold = mini_app.window.find(automation_id="Mini.Bold")
+    dialog.add_child(bold)
+    desktop.relayout()
+    assert bold.root() is dialog and _stale_elements(desktop) == []
+    _home(mini_app).add_child(bold, index=0)
+    desktop.relayout()
+    assert bold.root() is mini_app.window and _stale_elements(desktop) == []
+
+
+def test_relayout_follows_a_window_restacked_and_reopened(mini_app):
+    desktop = mini_app.desktop
+    first, second = Dialog("First"), Dialog("Second")
+    mini_app.open_dialog(first)
+    mini_app.open_dialog(second)
+    first.close()                      # second drops from index 2 to 1
+    assert desktop.open_windows().index(second) == 1
+    assert _stale_elements(desktop) == []
+    first.get_pattern(PatternId.WINDOW).is_open = True
+    mini_app.open_dialog(first)        # back, above second this time
+    assert desktop.open_windows().index(first) == 2
+    assert _stale_elements(desktop) == []
+
+
+def test_relayout_after_restoring_the_as_built_snapshot(mini_app):
+    desktop = mini_app.desktop
+    as_built = mini_app.snapshot()
+    mini_app.input.click(mini_app.window.find(automation_id="Mini.FontColor"))
+    mini_app._open_settings()
+    _home(mini_app).add_child(Button("Temp", automation_id="Mini.Temp"))
+    desktop.relayout()
+    mini_app.restore(as_built)
+    desktop.relayout()
+    assert _stale_elements(desktop) == []
+    mini_app.input.click(mini_app.window.find(automation_id="Mini.PageColor"))
+    assert _stale_elements(desktop) == []
+
+
+# ----------------------------------------------------------------------
+# the change journal, checked against the walks it replaced
+# ----------------------------------------------------------------------
+class _WalkingRipper(GuiRipper):
+    """The restore the change journal replaced, kept as its specification.
+
+    Capture walks every open window for the expanded controls and the
+    selected tabs; restore closes the windows opened since, then walks the
+    open windows in pre-order, collapsing every expansion that was not
+    there at capture, and re-selects the captured tab of every tab strip
+    whose selection moved."""
+
+    def _capture_state(self):
+        windows = self.app.desktop.open_windows(self.app.process_id)
+        expanded, selected_tabs = set(), set()
+        for node in (node for window in windows for node in window.iter_subtree()):
+            pattern = node.patterns.get(PatternId.EXPAND_COLLAPSE)
+            if pattern is not None and pattern.state == ExpandCollapseState.EXPANDED:
+                expanded.add(node.runtime_id)
+            if isinstance(node, TabItem) and node.is_selected:
+                selected_tabs.add(node.runtime_id)
+        return {w.runtime_id for w in windows}, expanded, selected_tabs
+
+    def _restore_state(self, state):
+        open_window_ids, expanded_ids, selected_tab_ids = state
+        desktop = self.app.desktop
+        for window in reversed(desktop.open_windows(self.app.process_id)):
+            if window.runtime_id not in open_window_ids:
+                window.close()
+        changed = False
+        tab_controls = []
+        stack = list(reversed(desktop.open_windows(self.app.process_id)))
+        while stack:
+            node = stack.pop()
+            pattern = node.patterns.get(PatternId.EXPAND_COLLAPSE)
+            if (pattern is not None
+                    and pattern.state == ExpandCollapseState.EXPANDED
+                    and node.runtime_id not in expanded_ids):
+                changed = True
+                try:
+                    pattern.collapse()
+                except Exception:
+                    pass
+            if isinstance(node, TabControl):
+                tab_controls.append(node)
+            stack.extend(reversed(node.children))
+        for tab_control in tab_controls:
+            selected = tab_control.selected_tab()
+            if selected is not None and selected.runtime_id in selected_tab_ids:
+                continue
+            for tab in tab_control.tabs():
+                if tab.runtime_id in selected_tab_ids:
+                    tab.select()
+                    changed = True
+                    break
+        if changed:
+            desktop.relayout()
+
+
+ORACLE_APPS = ["word", "excel", "powerpoint",
+               SyntheticSpec(seed=3).app_name, SyntheticSpec(seed=8).app_name]
+
+
+def _restored_view(app):
+    """What a restore puts back, by identifier: the open windows, the
+    expanded controls and the selected tabs."""
+    windows = app.desktop.open_windows(app.process_id)
+    nodes = [node for window in windows for node in window.iter_subtree()]
+    return ([identifier_string(window) for window in windows],
+            [identifier_string(node) for node in nodes
+             if (pattern := node.patterns.get(PatternId.EXPAND_COLLAPSE)) is not None
+             and pattern.state == ExpandCollapseState.EXPANDED],
+            [identifier_string(node) for node in nodes
+             if isinstance(node, TabItem) and node.is_selected])
+
+
+def _collapsed(element):
+    pattern = element.patterns.get(PatternId.EXPAND_COLLAPSE)
+    return pattern is not None and pattern.state == ExpandCollapseState.COLLAPSED
+
+
+@pytest.mark.parametrize("app_name", ORACLE_APPS)
+@settings(max_examples=10, deadline=None)
+@given(program=st.lists(st.tuples(st.sampled_from(["capture", "click", "expand", "restore"]),
+                                  st.integers(min_value=0, max_value=10_000)),
+                        min_size=1, max_size=24))
+def test_journal_restore_agrees_with_the_walk(observe, app_name, program):
+    """Twin apps take the same random clicks between nested captures; at
+    every restore the journal's restore and the walk's leave the same open
+    windows, expansions, selected tabs and ``observe``, through the same
+    state changes in the same order.  An "expand" clicks a collapsed
+    expander, so that one restore often has several expansions to undo."""
+    twins = [GuiRipper(app_factory(app_name)()), _WalkingRipper(app_factory(app_name)())]
+    journal = patterns.arm_journal()
+    for ripper in twins:
+        ripper._journal = journal
+    marks = []
+
+    def restore():
+        effects = []
+        for ripper, mark in zip(twins, marks.pop()):
+            start = len(journal)
+            ripper._restore_state(mark)
+            effects.append([(identifier_string(pattern.element), old)
+                            for pattern, old in journal[start:]])
+        journal_app, walked_app = (ripper.app for ripper in twins)
+        assert effects[0] == effects[1]
+        assert _restored_view(journal_app) == _restored_view(walked_app)
+        assert observe(journal_app) == observe(walked_app)
+        assert _stale_elements(journal_app.desktop) == []
+
+    try:
+        for op, pick in program:
+            if op == "capture":
+                marks.append([ripper._capture_state() for ripper in twins])
+            elif op in ("click", "expand"):
+                targets = [[(identifier, element) for identifier, element
+                            in visible_identifiers(ripper.app.desktop.open_windows(
+                                ripper.app.process_id))
+                            if ripper._should_activate(element)
+                            and (op == "click" or _collapsed(element))] for ripper in twins]
+                assert [i for i, _ in targets[0]] == [i for i, _ in targets[1]]
+                if targets[0]:
+                    for ripper, candidates in zip(twins, targets):
+                        ripper._activate_and_diff(candidates[pick % len(candidates)][1])
+            elif marks:
+                restore()
+        while marks:
+            restore()
+    finally:
+        patterns.disarm_journal()
+
+
+def test_a_rip_that_raises_leaves_no_journal_armed(mini_app):
+    class FailingRipper(GuiRipper):
+        def _activate_and_diff(self, element):
+            assert patterns._armed.entries is self._journal
+            if self._clicks == 3:
+                raise RuntimeError("exploration failed")
+            return super()._activate_and_diff(element)
+
+    with pytest.raises(RuntimeError, match="exploration failed"):
+        FailingRipper(mini_app).rip()
+    assert patterns._armed.entries is None
+
+
+def test_a_warm_trial_journals_nothing(tmp_path, monkeypatch, excel_artifacts):
+    """Only a rip arms the journal: a trial served from the model cache
+    writes pattern states with no journal to append to."""
+    cache = ArtifactCache(tmp_path / "models", DMIConfig())
+    cache.store("excel", excel_artifacts)
+    writes = {"plain": 0, "journaled": 0}
+    write = patterns._Journaled.__set__
+
+    def counting(descriptor, pattern, value):
+        writes["plain" if patterns._armed.entries is None else "journaled"] += 1
+        write(descriptor, pattern, value)
+
+    monkeypatch.setattr(patterns._Journaled, "__set__", counting)
+    runner = BenchmarkRunner(BenchmarkConfig(seed=11, cache_dir=cache.cache_dir))
+    result = runner.run_trial(task_by_id("excel-03-bold-header"),
+                              setting_by_key("gui-gpt5-medium"), 0)
+    assert result.steps > 0
+    assert writes["plain"] > 0 and writes["journaled"] == 0
+
+
+def test_two_rips_on_two_threads_at_once_each_give_their_pin():
+    """The journal is per thread: two rips interleaved on two threads do
+    not see each other's changes."""
+    pins = {"word": "42a7a8541c75295a", "excel": "0eb556c9fa4044e3"}
+    apps = {name: app_factory(name)() for name in pins}
+    start = threading.Barrier(len(apps))
+    digests = {}
+
+    def rip(name):
+        start.wait()
+        digests[name] = ung_digest(rip_application(apps[name])[0])
+
+    threads = [threading.Thread(target=rip, args=(name,)) for name in apps]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert digests == pins
 
 
 @pytest.fixture
