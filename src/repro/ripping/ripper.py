@@ -161,6 +161,9 @@ class GuiRipper:
 
         for element, node_id, depth in frontier:
             self._explore(element, node_id, depth, context)
+            # No capture is open between root branches, so no restore will
+            # read the entries so far; dropping them frees what they hold.
+            del self._journal[:]
 
     def _active_tab_scoped_elements(self) -> Dict[int, str]:
         """Map runtime ids of controls scoped to the active tab -> tab node id.

@@ -16,12 +16,12 @@ from repro.dmi.interface import DMIConfig
 from repro.gui.ribbon import DialogBuilder
 from repro.gui.screen import ScreenLayout
 from repro.gui.widgets import Button, Dialog, Group, TabControl, TabItem
-from repro.uia import patterns
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
 from repro.ripping.ripper import GuiRipper, RipperConfig, rip_application
 from repro.ripping.ung import NavigationGraph, UNGNode, VIRTUAL_ROOT_ID
 from repro.topology.persistence import ung_digest
+from repro.uia import patterns
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
 from repro.uia.identifiers import identifier_string, visible_identifiers
