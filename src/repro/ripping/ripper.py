@@ -11,11 +11,14 @@ The ripper drives a live (simulated) application:
    ripper takes a visibility snapshot, clicks the control, takes a second
    snapshot, and records every newly revealed control as a successor.  The
    snapshots span every open window of the application, so controls in a
-   top-level or modal window the click opened count as revealed.  Each
-   snapshot is one walk of the visible tree that computes control
-   identifiers top-down (:func:`~repro.uia.identifiers.visible_identifiers`):
-   a child extends its parent's escaped path, so a snapshot costs one escape
-   per visible control rather than one per control and ancestor.
+   top-level or modal window the click opened count as revealed.  A
+   snapshot computes control identifiers top-down
+   (:func:`~repro.uia.identifiers.visible_identifiers`): a child extends its
+   parent's escaped path, so a control costs one escape rather than one per
+   ancestor.  The ripper keeps a snapshot memo, keyed by layout stamps
+   (:mod:`repro.uia.element`), so a snapshot re-walks only the subtrees a
+   click or a restore changed, or moved, since the previous snapshot; every
+   other container contributes the identifiers recorded for it.
 3. **State restoration** — after exploring a branch the ripper restores the
    prior UI state (closes windows the click opened, collapses expansions,
    re-selects the previously selected tab) so sibling branches are explored
@@ -40,7 +43,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.apps.base import Application
 from repro.bench import telemetry
-from repro.gui.widgets import TabControl, TabItem, Window
+from repro.gui.widgets import TabControl, TabItem
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
 from repro.ripping.ung import NavigationGraph, UNGNode, VIRTUAL_ROOT_ID
@@ -50,7 +53,7 @@ from repro.uia.control_types import (
     is_clickable_type,
 )
 from repro.uia.element import UIElement
-from repro.uia.identifiers import identifier_string, visible_identifiers
+from repro.uia.identifiers import SnapshotMemo, identifier_string, visible_identifiers
 from repro.uia.patterns import (
     ExpandCollapsePattern,
     ExpandCollapseState,
@@ -105,6 +108,8 @@ class GuiRipper:
         self._clicks = 0
         #: The change journal, armed while :meth:`rip` runs.
         self._journal: List[Tuple[UIAPattern, object]] = []
+        #: The snapshot memo (see :func:`visible_identifiers`).
+        self._snapshot_memo: SnapshotMemo = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -162,8 +167,10 @@ class GuiRipper:
         for element, node_id, depth in frontier:
             self._explore(element, node_id, depth, context)
             # No capture is open between root branches, so no restore will
-            # read the entries so far; dropping them frees what they hold.
+            # read the entries so far; dropping them and the snapshot memo
+            # frees what they hold (controls of closed windows included).
             del self._journal[:]
+            self._snapshot_memo.clear()
 
     def _active_tab_scoped_elements(self) -> Dict[int, str]:
         """Map runtime ids of controls scoped to the active tab -> tab node id.
@@ -362,7 +369,8 @@ class GuiRipper:
     # ------------------------------------------------------------------
     def _visible_identifiers(self) -> List[Tuple[str, UIElement]]:
         """(identifier, element) for every visible control of the app."""
-        return visible_identifiers(self.app.desktop.open_windows(self.app.process_id))
+        return visible_identifiers(self.app.desktop.open_windows(self.app.process_id),
+                                   self._snapshot_memo)
 
     def _add_element(self, element: UIElement, context: str) -> UNGNode:
         return self.ung.add_element(element, context=context,
@@ -370,8 +378,7 @@ class GuiRipper:
 
     @staticmethod
     def _window_title(element: UIElement) -> str:
-        root = element.root()
-        return root.name if isinstance(root, Window) or root.name else ""
+        return element.root().name
 
 
 def _preorder_position(element: UIElement,

@@ -9,18 +9,22 @@ set of supported control patterns.
 
 **Layout stamps.**  Every element carries a ``layout_stamp``.  A
 structural write (a change of ``visible``, :meth:`UIElement.add_child`,
-:meth:`UIElement.remove_child`) stamps the element whose subtree it changes
-and every ancestor up to the root with the current stamp, so a root whose
-stamp is unchanged since its last layout has the same visible structure
-(:class:`repro.gui.screen.ScreenLayout` relies on this).  Stamps come from a
-process-global counter that only grows; :func:`seal_stamps` moves on to a
-fresh one after a layout has recorded the current stamps.  Until then a
-walk stops at the first element already carrying the current stamp, as
-every ancestor of such an element carries it too, so building an app costs
-one short walk per write rather than one walk to the root.  (Two threads
-sealing at once may install their stamps in either order; each stamp is
-still current for one stretch of time only, which is all the early stop
-needs.)
+:meth:`UIElement.remove_child`) or a rename (a change of ``name`` or
+``automation_id``, which changes control identifiers) stamps the element
+whose subtree it changes and every ancestor up to the root with the
+current stamp, so an element whose stamp is unchanged since a reader last
+recorded it has the same visible structure and names below it.  Stamps key
+two memos: :class:`repro.gui.screen.ScreenLayout` relays out only the
+windows whose stamp moved, and the ripper's snapshot
+(:func:`repro.uia.identifiers.visible_identifiers`) re-walks only the
+subtrees whose stamp moved.  Stamps come from a process-global counter that
+only grows; :func:`seal_stamps` moves on to a fresh one after a layout or a
+snapshot has recorded the current stamps.  Until then a walk stops at the
+first element already carrying the current stamp, as every ancestor of such
+an element carries it too, so building an app costs one short walk per
+write rather than one walk to the root.  (Two threads sealing at once may
+install their stamps in either order; each stamp is still current for one
+stretch of time only, which is all the early stop needs.)
 """
 
 from __future__ import annotations
@@ -52,17 +56,20 @@ def _touch(element: Optional["UIElement"]) -> None:
         element = element.parent
 
 
-class _Visible:
-    """``UIElement.visible``: a set-only data descriptor.
+class _Stamped:
+    """``visible``, ``name`` and ``automation_id``: set-only data descriptors.
 
     A read is a plain instance-dict lookup; a write that changes the value
     stamps the element (see the module docstring).
     """
 
-    def __set__(self, element: "UIElement", value: bool) -> None:
+    def __set_name__(self, owner: type, attribute: str) -> None:
+        self.attribute = attribute
+
+    def __set__(self, element: "UIElement", value: object) -> None:
         values = element.__dict__
-        if values.get("visible") != value:
-            values["visible"] = value
+        if values.get(self.attribute) != value:
+            values[self.attribute] = value
             _touch(element)
 
 
@@ -125,7 +132,9 @@ class UIElement:
         on screen also depends on its ancestors (see :meth:`is_on_screen`).
     """
 
-    visible = _Visible()
+    visible = _Stamped()
+    name = _Stamped()
+    automation_id = _Stamped()
 
     def __init__(
         self,
@@ -137,9 +146,11 @@ class UIElement:
         visible: bool = True,
         rect: Optional[BoundingRect] = None,
     ) -> None:
-        self.name = name
+        # Straight into the dict: a new element has no parent to stamp.
+        values = self.__dict__
+        values["name"] = name
+        values["automation_id"] = automation_id
         self.control_type = ControlType(control_type)
-        self.automation_id = automation_id
         self.description = description
         self.is_enabled = enabled
         self.layout_stamp = 0

@@ -16,16 +16,18 @@ primary id and an escaped ancestor path.  :func:`identifier_string` builds
 the path bottom-up for one element (O(depth));
 :func:`visible_identifiers` builds it top-down for a whole visible tree,
 extending each parent's escaped path by one segment, so a snapshot costs one
-escape per element.
+escape per element.  Given a memo, it also reuses each subtree that neither
+changed nor moved since the memo recorded it, so a repeated snapshot costs
+one escape per element on the paths from what changed up to the roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.uia.control_types import ControlType
-from repro.uia.element import UIElement
+from repro.uia.element import UIElement, seal_stamps
 
 #: Field separator inside a control identifier.
 FIELD_SEPARATOR = "|"
@@ -33,6 +35,10 @@ FIELD_SEPARATOR = "|"
 PATH_SEPARATOR = "/"
 #: Fallback primary id for controls with neither automation id nor name.
 UNNAMED = "[Unnamed]"
+
+#: Per visible container: its layout stamp, its escaped ancestor path and its
+#: subtree's ``(identifier, element)`` pairs in pre-order, as last walked.
+SnapshotMemo = Dict[UIElement, Tuple[int, str, List[Tuple[str, UIElement]]]]
 
 
 @dataclass(frozen=True)
@@ -126,13 +132,21 @@ def identifier_string(element: UIElement) -> str:
     return str(synthesize_identifier(element))
 
 
-def visible_identifiers(roots: Iterable[UIElement]) -> List[Tuple[str, UIElement]]:
+def visible_identifiers(roots: Iterable[UIElement],
+                        memo: Optional[SnapshotMemo] = None) -> List[Tuple[str, UIElement]]:
     """``(identifier_string(e), e)`` for every visible element under ``roots``.
 
     Elements come in depth-first pre-order, root by root; a hidden element
     and its whole subtree are skipped.  The walk carries each parent's
     escaped ancestor path down to its children, so every element costs one
     escape and one join however deep it sits.
+
+    With a ``memo``, a visible container whose layout stamp and ancestor
+    path are those the memo holds for it contributes its recorded pairs
+    without a descent: a change below it or a rename of it would have moved
+    its stamp (see :mod:`repro.uia.element`), and a rename or move above it
+    moves its path.  Every container walked is recorded, and the stamps are
+    sealed afterwards, so a later write cannot carry a stamp recorded here.
     """
     result: List[Tuple[str, UIElement]] = []
     for root in roots:
@@ -140,14 +154,30 @@ def visible_identifiers(roots: Iterable[UIElement]) -> List[Tuple[str, UIElement
         stack = [(root, path)]
         while stack:
             node, path = stack.pop()
+            if node is None:
+                # The end of a container's subtree: ``path`` carries what
+                # the memo records for it.
+                container, stamp, container_path, start = path
+                memo[container] = (stamp, container_path, result[start:])
+                continue
             if not node.visible:
                 continue
+            children = node.children
+            if children and memo is not None:
+                stamp = node.layout_stamp
+                recorded = memo.get(node)
+                if recorded is not None and recorded[0] == stamp and recorded[1] == path:
+                    result.extend(recorded[2])
+                    continue
+                stack.append((None, (node, stamp, path, len(result))))
             escaped = _escape(node.primary_id)
             result.append((_format(escaped, node.control_type, path), node))
-            if node.children:
+            if children:
                 # Primary ids are never empty, so an empty path has no segments.
                 child_path = f"{path}{PATH_SEPARATOR}{escaped}" if path else escaped
-                stack.extend([(child, child_path) for child in reversed(node.children)])
+                stack.extend([(child, child_path) for child in reversed(children)])
+    if memo is not None:
+        seal_stamps()
     return result
 
 

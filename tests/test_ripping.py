@@ -246,6 +246,18 @@ def test_rip_after_restore_is_pinned(app_name, digest):
     assert ung_digest(rip_application(app)[0]) == digest
 
 
+def test_cold_model_apps_take_their_pinned_click_count(word_artifacts, excel_artifacts,
+                                                       ppt_artifacts):
+    """The three hand-written apps and the generated app of seed 1, the
+    apps one cold model build rips, take 1863 clicks between them: how a
+    click is diffed must not change which clicks a rip takes."""
+    synthetic = GuiRipper(app_factory(SyntheticSpec(seed=1).app_name)())
+    synthetic.rip()
+    clicks = [artifacts.rip_report.clicks
+              for artifacts in (word_artifacts, excel_artifacts, ppt_artifacts)]
+    assert clicks + [synthetic.report.clicks] == [651, 460, 609, 143]
+
+
 # ----------------------------------------------------------------------
 # the per-click snapshot and the conditional relayout, checked mid-rip
 # ----------------------------------------------------------------------
@@ -273,13 +285,15 @@ def _stale_elements(desktop):
 
 
 class _CheckingRipper(GuiRipper):
-    """Compares the ripper's top-down snapshot with ``identifier_string`` at
-    the initial screen, the first open menu and the first open dialog, and
-    the geometry after every click and every restore with a fresh layout."""
+    """Compares the ripper's memoized snapshot with ``identifier_string``
+    over every visible control, and the geometry with a fresh layout, at
+    the initial screen and after every click and every restore; the kinds
+    of screen checked include an open menu and an open dialog."""
 
     def __init__(self, app):
         super().__init__(app)
-        self.snapshots = {}
+        self.checked = set()
+        self.mismatched = []
         self.restores = self.restores_without_relayout = 0
         self.stale = []
         self.relayouts = 0
@@ -296,20 +310,25 @@ class _CheckingRipper(GuiRipper):
         windows = self.app.desktop.open_windows(self.app.process_id)
         expected = [(identifier_string(e), e)
                     for window in windows for e in _visible_preorder(window)]
-        self.snapshots[label] = self._visible_identifiers() == expected
+        self.checked.add(label)
+        if self._visible_identifiers() != expected:
+            self.mismatched.append((label, self._clicks))
 
     def _menu_open(self):
         return any((pattern := e.patterns.get(PatternId.EXPAND_COLLAPSE)) is not None
                    and pattern.state == ExpandCollapseState.EXPANDED
-                   for _, e in self._visible_identifiers())
+                   for window in self.app.desktop.open_windows(self.app.process_id)
+                   for e in _visible_preorder(window))
 
     def _activate_and_diff(self, element):
         revealed = super()._activate_and_diff(element)
         self.stale.extend(identifier_string(e) for e in _stale_elements(self.app.desktop))
-        if "dialog" not in self.snapshots and self.app.open_dialogs():
+        if self.app.open_dialogs():
             self._check_snapshot("dialog")
-        elif "menu" not in self.snapshots and self._menu_open():
+        elif self._menu_open():
             self._check_snapshot("menu")
+        else:
+            self._check_snapshot("click")
         return revealed
 
     def _restore_state(self, state):
@@ -318,6 +337,7 @@ class _CheckingRipper(GuiRipper):
         self.restores += 1
         self.restores_without_relayout += self.relayouts == relayouts
         self.stale.extend(identifier_string(e) for e in _stale_elements(self.app.desktop))
+        self._check_snapshot("restore")
 
 
 CHECKED_APPS = {"word": "word_artifacts", "excel": "excel_artifacts",
@@ -338,11 +358,12 @@ def test_checked_rip_matches_the_plain_rip(checked_rip):
 
 
 def test_top_down_identifiers_match_identifier_string(checked_rip):
-    """Initial screen, an open menu and an open dialog: the snapshot walk
-    yields exactly ``identifier_string`` of every visible control, in
-    pre-order."""
+    """At the initial screen and after every click and every restore (open
+    menus and open dialogs among them), the memoized snapshot yields exactly
+    ``identifier_string`` of every visible control, in pre-order."""
     ripper, _, _ = checked_rip
-    assert ripper.snapshots == {"initial": True, "menu": True, "dialog": True}
+    assert ripper.checked == {"initial", "click", "menu", "dialog", "restore"}
+    assert ripper.mismatched == []
 
 
 def test_restore_never_leaves_stale_geometry(checked_rip):
@@ -533,7 +554,8 @@ def test_journal_restore_agrees_with_the_walk(observe, app_name, program):
     every restore the journal's restore and the walk's leave the same open
     windows, expansions, selected tabs and ``observe``, through the same
     state changes in the same order.  An "expand" clicks a collapsed
-    expander, so that one restore often has several expansions to undo."""
+    expander, so that one restore often has several expansions to undo.
+    After every op each twin's memoized snapshot equals a memo-free walk."""
     twins = [GuiRipper(app_factory(app_name)()), _WalkingRipper(app_factory(app_name)())]
     journal = patterns.arm_journal()
     for ripper in twins:
@@ -553,6 +575,11 @@ def test_journal_restore_agrees_with_the_walk(observe, app_name, program):
         assert observe(journal_app) == observe(walked_app)
         assert _stale_elements(journal_app.desktop) == []
 
+    def snapshots_agree():
+        for ripper in twins:
+            windows = ripper.app.desktop.open_windows(ripper.app.process_id)
+            assert ripper._visible_identifiers() == visible_identifiers(windows)
+
     try:
         for op, pick in program:
             if op == "capture":
@@ -569,8 +596,10 @@ def test_journal_restore_agrees_with_the_walk(observe, app_name, program):
                         ripper._activate_and_diff(candidates[pick % len(candidates)][1])
             elif marks:
                 restore()
+            snapshots_agree()
         while marks:
             restore()
+            snapshots_agree()
     finally:
         patterns.disarm_journal()
 

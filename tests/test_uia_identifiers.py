@@ -1,7 +1,7 @@
 """Tests for control-identifier synthesis and parsing (paper §4.1)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
@@ -120,13 +120,19 @@ def test_identifier_string_round_trips(primary, ancestors, control_type):
 #: to the name, then to [Unnamed].
 tricky_text = st.text(alphabet="ab|/\\", max_size=4)
 
-#: A tree as (name, automation id, visible, children).
-tree_strategy = st.recursive(
-    st.tuples(tricky_text, tricky_text, st.booleans(), st.just(())),
-    lambda children: st.tuples(tricky_text, tricky_text, st.booleans(),
-                               st.lists(children, max_size=4).map(tuple)),
-    max_leaves=30,
-)
+
+def trees_of(visible):
+    """Trees as (name, automation id, visible, children), each control's
+    visibility drawn from ``visible``."""
+    return st.recursive(
+        st.tuples(tricky_text, tricky_text, visible, st.just(())),
+        lambda children: st.tuples(tricky_text, tricky_text, visible,
+                                   st.lists(children, max_size=4).map(tuple)),
+        max_leaves=30,
+    )
+
+
+tree_strategy = trees_of(st.booleans())
 
 
 def build_tree(spec):
@@ -173,3 +179,58 @@ def test_visible_identifiers_escape_separators_and_name_unnamed():
         "[Unnamed]|Button|a\\|b/c\\/d\\\\",
     ]
     assert visible_identifiers([leaf])[0][0] == identifier_string(leaf)
+
+
+# ----------------------------------------------------------------------
+# the memoized snapshot against a fresh walk, under random mutations
+# ----------------------------------------------------------------------
+#: Trees mostly visible, so that most mutations land where a snapshot sees.
+mostly_visible_tree_strategy = trees_of(st.sampled_from([True, True, True, False]))
+
+#: (mutation, pick, other pick, text); picks index the controls built so far.
+mutation_strategy = st.tuples(
+    st.sampled_from(["flip", "add", "remove", "move", "rename", "reid"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=10_000),
+    tricky_text,
+)
+
+
+def _mutate(windows, pool, mutation):
+    op, pick, other, text = mutation
+    node = pool[pick % len(pool)]
+    if op == "flip":
+        node.visible = not node.visible
+    elif op == "add":
+        child = UIElement(name=text, control_type=ControlType.BUTTON)
+        pool.append(node.add_child(child, index=other % (len(node.children) + 1)))
+    elif op == "remove":
+        if node.parent is not None:
+            node.parent.remove_child(node)
+    elif op == "move":
+        # To another parent, in the same window, another one or none.
+        target = pool[other % len(pool)]
+        if node not in windows and target is not node and node not in target.ancestors():
+            target.add_child(node, index=other % (len(target.children) + 1))
+    elif op == "rename":
+        node.name = text
+    else:
+        node.automation_id = text
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees=st.lists(mostly_visible_tree_strategy, min_size=2, max_size=3),
+       mutations=st.lists(mutation_strategy, max_size=30))
+def test_memoized_snapshot_equals_a_fresh_walk_after_every_mutation(trees, mutations):
+    """Visibility flips (under hidden ancestors too), added and removed
+    controls, subtrees moved to another parent or window, and renames of a
+    control or its ancestors by name or automation id, each written after a
+    snapshot with no relayout in between: after every step the memoized
+    snapshot equals a walk without a memo."""
+    windows = [build_tree(tree) for tree in trees]
+    pool = [node for window in windows for node in window.iter_subtree()]
+    memo = {}
+    assert visible_identifiers(windows, memo) == visible_identifiers(windows)
+    for mutation in mutations:
+        _mutate(windows, pool, mutation)
+        assert visible_identifiers(windows, memo) == visible_identifiers(windows)
