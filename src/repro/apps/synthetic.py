@@ -1,7 +1,7 @@
 """Seeded synthetic application/task generator (scenario scale-out).
 
 The hand-written Word/Excel/PowerPoint apps cap the evaluation grid at 27
-tasks; the shard/broker/fleet stack is never stressed at realistic depth.
+tasks; the shard/broker stack is never stressed at realistic depth.
 This module generates *families* of applications and task suites from a
 compact, canonical spec token:
 

@@ -52,7 +52,7 @@ from repro.bench.telemetry import TelemetryEvent
 
 
 class ObserveError(ValueError):
-    """Trace/fleet input is unreadable or structurally invalid."""
+    """Trace input is unreadable or structurally invalid."""
 
 
 #: Hex digits kept from the sha256; 64 bits of id space is plenty for a
@@ -85,18 +85,18 @@ def manifest_trace_id(manifest) -> str:
                    ",".join(manifest.task_ids), manifest.shard_index)
 
 
-def plan_trace_id(name: str, manifest) -> str:
+def plan_trace_id(name: str, identity: Sequence[object]) -> str:
     """The deterministic trace id of one named plan submission.
 
-    Derived from the plan *name* plus the plan-identity fields every
-    manifest replicates, so the submitter (holding the plan), a worker
-    (holding one lease) and the collector (holding posted results) all
-    derive it independently.
+    Derived from the plan *name* plus ``identity``, the plan's
+    ``plan_identity()`` tuple, which every manifest replicates and the
+    broker's plan header stores, so the submitter (holding the plan), a
+    worker (holding one lease) and the collector (holding only the plan
+    name) all derive it independently.
     """
-    return _derive("plan", name, manifest.seed, manifest.trials,
-                   manifest.fingerprint, manifest.shard_count,
-                   ",".join(manifest.setting_keys),
-                   ",".join(manifest.task_ids))
+    shard_count, seed, trials, fingerprint, setting_keys, task_ids = identity
+    return _derive("plan", name, seed, trials, fingerprint, shard_count,
+                   ",".join(setting_keys), ",".join(task_ids))
 
 
 def span_id_for(trace_id: str, name: str, qualifier: object = "") -> str:
@@ -143,14 +143,15 @@ def trial_context(spec, parent: Optional["SpanContext"] = None) -> SpanContext:
         parent_span_id=parent.span_id if parent is not None else "")
 
 
-def plan_context(name: str, manifest) -> SpanContext:
+def plan_context(name: str, identity: Sequence[object]) -> SpanContext:
     """The plan trace's root (``submit``) span.
 
-    Derivable by any process holding the plan name and *any* one of its
-    manifests — which is how a worker's lease span and a collector's
-    collect span link to a submit they never saw happen.
+    Derivable by any process holding the plan name and its identity tuple
+    (from *any* one of its manifests, or the broker's plan header) — which
+    is how a worker's lease span and a collector's collect span link to a
+    submit they never saw happen.
     """
-    trace_id = plan_trace_id(name, manifest)
+    trace_id = plan_trace_id(name, identity)
     return SpanContext(trace_id=trace_id,
                        span_id=span_id_for(trace_id, "submit"))
 
@@ -167,7 +168,8 @@ def shard_context(plan_name: str, manifest, name: str,
     return SpanContext(
         trace_id=trace_id,
         span_id=span_id_for(trace_id, name, qualifier),
-        parent_span_id=plan_context(plan_name, manifest).span_id)
+        parent_span_id=plan_context(plan_name,
+                                    manifest.plan_identity()).span_id)
 
 
 # ----------------------------------------------------------------------

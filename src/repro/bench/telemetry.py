@@ -8,10 +8,11 @@ substrate: instrumentation points across the stack emit small typed events
 :class:`CacheHit`/:class:`CacheMiss`/:class:`CacheEvicted` from the
 artifact cache, :class:`LeaseAcquired`/:class:`LeaseRenewed`/
 :class:`LeaseLost`/:class:`ManifestAbandoned`/:class:`ShardPosted`/
-:class:`ShardCollected`/:class:`WorkerIdle` from the transport layer and
-:class:`CasRetry` from the object store) into an :class:`EventSink`.
+:class:`ShardCollected`/:class:`WorkerIdle`/:class:`PlanSubmitted` from
+the transport layer and :class:`CasRetry`/:class:`StoreRetry` from the
+object store) into an :class:`EventSink`.
 
-Three sinks ship here:
+Three sinks ship here, and :class:`TeeSink` fans events out to several:
 
 :class:`NullSink`
     The default.  Falsy, so every instrumentation point guards event
@@ -40,15 +41,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import socket
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import (
-    Callable,
     ClassVar,
     Dict,
     Iterator,
@@ -345,26 +342,6 @@ class PlanSubmitted(TelemetryEvent):
     priority: int
 
 
-@dataclass(frozen=True)
-class PlanDrained(TelemetryEvent):
-    """The post that completed a plan: every shard of ``plan`` is done."""
-
-    name: ClassVar[str] = "plan_drained"
-    plan: str
-    shards: int
-
-
-@dataclass(frozen=True)
-class QueueDepth(TelemetryEvent):
-    """One plan's queue gauge snapshot (emitted by workers per status poll)."""
-
-    name: ClassVar[str] = "queue_depth"
-    plan: str
-    queued: int
-    leased: int
-    done: int
-
-
 #: Every shipped event type's name.  Consumers that want "no events of this
 #: kind" to read as an explicit zero (e.g. the runs-diff metric namespace,
 #: where a --fail-if gate on ``cache_miss`` must not report the counter
@@ -375,7 +352,7 @@ EVENT_NAMES: tuple = tuple(sorted(event.name for event in (
     RipFull,
     LeaseAcquired, LeaseRenewed, LeaseLost, ManifestAbandoned, ShardPosted,
     ShardCollected, CasRetry, StoreRetry, WorkerIdle,
-    PlanSubmitted, PlanDrained, QueueDepth)))
+    PlanSubmitted)))
 
 
 def phases_from_result(result, rip_s: Optional[float] = None,
@@ -561,140 +538,6 @@ class TeeSink(EventSink):
         return bool(self.sinks)
 
 
-#: Schema version written into every :class:`MetricsSnapshotSink` file,
-#: and the only one readers accept.  Version 1 (PR 7) had no
-#: ``schema_version``/``written_at``/``worker_id``/``counters`` keys and is
-#: rejected like any other unknown schema.
-METRICS_SCHEMA_VERSION = 2
-
-
-class MetricsSnapshotSink(EventSink):
-    """Live fleet gauges: per-plan queue depth plus worker-idle rate.
-
-    Unlike :class:`AggregatingSink` (monotonic counters, read post-hoc),
-    this sink keeps *current-value* gauges a fleet operator or autoscaler
-    can poll while workers run: the latest queued/leased/done per plan
-    (from ``queue_depth`` events, seeded by ``plan_submitted``), which
-    plans have drained, how much time workers spend idle-polling, and a
-    per-event-type counter map (lease churn, retries, cache hits) the
-    cross-fleet aggregator folds into rates.
-
-    Snapshots carry ``schema_version`` (:data:`METRICS_SCHEMA_VERSION`),
-    a wall-clock ``written_at`` stamp (staleness detection: a live worker
-    rewrites the file, a dead one leaves ``written_at`` behind) and the
-    emitting ``worker_id``.  Read files back with
-    :func:`load_metrics_snapshot`, which rejects unknown versions.
-
-    With ``path`` set, the snapshot is atomically rewritten (temp file +
-    rename, so readers never see a torn JSON) at most every ``interval_s``
-    seconds of event traffic, and once more on :meth:`close` — park the
-    file next to the broker (or anywhere a dashboard can reach) and it
-    becomes the live fleet-status object ``repro fleet status --metrics``
-    reads.
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None,
-                 interval_s: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic,
-                 worker_id: Optional[str] = None,
-                 wall_clock: Callable[[], float] = time.time) -> None:
-        if not math.isfinite(interval_s) or interval_s < 0:
-            raise TelemetryError("metrics snapshot interval_s must be a "
-                                 f"finite number >= 0, got {interval_s}")
-        self.path = Path(path) if path is not None else None
-        self.interval_s = interval_s
-        self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-        self._clock = clock
-        self._wall_clock = wall_clock
-        self._lock = threading.Lock()
-        self._plans: Dict[str, Dict[str, int]] = {}
-        self._drained: set = set()
-        self._idle_count = 0
-        self._idle_slept_s = 0.0
-        self._events = 0
-        self._counters: Dict[str, int] = {}
-        self._last_write: Optional[float] = None
-        self._write_lock = threading.Lock()
-        self._written_events = -1
-
-    def emit(self, event: TelemetryEvent) -> None:
-        name = event.name
-        with self._lock:
-            self._events += 1
-            self._counters[name] = self._counters.get(name, 0) + 1
-            if name == "queue_depth":
-                self._plans[event.plan] = {
-                    "queued": event.queued, "leased": event.leased,
-                    "done": event.done}
-            elif name == "plan_submitted":
-                self._plans.setdefault(event.plan, {
-                    "queued": event.shards, "leased": 0, "done": 0})
-                self._drained.discard(event.plan)
-            elif name == "plan_drained":
-                self._drained.add(event.plan)
-                gauges = self._plans.setdefault(event.plan, {
-                    "queued": 0, "leased": 0, "done": event.shards})
-                gauges["queued"] = 0
-                gauges["done"] = max(gauges["done"], event.shards)
-            elif name == "worker_idle":
-                self._idle_count += 1
-                self._idle_slept_s += event.slept_s
-            payload = self._snapshot_locked()
-            due = (self.path is not None
-                   and (self._last_write is None
-                        or self._clock() - self._last_write
-                        >= self.interval_s))
-            if due:
-                self._last_write = self._clock()
-        if due:
-            self._write(payload)
-
-    def _snapshot_locked(self) -> Dict[str, object]:
-        return {
-            "schema_version": METRICS_SCHEMA_VERSION,
-            "written_at": self._wall_clock(),
-            "worker_id": self.worker_id,
-            "plans": {plan: dict(gauges, drained=plan in self._drained)
-                      for plan, gauges in sorted(self._plans.items())},
-            "worker_idle": {"count": self._idle_count,
-                            "slept_s": self._idle_slept_s},
-            "counters": dict(sorted(self._counters.items())),
-            "events": self._events,
-        }
-
-    def snapshot(self) -> Dict[str, object]:
-        """The current gauge values (a deep-enough copy; safe to mutate)."""
-        with self._lock:
-            return self._snapshot_locked()
-
-    def _write(self, payload: Dict[str, object]) -> None:
-        assert self.path is not None
-        # Serialised separately from the emit lock so slow disks never
-        # stall emitters; the event-count guard keeps a thread holding an
-        # older payload from clobbering a newer snapshot already on disk.
-        with self._write_lock:
-            if payload["events"] < self._written_events:
-                return
-            self._written_events = payload["events"]
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_name(
-                f".{self.path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(payload, indent=1, ensure_ascii=False)
-                           + "\n", encoding="utf-8")
-            tmp.replace(self.path)
-
-    def close(self) -> None:
-        """Write one final snapshot so the file reflects the end state."""
-        if self.path is not None:
-            self._write(self.snapshot())
-
-    def __enter__(self) -> "MetricsSnapshotSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def read_jsonl_events(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Read a :class:`JsonlSink` file, tolerating a truncated last line.
 
@@ -726,51 +569,6 @@ def read_jsonl_events(path: Union[str, Path]) -> List[Dict[str, object]]:
                                  "object")
         events.append(payload)
     return events
-
-
-def load_metrics_snapshot(path: Union[str, Path]) -> Dict[str, object]:
-    """Read and validate one :class:`MetricsSnapshotSink` file.
-
-    Accepts :data:`METRICS_SCHEMA_VERSION` only and rejects anything else
-    (a missing ``schema_version`` included) with a :class:`TelemetryError`
-    that names the file — a fleet mixing worker builds must fail loudly,
-    not render gauges whose meaning silently changed.  The numeric fields
-    aggregation reads (``written_at``, ``events``, ``worker_idle`` and
-    every counter) must be JSON numbers; the error names the field.
-    """
-    target = Path(path)
-    try:
-        payload = json.loads(target.read_text(encoding="utf-8"))
-    except OSError as error:
-        raise TelemetryError(
-            f"cannot read metrics snapshot {target!s}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise TelemetryError(
-            f"metrics snapshot {target!s} is not valid JSON: {error}"
-        ) from error
-    if not isinstance(payload, dict):
-        raise TelemetryError(
-            f"metrics snapshot {target!s} must be a JSON object")
-    version = payload.get("schema_version")
-    if version != METRICS_SCHEMA_VERSION:
-        raise TelemetryError(
-            f"metrics snapshot {target!s} has schema_version {version!r}; "
-            f"this build reads version {METRICS_SCHEMA_VERSION} — refusing "
-            "to render gauges whose schema is unknown")
-    numbers = {"written_at": payload.get("written_at")}
-    if "events" in payload:
-        numbers["events"] = payload["events"]
-    for group in ("worker_idle", "counters"):
-        values = payload.get(group, {})
-        if isinstance(values, dict):
-            numbers.update((f"{group}.{key}", value)
-                           for key, value in values.items())
-    for label, value in numbers.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TelemetryError(
-                f"metrics snapshot {target!s}: field {label!r} must be a "
-                f"number, got {value!r}")
-    return payload
 
 
 # ----------------------------------------------------------------------

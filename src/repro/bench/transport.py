@@ -105,9 +105,7 @@ from repro.bench.telemetry import (
     LeaseLost,
     LeaseRenewed,
     ManifestAbandoned,
-    PlanDrained,
     PlanSubmitted,
-    QueueDepth,
     ShardCollected,
     ShardPosted,
     WorkerIdle,
@@ -329,7 +327,7 @@ class BrokerStatus:
                 f"({self.queued} queued, {self.leased} leased)")
 
     def render(self) -> str:
-        """The per-plan table ``repro shard status`` / ``fleet status`` print."""
+        """The per-plan table ``repro shard status`` prints."""
         if not self.plans:
             return "no plans submitted"
         width = max(24, max(len(plan.name) for plan in self.plans))
@@ -582,7 +580,8 @@ class ObjectStoreBroker:
                              priority: int) -> None:
         sink = telemetry.default_sink()
         if sink:
-            ctx = tracectx.plan_context(name, plan.manifests[0])
+            ctx = tracectx.plan_context(name,
+                                        plan.manifests[0].plan_identity())
             sink.emit(ctx.attach(PlanSubmitted(
                 plan=name, shards=plan.shard_count, priority=priority)))
 
@@ -735,14 +734,6 @@ class ObjectStoreBroker:
                     "grant": payload.get("grant", 0)}
             if self._put_if_match(key, self._dump(done), etag):
                 break
-        sink = telemetry.default_sink()
-        # PlanDrained goes only to a live sink, so only then is the result
-        # listing it needs worth reading.
-        if sink and first_post \
-                and len(self._done_names(name)) >= manifest.shard_count:
-            ctx = tracectx.plan_context(name, manifest).child("drained")
-            sink.emit(ctx.attach(PlanDrained(
-                plan=name, shards=manifest.shard_count)))
         return first_post
 
     def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
@@ -753,14 +744,25 @@ class ObjectStoreBroker:
         name that was never submitted raises.
         """
         validate_plan_name(name)
-        self._identity(name)
+        identity = self._identity(name)
+        # The reads run under a collect span of the plan trace, so a store
+        # retry they absorb joins every trial's timeline (build_trace pulls
+        # the plan trace into each trial's closure).
+        ctx = None
+        if telemetry.default_sink():
+            ctx = tracectx.push(
+                tracectx.plan_context(name, identity).child("collect"))
         collected = []
-        for key in self._list(self._result_prefix(name)):
-            found = self._get_json(key)
-            if found is None:
-                continue  # deleted mid-listing
-            collected.append(ShardResults.from_dict(
-                found[0], source=self._source(key)))
+        try:
+            for key in self._list(self._result_prefix(name)):
+                found = self._get_json(key)
+                if found is None:
+                    continue  # deleted mid-listing
+                collected.append(ShardResults.from_dict(
+                    found[0], source=self._source(key)))
+        finally:
+            if ctx is not None:
+                tracectx.pop(ctx)
         _emit_collected(collected, name)
         return collected
 
@@ -1047,7 +1049,6 @@ class ShardWorker:
             lease = self.broker.lease(self.worker_id)
             if lease is None:
                 snapshot = self.broker.status()
-                self._emit_queue_depth(sink, snapshot)
                 if snapshot.queued > 0:
                     continue  # lost a lease race; try again immediately
                 if not self.daemon and (snapshot.leased == 0
@@ -1129,11 +1130,8 @@ class ShardWorker:
                                 results=len(results.results),
                                 first_post=first_post),
                     duration_s=time.perf_counter() - post_started))
-            if on_manifest is not None or sink:
-                snapshot = self.broker.status()
-                self._emit_queue_depth(sink, snapshot)
-                if on_manifest is not None:
-                    on_manifest(lease, results, snapshot)
+            if on_manifest is not None:
+                on_manifest(lease, results, self.broker.status())
         return completed
 
     def _account_cache(self, plan: str,
@@ -1147,17 +1145,6 @@ class ShardWorker:
         for key in _CACHE_COUNTERS:
             start = before.get(key, 0) if before else 0
             bucket[key] += int(after.get(key, 0)) - int(start)
-
-    def _emit_queue_depth(self, sink: EventSink,
-                          snapshot: BrokerStatus) -> None:
-        if not sink:
-            return
-        for plan in snapshot.plans:
-            # A wall-clock ts (no trace — queue depth is fleet state, not
-            # part of any one trial) so aggregators can window drain rates.
-            sink.emit(tracectx.leaf(QueueDepth(
-                plan=plan.name, queued=plan.queued,
-                leased=plan.leased, done=plan.done)))
 
     def _idle_sleep(self, streak: int, sink: EventSink) -> None:
         """One backoff sleep: ``base * 2^streak`` jittered, capped by

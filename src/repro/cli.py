@@ -1,6 +1,6 @@
 """Command-line interface for the reproduction.
 
-Five subcommands cover the common workflows without writing any code:
+The subcommands cover the common workflows without writing any code:
 
 ``model``
     Run the offline phase for one application and print the modeling
@@ -49,11 +49,11 @@ Five subcommands cover the common workflows without writing any code:
     reclaimed; live workers renew their lease in the background every
     ``--heartbeat SECS`` (default ``lease_ttl/3``; ``0`` disables), so
     manifests may run arbitrarily long without an oversized TTL.
-``fleet``
-    Observe an always-on worker fleet: ``fleet status --broker DIR``
-    prints the live per-plan queue gauges (add ``--metrics FILE`` to fold
-    in a daemon worker's ``--metrics`` JSON snapshot — idle poll rate,
-    drained plans — and ``--json`` for machine consumption).
+``trace``
+    Reconstruct one trial's timeline from the ``--events`` JSONL files of
+    every process that touched it: ``trace show TRACE_ID --events FILE
+    ...`` prints it, ``trace export`` emits it as JSON and ``trace id``
+    prints a trial's deterministic trace id.
 ``runs``
     Inspect the persistent run registry.  ``run``, ``shard run`` and
     ``shard work``/``collect`` all append a :class:`RunRecord` (grid
@@ -76,6 +76,9 @@ Five subcommands cover the common workflows without writing any code:
     for.
 ``tasks``
     List the benchmark task suite.
+``generate``
+    Describe a synthetic scenario spec (the value ``--synthetic`` takes):
+    its canonical token, topology digest and task count.
 
 Execution-engine flags (``run``, ``report`` and ``shard run``):
 
@@ -126,9 +129,8 @@ Examples::
     python -m repro shard submit --broker /mnt/queue --shards 8 \\
         --plan nightly --priority 1     # a named tenant on a shared broker
     python -m repro shard work --broker /mnt/queue --daemon \\
-        --max-idle-s 600 --metrics fleet.json   # persistent fleet worker
-    python -m repro shard status --broker /mnt/queue
-    python -m repro fleet status --broker /mnt/queue --metrics fleet.json
+        --max-idle-s 600                # persistent fleet worker
+    python -m repro shard status --broker /mnt/queue --json
     python -m repro shard collect --broker /mnt/queue --plan nightly
     python -m repro run --registry runs/ --events run.jsonl --trials 1
     python -m repro runs list --registry runs/
@@ -161,20 +163,13 @@ from repro.bench.registry import (
     RunRegistry,
     build_run_record,
 )
-from repro.bench.observe import (
-    FleetAggregator,
-    build_trace,
-    render_trace,
-    write_promfile,
-)
+from repro.bench.observe.trace import build_trace, render_trace
 from repro.bench.telemetry import (
     AggregatingSink,
     EventSink,
     JsonlSink,
-    MetricsSnapshotSink,
     TeeSink,
     TelemetryError,
-    load_metrics_snapshot,
     read_jsonl_events,
     set_default_sink,
 )
@@ -415,11 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="SECS",
                             help="with --daemon: exit cleanly after being "
                                  "continuously idle this long")
-    shard_work.add_argument("--metrics", metavar="FILE", default=None,
-                            help="periodically rewrite a live JSON gauge "
-                                 "snapshot (queued/leased/done per plan, "
-                                 "idle rate) to FILE; read it with "
-                                 "'repro fleet status --metrics FILE'")
     shard_work.add_argument("--max-manifests", type=positive_int, default=None,
                             help="stop after executing this many manifests")
     shard_work.add_argument("--worker-id", metavar="NAME", default=None,
@@ -457,42 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_queue_flags(shard_status)
     shard_status.add_argument("--json", action="store_true",
                               help="emit the counters as JSON instead of "
-                                   "the table")
-
-    fleet = subparsers.add_parser(
-        "fleet", help="observe an always-on worker fleet")
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def add_fleet_input_flags(sub: argparse.ArgumentParser) -> None:
-        """The aggregation inputs of fleet status."""
-        sub.add_argument("--metrics", metavar="FILE", action="append",
-                         default=None,
-                         help="fold in a worker's --metrics snapshot file; "
-                              "repeatable — one flag per worker merges the "
-                              "whole fleet into one gauges view")
-        sub.add_argument("--events", metavar="FILE", action="append",
-                         default=None,
-                         help="fold in a worker's --events JSONL tail for "
-                              "drain-rate windows (repeatable)")
-        sub.add_argument("--max-age-s", type=positive_float, default=None,
-                         metavar="SECS",
-                         help="flag snapshots whose written_at stamp is "
-                              "older than SECS as STALE")
-
-    fleet_status = fleet_sub.add_parser(
-        "status", help="live per-plan queue gauges (and worker metrics)")
-    add_queue_flags(fleet_status)
-    add_fleet_input_flags(fleet_status)
-    fleet_status.add_argument("--strict", action="store_true",
-                              help="exit non-zero when any snapshot is "
-                                   "older than --max-age-s")
-    fleet_status.add_argument("--prom-dir", metavar="DIR", default=None,
-                              help="also write the gauges as an OpenMetrics "
-                                   "textfile (repro_fleet.prom, atomic "
-                                   "rename) into DIR for a Prometheus "
-                                   "node-exporter textfile collector")
-    fleet_status.add_argument("--json", action="store_true",
-                              help="emit everything as JSON instead of "
                                    "the table")
 
     trace = subparsers.add_parser(
@@ -691,15 +645,12 @@ class _RunTelemetry:
     def __init__(self, args) -> None:
         self.registry = RunRegistry.from_env(getattr(args, "registry", None))
         events = getattr(args, "events", None)
-        metrics = getattr(args, "metrics", None)
         self.aggregating: Optional[AggregatingSink] = None
         self._jsonl: Optional[JsonlSink] = None
-        self._metrics: Optional[MetricsSnapshotSink] = None
         self._sink: Optional[EventSink] = None
         self._installed = False
         self._previous: Optional[EventSink] = None
-        if self.registry is not None or events is not None \
-                or metrics is not None:
+        if self.registry is not None or events is not None:
             self.aggregating = AggregatingSink()
             sinks: List[EventSink] = [self.aggregating]
             if events is not None:
@@ -709,10 +660,6 @@ class _RunTelemetry:
                     raise SystemExit(f"repro: cannot open events file "
                                      f"{events!r}: {error}")
                 sinks.append(self._jsonl)
-            if metrics is not None:
-                self._metrics = MetricsSnapshotSink(
-                    metrics, worker_id=getattr(args, "worker_id", None))
-                sinks.append(self._metrics)
             self._sink = TeeSink(sinks)
         self._started = time.perf_counter()
 
@@ -727,12 +674,6 @@ class _RunTelemetry:
             set_default_sink(self._previous)
         if self._jsonl is not None:
             self._jsonl.close()
-        if self._metrics is not None:
-            try:
-                self._metrics.close()  # final gauge snapshot
-            except OSError as error:
-                print(f"repro: cannot write metrics snapshot: {error}",
-                      file=sys.stderr)
 
     def record(self, *, executor: str, seed: int, trials: int, jobs: int,
                setting_keys: Sequence[str], task_ids: Sequence[str],
@@ -1264,68 +1205,6 @@ def command_shard_status(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# fleet status (aggregated gauges for an always-on worker pool)
-# ----------------------------------------------------------------------
-def command_fleet_status(args) -> int:
-    """Live broker counters as the authoritative plan gauges, any number
-    of --metrics snapshots for worker liveness/counters, any number of
-    --events tails for drain rates."""
-    try:
-        status = _cli_broker(args).status()
-    except ShardError as error:
-        raise SystemExit(f"repro: {error}")
-    except OSError as error:
-        raise SystemExit(f"repro: broker {args.broker!r} I/O "
-                         f"failed: {error}")
-    aggregator = FleetAggregator(max_age_s=args.max_age_s)
-    aggregator.add_broker_status(status)
-    for path in args.metrics or ():
-        try:
-            aggregator.add_snapshot(path)
-        except TelemetryError as error:
-            raise SystemExit(f"repro: {error}")
-    for path in args.events or ():
-        try:
-            aggregator.add_events(path)
-        except (TelemetryError, OSError) as error:
-            raise SystemExit(f"repro: cannot read events file {path!r}: "
-                             f"{error}")
-    gauges = aggregator.aggregate()
-    if args.prom_dir is not None:
-        try:
-            promfile = write_promfile(gauges, args.prom_dir)
-        except OSError as error:
-            raise SystemExit(f"repro: cannot write promfile into "
-                             f"{args.prom_dir!r}: {error}")
-    stale = gauges.stale_workers
-    if args.json:
-        payload: Dict[str, object] = status.as_dict()
-        payload["fleet"] = gauges.as_dict()
-        if args.metrics and len(args.metrics) == 1:
-            # Single-worker compatibility shape (PR 7): the raw snapshot
-            # under its original key, alongside the aggregated view.
-            try:
-                payload["worker_metrics"] = load_metrics_snapshot(
-                    args.metrics[0])
-            except TelemetryError as error:
-                raise SystemExit(f"repro: {error}")
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(status.render())
-        if gauges.workers or gauges.drain_rate:
-            print(gauges.render())
-        if args.prom_dir is not None:
-            print(f"wrote {promfile}")
-    for worker in stale:
-        print(f"repro: warning: snapshot {worker.path} ({worker.worker_id}) "
-              f"is {worker.age_s:.1f}s old (--max-age-s {args.max_age_s}); "
-              "its worker may be dead", file=sys.stderr)
-    if stale and args.strict:
-        return 2
-    return 0
-
-
-# ----------------------------------------------------------------------
 # trace show / export / id (timeline reconstruction from merged JSONL)
 # ----------------------------------------------------------------------
 def _trace_from_files(trace_id: str, paths: Sequence[str]):
@@ -1625,7 +1504,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run": command_run,
         "report": command_report,
         "shard": command_shard,
-        "fleet": command_fleet_status,  # "status" is fleet's one command
         "trace": command_trace,
         "runs": command_runs,
         "cache": command_cache,

@@ -36,6 +36,7 @@ from repro.bench.faults import (
     FaultyObjectStore,
 )
 
+from repro.bench.observe import trace as tracectx
 from repro.bench.runner import (
     BenchmarkConfig,
     BenchmarkRunner,
@@ -57,7 +58,7 @@ from repro.bench.store import (
     ObjectStore,
     RetryPolicy,
 )
-from repro.bench.telemetry import AggregatingSink, use_sink
+from repro.bench.telemetry import AggregatingSink, EventSink, use_sink
 from repro.bench.transport import (
     DEFAULT_PLAN,
     BrokerStatus,
@@ -151,6 +152,16 @@ def default_status(**counts) -> BrokerStatus:
     """The expected status of a broker holding one default-namespace plan."""
     return BrokerStatus(plans=(
         PlanStatus(name=DEFAULT_PLAN, priority=0, **counts),))
+
+
+class RecordingSink(EventSink):
+    """Keeps every emitted event's dict form, in emit order."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event) -> None:
+        self.events.append(event.as_dict())
 
 
 def drain(broker: ObjectStoreBroker, worker_id: str = "worker-a") -> list:
@@ -494,7 +505,6 @@ class BrokerContractSuite:
             broker.submit(small_plan(shards=2, trials=2), name="other")
             assert sink.snapshot()["counters"]["plan_submitted"] == 2
             assert len(drain(broker)) == 3
-        assert sink.snapshot()["counters"]["plan_drained"] == 2
 
     def test_plan_names_are_sorted_and_status_rows_follow(self,
                                                           fresh_broker):
@@ -519,22 +529,61 @@ class BrokerContractSuite:
             == ["idle", "idle"]
         assert broker.lease("worker-a") is None
 
-    def test_plan_drained_is_emitted_once_after_the_last_shard(
-            self, fresh_broker):
+    def test_a_plan_completes_once_with_its_last_shard(self, fresh_broker):
+        """A plan's status row turns drained and complete with its last
+        post, a duplicate of that post changes nothing, and a second
+        plan's row is untouched."""
         broker = fresh_broker()
-        with use_sink(AggregatingSink()) as sink:
-            broker.submit(small_plan(shards=3))
-            leases = [broker.lease("worker-a") for _ in range(3)]
-            for lease in leases[:2]:
-                broker.post(lease, run_manifest(lease.manifest))
-            assert "plan_drained" not in sink.snapshot()["counters"]
-            broker.post(leases[2], run_manifest(leases[2].manifest))
-            assert sink.snapshot()["counters"]["plan_drained"] == 1
-            # A duplicate post of the last shard is a no-op, not a
-            # re-drain.
-            assert broker.post(leases[2],
-                               run_manifest(leases[2].manifest)) is False
-        assert sink.snapshot()["counters"]["plan_drained"] == 1
+        broker.submit(small_plan(shards=3), name="watched")
+        broker.submit(small_plan(shards=1), name="other")
+        leases = [broker.lease("worker-a") for _ in range(4)]
+        watched = [lease for lease in leases if lease.plan == "watched"]
+        assert len(watched) == 3
+
+        def rows():
+            status = broker.status()
+            return {name: status.plan(name) for name in ("watched", "other")}
+
+        for lease in watched[:2]:
+            broker.post(lease, run_manifest(lease.manifest))
+        before = rows()
+        assert (before["watched"].queued, before["watched"].leased,
+                before["watched"].done) == (0, 1, 2)
+        assert not before["watched"].drained
+        assert not before["watched"].complete
+        broker.post(watched[2], run_manifest(watched[2].manifest))
+        after = rows()
+        assert (after["watched"].queued, after["watched"].leased,
+                after["watched"].done) == (0, 0, 3)
+        assert after["watched"].drained and after["watched"].complete
+        assert broker.post(watched[2],
+                           run_manifest(watched[2].manifest)) is False
+        assert rows() == after
+        assert (after["other"].queued, after["other"].leased,
+                after["other"].done) == (0, 1, 0)
+        assert not after["other"].complete
+        assert not broker.status().complete
+
+    def test_collect_events_link_to_the_plan_submit_span(self,
+                                                         fresh_broker):
+        """Each ``shard_collected`` sits in its shard's trace, hangs off
+        the plan's submit span, and collect leaves no span pushed."""
+        broker = fresh_broker()
+        plan = small_plan(shards=2)
+        broker.submit(plan)
+        drain(broker)
+        with use_sink(RecordingSink()) as sink:
+            assert len(broker.collect()) == 2
+        assert tracectx.current() is None
+        submit = tracectx.plan_context(DEFAULT_PLAN,
+                                       plan.manifests[0].plan_identity())
+        collected = [event for event in sink.events
+                     if event["event"] == "shard_collected"]
+        assert [event["shard_index"] for event in collected] == [0, 1]
+        assert [event["trace_id"] for event in collected] \
+            == [tracectx.manifest_trace_id(m) for m in plan.manifests]
+        assert {event["parent_span_id"] for event in collected} \
+            == {submit.span_id}
 
     def test_post_rejects_results_with_a_foreign_trial_count(self,
                                                              fresh_broker):

@@ -416,7 +416,7 @@ def test_shard_merge_report_prints_figures(tmp_path, capsys):
 def test_shard_queue_commands_require_a_broker(tmp_path):
     for command in (["shard", "submit", "--shards", "1"],
                     ["shard", "work"], ["shard", "collect"],
-                    ["shard", "status"], ["fleet", "status"]):
+                    ["shard", "status"]):
         with pytest.raises(SystemExit):  # no --broker
             build_parser().parse_args(command)
         assert build_parser().parse_args(command + ["--broker", "a"]).broker \
@@ -459,7 +459,7 @@ def test_shard_work_progress_prints_heartbeat_renewals(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# named plans, per-plan status, and the fleet view
+# named plans, per-plan status, and daemon workers
 # ----------------------------------------------------------------------
 def test_shard_named_plans_submit_work_status_collect(tmp_path, capsys):
     """Two named plans on one broker: one worker drains both, `shard
@@ -501,6 +501,46 @@ def test_shard_named_plans_submit_work_status_collect(tmp_path, capsys):
     assert exports["smoke"]["settings"] == reference
 
 
+def test_shard_status_json_reports_drained_plans(tmp_path, capsys):
+    """After one worker drains two named plans, `shard status --json`
+    reports each complete with nothing queued or leased."""
+    broker = tmp_path / "queue"
+    for name, shards in (("fleet-a", "1"), ("fleet-b", "2")):
+        assert main(["shard", "submit", "--broker", str(broker),
+                     "--shards", shards, "--plan", name] + SHARD_GRID) == 0
+    capsys.readouterr()
+    assert main(["shard", "status", "--broker", str(broker), "--json"]) == 0
+    pending = json.loads(capsys.readouterr().out)
+    assert pending["plans"]["fleet-b"]["queued"] == 2
+    assert pending["aggregate"]["complete"] is False
+    assert main(["shard", "work", "--broker", str(broker)]) == 0
+    capsys.readouterr()
+    assert main(["shard", "status", "--broker", str(broker), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["plans"]) == {"fleet-a", "fleet-b"}
+    for name, shards in (("fleet-a", 1), ("fleet-b", 2)):
+        gauges = payload["plans"][name]
+        assert gauges["complete"] is True, (name, gauges)
+        assert (gauges["queued"], gauges["leased"], gauges["done"]) \
+            == (0, 0, shards), (name, gauges)
+    assert payload["aggregate"] == {"queued": 0, "leased": 0, "done": 3,
+                                    "shard_count": 3, "complete": True}
+
+
+@pytest.mark.parametrize("command, message", [
+    (["fleet", "status", "--broker", "q"], "invalid choice: 'fleet'"),
+    (["shard", "work", "--broker", "q", "--metrics", "fleet.json"],
+     "unrecognized arguments: --metrics"),
+], ids=["fleet-status", "shard-work-metrics"])
+def test_removed_fleet_options_are_rejected(command, message, capsys):
+    """The deleted fleet view and worker metrics snapshot fail loudly at
+    parse time rather than being silently ignored."""
+    with pytest.raises(SystemExit) as raised:
+        build_parser().parse_args(command)
+    assert raised.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_shard_collect_names_the_incomplete_plan(tmp_path, capsys):
     broker = tmp_path / "queue"
     main(["shard", "submit", "--broker", str(broker), "--shards", "2",
@@ -533,37 +573,6 @@ def test_shard_work_daemon_flag_validation(tmp_path):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shard", "work", "--broker", "q",
                                        "--daemon", "--max-idle-s", value])
-
-
-def test_fleet_status_reads_live_metrics_snapshot(tmp_path, capsys):
-    """A worker run with --metrics leaves a snapshot the fleet view folds
-    into its report: zeroed queue gauges, the drained marker, and idle
-    accounting."""
-    broker = tmp_path / "queue"
-    metrics = tmp_path / "fleet.json"
-    main(["shard", "submit", "--broker", str(broker), "--shards", "1",
-          "--plan", "nightly"] + SHARD_GRID)
-    assert main(["shard", "work", "--broker", str(broker),
-                 "--metrics", str(metrics)]) == 0
-    capsys.readouterr()
-    assert main(["fleet", "status", "--broker", str(broker),
-                 "--metrics", str(metrics), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload["plans"]) == {"nightly"}
-    assert payload["plans"]["nightly"]["queued"] == 0
-    assert payload["aggregate"]["complete"] is True
-    gauges = payload["worker_metrics"]["plans"]["nightly"]
-    assert gauges["queued"] == 0 and gauges["drained"] is True
-    assert gauges["done"] == 1
-    assert main(["fleet", "status", "--broker", str(broker),
-                 "--metrics", str(metrics)]) == 0
-    rendered = capsys.readouterr().out
-    assert "drained plans: nightly" in rendered
-    assert "worker idle:" in rendered
-    with pytest.raises(SystemExit, match="not valid JSON"):
-        metrics.write_text("{torn", encoding="utf-8")
-        main(["fleet", "status", "--broker", str(broker),
-              "--metrics", str(metrics)])
 
 
 # ----------------------------------------------------------------------

@@ -1,38 +1,36 @@
-"""Tests for the observability plane: trace correlation, fleet
-aggregation and OpenMetrics export.
+"""Tests for trace correlation and the cost of telemetry on the broker.
 
-The PR 10 acceptance criteria live here: trial trace ids are
-byte-identical across execution paths, a chaos run yields one complete
-reconstructable trace per trial (retry spans included), the fleet
-aggregator merges multiple worker snapshots with staleness flags, and
-the OpenMetrics textfile round-trips through a parser check.
+Trial trace ids are byte-identical across execution paths, a chaos run
+yields one complete reconstructable trace per trial (retry spans
+included), a store retry inside ``collect`` lands in every trial's
+trace, and a live sink makes no store call the NullSink does not.
 """
 
 import json
-import time
+from collections import Counter
 
 import pytest
 
 from broker_contract import (
+    ALL_BROKER_KINDS,
     DEFAULT_SEED,
     SETTINGS,
     TASKS,
+    MemoizedExecutor,
     make_chaos_broker,
+    make_store,
     small_plan,
 )
 from repro.bench.engine import TrialSpec, trial_seed
-from repro.bench.observe import (
-    FleetAggregator,
-    ObserveError,
+from repro.bench.observe.trace import (
     build_trace,
+    current,
     manifest_trace_id,
-    parse_openmetrics,
+    plan_context,
     plan_trace_id,
-    render_openmetrics,
     render_trace,
     span_id_for,
     trial_trace_id,
-    write_promfile,
 )
 from repro.bench.runner import (
     BenchmarkConfig,
@@ -42,14 +40,21 @@ from repro.bench.runner import (
 from repro.bench.shard import ManifestExecutor, plan_shards
 from repro.bench.tasks import task_by_id
 from repro.bench.telemetry import (
+    NULL_SINK,
+    AggregatingSink,
     JsonlSink,
-    METRICS_SCHEMA_VERSION,
-    TelemetryError,
     read_jsonl_events,
     use_sink,
 )
-from repro.bench.store import FileSystemObjectStore
-from repro.bench.transport import ObjectStoreBroker, ShardWorker
+from repro.bench.store import (
+    FileSystemObjectStore,
+    InMemoryObjectStore,
+    ObjectStore,
+    RetryBudgetExceeded,
+    RetryPolicy,
+    TransientStoreError,
+)
+from repro.bench.transport import DEFAULT_PLAN, ObjectStoreBroker, ShardWorker
 from repro.cli import main
 
 #: A deliberately small grid: trace identity is about *which* trial, not
@@ -110,10 +115,12 @@ def test_trace_ids_are_deterministic_and_derived_from_identity():
     assert first.trace_id == manifest_trace_id(first)
     # Plan ids fold the broker-side *name* in, so two tenants submitting
     # the same grid under different names stay distinguishable.
-    assert plan_trace_id("nightly", first) != plan_trace_id("canary", first)
+    identity = first.plan_identity()
+    assert plan_trace_id("nightly", identity) \
+        != plan_trace_id("canary", identity)
     # ...but every manifest of one plan derives the same plan id.
-    assert plan_trace_id("nightly", first) == plan_trace_id("nightly",
-                                                            second)
+    assert plan_trace_id("nightly", identity) \
+        == plan_trace_id("nightly", second.plan_identity())
     assert span_id_for(tid, "trial") == span_id_for(tid, "trial")
     assert span_id_for(tid, "trial") != span_id_for(tid, "lease")
 
@@ -194,226 +201,166 @@ def test_chaos_run_yields_one_complete_trace_per_trial(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# fleet aggregation
+# store-call accounting: collect's retries traced, a live sink costs no I/O
 # ----------------------------------------------------------------------
-def snapshot_payload(worker_id, written_at, queued=0, leased=0, done=0,
-                     drained=False, counters=None, idle=(0, 0.0),
-                     events=0, plan="nightly"):
-    return {
-        "schema_version": METRICS_SCHEMA_VERSION,
-        "written_at": written_at,
-        "worker_id": worker_id,
-        "plans": {plan: {"queued": queued, "leased": leased, "done": done,
-                         "drained": drained}},
-        "worker_idle": {"count": idle[0], "slept_s": idle[1]},
-        "counters": counters or {},
-        "events": events,
-    }
+class ForwardingStore(ObjectStore):
+    """Forwards every call to ``inner``, calling :meth:`before` first."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def before(self, op, key):
+        pass
+
+    def put_if_absent(self, key, data):
+        self.before("put_if_absent", key)
+        return self.inner.put_if_absent(key, data)
+
+    def put_if_match(self, key, data, etag):
+        self.before("put_if_match", key)
+        return self.inner.put_if_match(key, data, etag)
+
+    def get(self, key):
+        self.before("get", key)
+        return self.inner.get(key)
+
+    def list_prefix(self, prefix):
+        self.before("list_prefix", prefix)
+        return self.inner.list_prefix(prefix)
+
+    def delete(self, key):
+        self.before("delete", key)
+        return self.inner.delete(key)
+
+    def describe(self):
+        return self.inner.describe()
 
 
-def write_snapshot(path, **kwargs):
-    path.write_text(json.dumps(snapshot_payload(**kwargs)),
-                    encoding="utf-8")
-    return path
+class CountingStore(ForwardingStore):
+    """Counts the calls made to the store, per op."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = Counter()
+
+    def before(self, op, key):
+        self.calls[op] += 1
 
 
-def test_fleet_aggregator_merges_snapshots_and_flags_stale(tmp_path):
-    """Satellite + tentpole acceptance: ≥2 snapshots merge into one
-    gauges view — queue gauges freshest-observer-wins, worker counters
-    summed, snapshots past max_age_s flagged stale."""
-    now = 10_000.0
-    fresh = write_snapshot(
-        tmp_path / "w1.json", worker_id="w1", written_at=now - 10,
-        queued=3, leased=1, done=2,
-        counters={"lease_acquired": 2, "cache_hit": 3, "cache_miss": 1},
-        idle=(4, 2.0), events=11)
-    stale = write_snapshot(
-        tmp_path / "w2.json", worker_id="w2", written_at=now - 120,
-        queued=5, leased=0, done=0,
-        counters={"lease_acquired": 1, "store_retry": 7},
-        idle=(1, 0.5), events=9)
+class FlakyResultReads(ForwardingStore):
+    """Once armed, fails the first ``get`` of every result object."""
 
-    aggregator = FleetAggregator(max_age_s=60.0, clock=lambda: now)
-    first = aggregator.add_snapshot(fresh)
-    second = aggregator.add_snapshot(stale)
-    assert not first.stale and first.age_s == pytest.approx(10.0)
-    assert second.stale and second.age_s == pytest.approx(120.0)
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.armed = False
+        self.failed = set()
 
-    gauges = aggregator.aggregate()
-    assert gauges.live_workers == 1
-    assert [worker.worker_id for worker in gauges.stale_workers] == ["w2"]
-    # Queue gauges: w1's observation wins (younger), never a sum.
-    assert gauges.plans["nightly"]["queued"] == 3
-    assert gauges.plans["nightly"]["observed_by"] == "w1"
-    # Worker counters: per-worker facts, summed across the fleet.
-    assert gauges.counters["lease_acquired"] == 3
-    assert gauges.counters["store_retry"] == 7
-    assert gauges.counters["lease_lost"] == 0  # seeded, never missing
-    assert gauges.idle_count == 5
-    assert gauges.idle_slept_s == pytest.approx(2.5)
-    assert gauges.cache_hit_ratio == pytest.approx(0.75)
-
-    rendered = gauges.render()
-    assert "w2" in rendered and "STALE" in rendered
-    assert "lease churn: 3 acquired" in rendered
-    assert "retries: 7 store" in rendered
+    def before(self, op, key):
+        if self.armed and op == "get" \
+                and key.startswith(ObjectStoreBroker.RESULT_PREFIX) \
+                and key not in self.failed:
+            self.failed.add(key)
+            raise TransientStoreError(f"injected fault on {key!r}")
 
 
-def test_fleet_aggregator_drain_rate_and_broker_authority(tmp_path):
-    """Drain rate needs history: timestamped queue_depth samples from an
-    events tail yield shards/second; a live BrokerStatus overrides the
-    snapshot-derived queue gauges entirely."""
-    events = tmp_path / "events.jsonl"
-    with open(events, "w", encoding="utf-8") as handle:
-        for ts, done in ((100.0, 0), (110.0, 2), (120.0, 10)):
-            handle.write(json.dumps({
-                "event": "queue_depth", "plan": "nightly", "queued": 0,
-                "leased": 0, "done": done, "ts": ts}) + "\n")
-    aggregator = FleetAggregator(clock=lambda: 10_000.0)
-    aggregator.add_snapshot(write_snapshot(
-        tmp_path / "w1.json", worker_id="w1", written_at=9_990.0,
-        queued=3, leased=1, done=2))
-    assert aggregator.add_events(events) == 3
-    gauges = aggregator.aggregate()
-    assert gauges.drain_rate["nightly"] == pytest.approx(0.5)  # 10 in 20s
-
-    class FakePlanStatus:
-        def __init__(self):
-            self.name, self.priority = "nightly", 0
-            self.queued, self.leased, self.done = 9, 0, 1
-            self.drained = False
-
-    class FakeBrokerStatus:
-        plans = (FakePlanStatus(),)
-
-    aggregator.add_broker_status(FakeBrokerStatus())
-    authoritative = aggregator.aggregate()
-    assert authoritative.plans["nightly"]["queued"] == 9
-    assert authoritative.plans["nightly"]["observed_by"] == "broker"
-
-
-def test_fleet_aggregator_rejects_version1_snapshots(tmp_path):
-    """PR 7 snapshots predate schema_version and written_at; they get the
-    same labeled "unknown schema" error as any other foreign version."""
-    legacy = tmp_path / "old.json"
-    legacy.write_text(json.dumps({
-        "plans": {"nightly": {"queued": 1, "leased": 0, "done": 0,
-                              "drained": False}},
-        "worker_idle": {"count": 0, "slept_s": 0.0}, "events": 1}),
-        encoding="utf-8")
-    with pytest.raises(TelemetryError,
-                       match=r"old\.json has schema_version None"):
-        FleetAggregator(max_age_s=60.0).add_snapshot(legacy)
+def test_a_retried_result_read_in_collect_joins_every_trial_trace(
+        tmp_path):
+    """collect reads under a ``collect`` span of the plan trace, so a
+    retry it absorbs shows in each trial's reconstructed timeline."""
+    store = FlakyResultReads(InMemoryObjectStore())
+    broker = ObjectStoreBroker(store, retry=RetryPolicy(
+        backoff_base_s=0.0, sleep=lambda _delay: None))
+    plan = grid_plan(shards=2)
+    log = tmp_path / "events.jsonl"
+    sink = JsonlSink(log)
+    try:
+        with use_sink(sink):
+            broker.submit(plan)
+            ShardWorker(broker, ManifestExecutor(), worker_id="w", poll=0,
+                        heartbeat=0).run()
+            store.armed = True
+            assert len(broker.collect()) == 2
+    finally:
+        sink.close()
+    events = read_jsonl_events(log)
+    retries = [event for event in events
+               if event.get("event") == "store_retry"]
+    assert [event["op"] for event in retries] == ["get", "get"]
+    collect = plan_context(DEFAULT_PLAN,
+                           plan.manifests[0].plan_identity()).child("collect")
+    assert {(event.get("trace_id"), event.get("parent_span_id"))
+            for event in retries} == {(collect.trace_id, collect.span_id)}
+    for spec in grid_specs():
+        trace = build_trace(events, spec.trace_id)
+        assert [event["event"] for event in trace.events
+                if event["event"] == "store_retry"] == ["store_retry"] * 2
 
 
-def test_fleet_aggregator_validates_max_age():
-    with pytest.raises(ObserveError, match="max_age_s"):
-        FleetAggregator(max_age_s=-1.0)
+def test_a_failed_collect_leaves_no_span_pushed():
+    """A result read that exhausts its retry budget propagates out of
+    collect without leaving the ``collect`` span on the thread's stack."""
+    store = FlakyResultReads(InMemoryObjectStore())
+    broker = ObjectStoreBroker(store, retry=RetryPolicy(
+        attempts=1, backoff_base_s=0.0, sleep=lambda _delay: None))
+    with use_sink(AggregatingSink()) as sink:
+        broker.submit(grid_plan(shards=2))
+        ShardWorker(broker, ManifestExecutor(), worker_id="w", poll=0,
+                    heartbeat=0).run()
+        store.armed = True
+        # Each result object fails its first read: one failed collect each.
+        for _ in range(2):
+            with pytest.raises(RetryBudgetExceeded):
+                broker.collect()
+            assert current() is None
+        assert len(broker.collect()) == 2
+        assert current() is None
+    assert sink.count("shard_collected") == 2
 
 
-# ----------------------------------------------------------------------
-# OpenMetrics exposition: render, parse, atomic promfile
-# ----------------------------------------------------------------------
-def aggregated_gauges(tmp_path):
-    now = 10_000.0
-    aggregator = FleetAggregator(max_age_s=60.0, clock=lambda: now)
-    aggregator.add_snapshot(write_snapshot(
-        tmp_path / "w1.json", worker_id="w1", written_at=now - 10,
-        queued=3, leased=1, done=2,
-        counters={"cache_hit": 3, "cache_miss": 1}, idle=(4, 2.0)))
-    aggregator.add_snapshot(write_snapshot(
-        tmp_path / "w2.json", worker_id="w2", written_at=now - 120))
-    return aggregator.aggregate()
+@pytest.mark.parametrize("kind", ALL_BROKER_KINDS)
+def test_a_live_sink_adds_no_store_calls(kind, tmp_path):
+    """Draining and collecting a plan makes the same store calls, op by
+    op, whether telemetry is off or a sink is listening."""
+    calls = {}
+    for label, sink in (("off", NULL_SINK), ("on", AggregatingSink())):
+        store = CountingStore(make_store(kind, tmp_path / label))
+        broker = ObjectStoreBroker(store)
+        with use_sink(sink):
+            broker.submit(small_plan(shards=6))
+            ShardWorker(broker, MemoizedExecutor(), worker_id="w", poll=0,
+                        heartbeat=0).run()
+            assert len(broker.collect()) == 6
+        calls[label] = dict(store.calls)
+    assert calls["on"] == calls["off"]
 
 
-def test_openmetrics_round_trips_through_the_parser(tmp_path):
-    """Satellite acceptance: the promfile parses back to the exact gauge
-    values — a textfile a collector would silently drop never ships."""
-    gauges = aggregated_gauges(tmp_path)
-    text = render_openmetrics(gauges)
-    assert text.endswith("# EOF\n")
-    samples = parse_openmetrics(text)
-    by_key = {(sample.name, tuple(sorted(sample.labels.items()))):
-              sample.value for sample in samples}
-    assert by_key[("repro_queue_depth",
-                   (("plan", "nightly"), ("state", "queued")))] == 3
-    assert by_key[("repro_workers", (("state", "live"),))] == 1
-    assert by_key[("repro_workers", (("state", "stale"),))] == 1
-    assert by_key[("repro_events_total", (("kind", "cache_hit"),))] == 3
-    assert by_key[("repro_cache_hit_ratio", ())] == pytest.approx(0.75)
-    assert by_key[("repro_idle_seconds_total", ())] == pytest.approx(2.0)
+@pytest.mark.parametrize("kind", ALL_BROKER_KINDS)
+def test_a_live_sink_adds_no_store_calls_to_an_idle_daemon(kind, tmp_path):
+    """A daemon that drains a plan and then idles to its ``max_idle_s``
+    makes the same store calls, op by op, with telemetry off or on."""
+    calls = {}
+    for label, sink in (("off", NULL_SINK), ("on", AggregatingSink())):
+        store = CountingStore(make_store(kind, tmp_path / label))
+        broker = ObjectStoreBroker(store)
+        now = [0.0]
 
-    promfile = write_promfile(gauges, tmp_path / "prom")
-    assert promfile.name == "repro_fleet.prom"
-    assert parse_openmetrics(promfile.read_text(encoding="utf-8"))
-    # Atomic: the rename left no temp files next to the target.
-    assert [entry.name for entry in promfile.parent.iterdir()] \
-        == ["repro_fleet.prom"]
+        def sleep(delay):
+            now[0] += delay
 
-
-def test_openmetrics_parser_rejects_malformed_expositions():
-    with pytest.raises(ObserveError, match="missing # EOF"):
-        parse_openmetrics("repro_workers 1\n")
-    with pytest.raises(ObserveError, match="line 1"):
-        parse_openmetrics("!!garbage!!\n# EOF\n")
-    with pytest.raises(ObserveError, match="after # EOF"):
-        parse_openmetrics("# EOF\nrepro_workers 1\n")
-    with pytest.raises(ObserveError, match="non-numeric"):
-        parse_openmetrics("repro_workers one\n# EOF\n")
-    with pytest.raises(ObserveError, match="label block"):
-        parse_openmetrics('repro_workers{state=live} 1\n# EOF\n')
-    # Label values round-trip through escaping.
-    samples = parse_openmetrics(
-        'repro_queue_depth{plan="a\\"b\\\\c"} 1\n# EOF\n')
-    assert samples[0].labels == {"plan": 'a"b\\c'}
+        with use_sink(sink):
+            broker.submit(small_plan(shards=2))
+            ShardWorker(broker, MemoizedExecutor(), worker_id="d", poll=1.0,
+                        heartbeat=0, daemon=True, max_idle_s=2.0,
+                        sleep=sleep, clock=lambda: now[0]).run()
+        calls[label] = dict(store.calls)
+        if sink:
+            assert sink.count("worker_idle") > 0
+    assert calls["on"] == calls["off"]
 
 
 # ----------------------------------------------------------------------
-# CLI: fleet status --strict / --prom-dir, trace
+# CLI: trace
 # ----------------------------------------------------------------------
-def seeded_queue(tmp_path, shards=2, drain=False):
-    broker = ObjectStoreBroker(FileSystemObjectStore(tmp_path / "queue"))
-    broker.submit(grid_plan(shards=shards))
-    if drain:
-        ShardWorker(broker, ManifestExecutor(), worker_id="seed-w",
-                    poll=0, heartbeat=0).run()
-    return str(tmp_path / "queue")
-
-
-def test_fleet_status_cli_merges_snapshots_and_strict_gates(tmp_path,
-                                                            capsys):
-    """Satellite acceptance: status merges ≥2 snapshots, warns about the
-    stale one on stderr, and --strict turns the warning into exit 2."""
-    queue = seeded_queue(tmp_path)
-    now = time.time()
-    fresh = write_snapshot(tmp_path / "w1.json", worker_id="w1",
-                           written_at=now)
-    stale = write_snapshot(tmp_path / "w2.json", worker_id="w2",
-                           written_at=now - 4000)
-    base = ["fleet", "status", "--broker", queue,
-            "--metrics", str(fresh), "--metrics", str(stale),
-            "--max-age-s", "60"]
-    assert main(base) == 0
-    captured = capsys.readouterr()
-    assert "STALE" in captured.out
-    assert "w2" in captured.err and "may be dead" in captured.err
-    assert "--max-age-s 60" in captured.err
-
-    assert main(base + ["--strict"]) == 2
-    capsys.readouterr()
-
-    prom_dir = tmp_path / "prom"
-    assert main(base + ["--prom-dir", str(prom_dir), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["fleet"]["live_workers"] == 1
-    assert len(payload["fleet"]["workers"]) == 2
-    assert [worker["stale"] for worker in payload["fleet"]["workers"]] \
-        == [False, True]
-    samples = parse_openmetrics(
-        (prom_dir / "repro_fleet.prom").read_text(encoding="utf-8"))
-    assert any(sample.name == "repro_queue_depth" for sample in samples)
-
-
 def test_trace_cli_id_show_and_export(tmp_path, capsys):
     spec = grid_specs()[0]
     assert main(["trace", "id", "--task", spec.task_id,

@@ -8,27 +8,21 @@ LRU-eviction instrumentation (the bounded-cache satellite).
 """
 
 import json
-import re
 import threading
 
 import pytest
 
 from repro.agent.session import InterfaceSetting, LLMCallRecord, SessionResult
 from repro.bench import telemetry
-from repro.bench.observe import FleetAggregator
 from repro.bench.telemetry import (
     NULL_SINK,
     AggregatingSink,
     CacheHit,
     CacheMiss,
     JsonlSink,
-    MetricsSnapshotSink,
     NullSink,
     TeeSink,
     TelemetryError,
-    PlanDrained,
-    PlanSubmitted,
-    QueueDepth,
     TimerStats,
     TrialFinished,
     TrialStarted,
@@ -38,7 +32,6 @@ from repro.bench.telemetry import (
     set_default_sink,
     use_sink,
 )
-from repro.cli import main
 from repro.dmi.cache import ArtifactCache
 
 
@@ -290,63 +283,14 @@ def test_cache_max_entries_validation(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the live fleet-metrics snapshot sink
+# TeeSink under concurrent emitters
 # ----------------------------------------------------------------------
-def test_metrics_snapshot_tracks_gauges_and_drain(tmp_path):
-    sink = MetricsSnapshotSink()
-    sink.emit(PlanSubmitted(plan="nightly", shards=3, priority=1))
-    snap = sink.snapshot()
-    assert snap["plans"]["nightly"] == {"queued": 3, "leased": 0,
-                                        "done": 0, "drained": False}
-    # queue_depth is authoritative: it overwrites the seeded gauge.
-    sink.emit(QueueDepth(plan="nightly", queued=1, leased=1, done=1))
-    sink.emit(QueueDepth(plan="nightly", queued=0, leased=0, done=3))
-    sink.emit(PlanDrained(plan="nightly", shards=3))
-    sink.emit(WorkerIdle(worker_id="w", slept_s=0.25, streak=1))
-    sink.emit(WorkerIdle(worker_id="w", slept_s=0.75, streak=2))
-    snap = sink.snapshot()
-    assert snap["plans"]["nightly"] == {"queued": 0, "leased": 0,
-                                        "done": 3, "drained": True}
-    assert snap["worker_idle"]["count"] == 2
-    assert snap["worker_idle"]["slept_s"] == pytest.approx(1.0)
-    assert snap["events"] == 6
-    # Resubmitting a plan name clears its drained marker (a new tenant).
-    sink.emit(PlanSubmitted(plan="nightly", shards=2, priority=0))
-    assert sink.snapshot()["plans"]["nightly"]["drained"] is False
-
-
-def test_metrics_snapshot_writes_atomically_at_interval(tmp_path):
-    clock_now = [0.0]
-    path = tmp_path / "fleet.json"
-    with MetricsSnapshotSink(path, interval_s=10.0,
-                             clock=lambda: clock_now[0]) as sink:
-        sink.emit(PlanSubmitted(plan="a", shards=1, priority=0))
-        first = json.loads(path.read_text())  # first event writes eagerly
-        assert first["plans"]["a"]["queued"] == 1
-        sink.emit(QueueDepth(plan="a", queued=0, leased=1, done=0))
-        # Within the interval: the file still holds the first snapshot.
-        assert json.loads(path.read_text()) == first
-        clock_now[0] = 11.0
-        sink.emit(QueueDepth(plan="a", queued=0, leased=0, done=1))
-        assert json.loads(path.read_text())["plans"]["a"]["done"] == 1
-        clock_now[0] = 12.0
-        sink.emit(PlanDrained(plan="a", shards=1))
-    # close() flushed the drain marker even though the interval hadn't
-    # elapsed, and left no temp files behind.
-    final = json.loads(path.read_text())
-    assert final["plans"]["a"]["drained"] is True
-    assert [p.name for p in tmp_path.iterdir()] == ["fleet.json"]
-    with pytest.raises(TelemetryError, match="interval_s"):
-        MetricsSnapshotSink(path, interval_s=float("nan"))
-
-
 def test_tee_sink_concurrent_emit_keeps_counters_exact(tmp_path):
-    """Satellite acceptance: ≥8 threads hammering one TeeSink lose no
-    events — both fan-out members and the snapshot file agree on the
-    exact total."""
+    """≥8 threads hammering one TeeSink lose no events — both fan-out
+    members (counters and the JSONL file) agree on the exact total."""
     aggregating = AggregatingSink()
-    metrics = MetricsSnapshotSink(tmp_path / "fleet.json", interval_s=0.0)
-    tee = TeeSink([aggregating, metrics])
+    jsonl = JsonlSink(tmp_path / "events.jsonl")
+    tee = TeeSink([aggregating, jsonl])
     per_thread, thread_count = 250, 8
 
     def hammer(worker: int) -> None:
@@ -360,79 +304,10 @@ def test_tee_sink_concurrent_emit_keeps_counters_exact(tmp_path):
         thread.start()
     for thread in threads:
         thread.join()
-    metrics.close()
+    jsonl.close()
     total = per_thread * thread_count
     assert aggregating.count("worker_idle") == total
     assert aggregating.timer("idle_sleep_s").count == total
-    snap = json.loads((tmp_path / "fleet.json").read_text())
-    assert snap["events"] == total
-    assert snap["counters"]["worker_idle"] == total
-    assert snap["worker_idle"]["count"] == total
-
-
-def test_metrics_snapshot_carries_schema_version_and_written_at(tmp_path):
-    """Satellite acceptance: every snapshot states its schema version, a
-    wall-clock write stamp, and the emitting worker's identity."""
-    wall = [1000.0]
-    path = tmp_path / "fleet.json"
-    with MetricsSnapshotSink(path, interval_s=0.0, worker_id="w7",
-                             wall_clock=lambda: wall[0]) as sink:
-        sink.emit(PlanSubmitted(plan="a", shards=1, priority=0))
-        first = json.loads(path.read_text())
-        assert first["schema_version"] == telemetry.METRICS_SCHEMA_VERSION
-        assert first["written_at"] == 1000.0
-        assert first["worker_id"] == "w7"
-        assert first["counters"] == {"plan_submitted": 1}
-        wall[0] = 1042.0
-        sink.emit(QueueDepth(plan="a", queued=0, leased=0, done=1))
-    final = json.loads(path.read_text())
-    assert final["written_at"] == 1042.0
-    # The loader accepts the current version...
-    loaded = telemetry.load_metrics_snapshot(path)
-    assert loaded["schema_version"] == telemetry.METRICS_SCHEMA_VERSION
-    # ...and rejects a version-1 (versionless) snapshot as unknown.
-    versionless = dict(final)
-    del versionless["schema_version"]
-    legacy = tmp_path / "v1.json"
-    legacy.write_text(json.dumps(versionless), encoding="utf-8")
-    with pytest.raises(TelemetryError,
-                       match=r"v1\.json has schema_version None"):
-        telemetry.load_metrics_snapshot(legacy)
-
-
-def test_metrics_snapshot_reader_rejects_unknown_versions(tmp_path):
-    """Satellite acceptance: an unknown schema_version fails loudly with
-    an error naming the offending file, never silently rendering gauges
-    whose meaning changed."""
-    path = tmp_path / "future.json"
-    path.write_text(json.dumps({"schema_version": 99, "plans": {}}),
-                    encoding="utf-8")
-    with pytest.raises(TelemetryError, match=r"future\.json.*schema_version 99"):
-        telemetry.load_metrics_snapshot(path)
-    with pytest.raises(TelemetryError, match="cannot read"):
-        telemetry.load_metrics_snapshot(tmp_path / "missing.json")
-    bad = tmp_path / "torn.json"
-    bad.write_text("{torn", encoding="utf-8")
-    with pytest.raises(TelemetryError, match=r"torn\.json is not valid JSON"):
-        telemetry.load_metrics_snapshot(bad)
-    # Non-numeric fields the fleet aggregator folds are labeled with the
-    # file and the field, on both the loader and `repro fleet status`.
-    valid = {"schema_version": telemetry.METRICS_SCHEMA_VERSION,
-             "written_at": 1000.0, "counters": {"lease_acquired": 3}}
-    for label, patch in (
-            ("counters.lease_acquired", {"counters": {"lease_acquired":
-                                                      "many"}}),
-            ("written_at", {"written_at": "yesterday"}),
-            ("written_at", {"written_at": None}),
-            ("worker_idle.slept_s", {"worker_idle": {"slept_s": [1]}}),
-            ("events", {"events": "3"})):
-        odd = tmp_path / "odd.json"
-        odd.write_text(json.dumps(dict(valid, **patch)), encoding="utf-8")
-        pattern = rf"odd\.json: field '{re.escape(label)}' must be a number"
-        with pytest.raises(TelemetryError, match=pattern):
-            telemetry.load_metrics_snapshot(odd)
-        with pytest.raises(TelemetryError, match=pattern):
-            FleetAggregator().add_snapshot(odd)
-        with pytest.raises(SystemExit, match=pattern):
-            main(["fleet", "status", "--broker", str(tmp_path / "queue"),
-                  "--metrics", str(odd)])
+    events = read_jsonl_events(tmp_path / "events.jsonl")
+    assert len(events) == total
+    assert {event["event"] for event in events} == {"worker_idle"}
