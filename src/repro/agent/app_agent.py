@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.agent.actions import deliver_click, deliver_scrollbar_drag, deliver_shortcut, deliver_text
-from repro.agent.labeling import label_visible_controls, labelled_prompt_tokens
+from repro.agent.labeling import screen_prompt_tokens
 from repro.agent.session import FailureRecord, InterfaceSetting, LLMCallRecord, SessionResult
 from repro.apps.base import Application
+from repro.gui.screen import ScreenView
 from repro.gui.widgets import ScrollBarControl, Window
 from repro.llm.grounding import GroundingModel
 from repro.llm.planner import MicroStep, SemanticPlanner
@@ -104,9 +105,10 @@ class GuiAppAgent:
                 failure = FailureRecord(FailureCause.STEP_BUDGET_EXHAUSTED,
                                         detail="30-step cap reached")
                 break
-            visible = self._visible_elements()
+            views = self._views()
+            visible = _elements(views)
             visible_names = {e.name for e in visible if e.name}
-            self._record_round(result, visible)
+            self._record_round(result, views)
 
             # A round occasionally goes to a wrong navigation branch.
             if self.rng.random() < self.profile.nav_plan_error_rate:
@@ -190,9 +192,17 @@ class GuiAppAgent:
     # ------------------------------------------------------------------
     # round bookkeeping
     # ------------------------------------------------------------------
-    def _record_round(self, result: SessionResult, visible: List[UIElement]) -> None:
-        labelling = label_visible_controls(self._windows())
-        prompt = self.config.base_prompt_tokens + labelled_prompt_tokens(labelling)
+    def _record_round(self, result: SessionResult, views: List[ScreenView]) -> None:
+        """Charge one LLM round whose prompt labels what ``views`` show.
+
+        The labelled list's token count comes from the layout's memo (see
+        :func:`~repro.agent.labeling.screen_prompt_tokens`): a screen this
+        app showed in an earlier round, of this trial or of an earlier one
+        (a restore puts the as-built stamps back), is neither labelled nor
+        estimated again.
+        """
+        prompt = self.config.base_prompt_tokens + screen_prompt_tokens(
+            views, self.app.desktop.layout.memo)
         if self.setting.has_forest_knowledge and self.core is not None:
             prompt += self.core.token_estimate()
         latency = (self.profile.base_latency_s
@@ -217,7 +227,7 @@ class GuiAppAgent:
     # step execution
     # ------------------------------------------------------------------
     def _do_click(self, step: MicroStep, result: SessionResult):
-        visible = self._visible_elements()
+        visible = _elements(self._views())
         element = self.grounding.locate(step.target, visible, step.scope_hint)
         if element is None:
             return False, False
@@ -227,7 +237,7 @@ class GuiAppAgent:
         return outcome.delivered, was_error
 
     def _do_type(self, step: MicroStep, result: SessionResult):
-        visible = self._visible_elements()
+        visible = _elements(self._views())
         element = self.grounding.locate(step.target, visible, step.scope_hint)
         if element is None:
             return False, False
@@ -259,7 +269,7 @@ class GuiAppAgent:
                         attempts: Dict[int, int], result: SessionResult):
         """Iterative text selection (click start, shift-click end)."""
         attempts[step_index] = attempts.get(step_index, 0) + 1
-        visible = self._visible_elements()
+        visible = _elements(self._views())
         element = self.grounding.locate(step.target, visible)
         result.record_actions(2, self.config.seconds_per_action)
         if element is None:
@@ -375,26 +385,22 @@ class GuiAppAgent:
             return windows[:1]
         return windows
 
-    def _visible_elements(self) -> List[UIElement]:
-        elements: List[UIElement] = []
-        for window in self._windows():
-            stack: List[UIElement] = [window]
-            while stack:
-                node = stack.pop()
-                if not node.visible:
-                    continue
-                elements.append(node)
-                stack.extend(reversed(node.children))
-        return elements
+    def _views(self) -> List[ScreenView]:
+        """What the windows the agent can act on show now, topmost first."""
+        return self.app.desktop.views(self._windows())
 
     def _locatable(self, name: str, visible: List[UIElement]) -> bool:
         return self.grounding._best_match(name, visible) is not None
 
     def _find_scrollbar(self, name: str) -> Optional[ScrollBarControl]:
-        for element in self._visible_elements():
-            if isinstance(element, ScrollBarControl) and element.name == name:
-                return element
-        for element in self._visible_elements():
-            if isinstance(element, ScrollBarControl):
-                return element
-        return None
+        """The visible scrollbar called ``name``, else the first visible one."""
+        scrollbars = [e for e in _elements(self._views()) if isinstance(e, ScrollBarControl)]
+        named = [e for e in scrollbars if e.name == name]
+        return (named or scrollbars or [None])[0]
+
+
+def _elements(views: List[ScreenView]) -> List[UIElement]:
+    """Every control ``views`` show, view by view in pre-order (read-only)."""
+    if len(views) == 1:
+        return views[0].elements
+    return [element for view in views for element in view.elements]

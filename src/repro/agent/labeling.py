@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.gui.screen import ScreenView
 from repro.llm.tokens import estimate_tokens
-from repro.uia.element import UIElement
-from repro.uia.tree import visible_elements
+from repro.uia.element import StampMemo, UIElement
 
 
 def alphabetic_labels(count: int) -> List[str]:
@@ -30,20 +30,14 @@ def alphabetic_labels(count: int) -> List[str]:
     return labels
 
 
-def label_visible_controls(roots: Sequence[UIElement]) -> Dict[str, UIElement]:
-    """Label every visible, named control under ``roots``.
+def label_visible_controls(views: Sequence[ScreenView]) -> Dict[str, UIElement]:
+    """Label every named control the ``views`` show.
 
-    Returns an ordered mapping label -> element (document order, windows
-    bottom-up so the topmost window's controls get the last labels, matching
-    how an agent would re-label after a dialog opens).
+    Returns an ordered mapping label -> element: view by view in the order
+    given, each in pre-order.
     """
-    elements: List[UIElement] = []
-    for root in roots:
-        for element in visible_elements(root):
-            if element.name:
-                elements.append(element)
-    labels = alphabetic_labels(len(elements))
-    return dict(zip(labels, elements))
+    elements = [element for view in views for element in view.elements if element.name]
+    return dict(zip(alphabetic_labels(len(elements)), elements))
 
 
 def labelled_prompt_text(labelling: Dict[str, UIElement]) -> str:
@@ -56,3 +50,18 @@ def labelled_prompt_text(labelling: Dict[str, UIElement]) -> str:
 
 def labelled_prompt_tokens(labelling: Dict[str, UIElement]) -> int:
     return estimate_tokens(labelled_prompt_text(labelling))
+
+
+def screen_prompt_tokens(views: Sequence[ScreenView], memo: StampMemo) -> int:
+    """:func:`labelled_prompt_tokens` of the labelling ``views`` make.
+
+    The count is memoized in ``memo`` under the views' (window, stamp)
+    pairs, in the order given, so it is exact: a screen recorded before is
+    neither labelled nor estimated again.
+    """
+    key = ("labelled_prompt_tokens",) + tuple((view.window, view.stamp) for view in views)
+    tokens = memo.get(key)
+    if tokens is None:
+        tokens = labelled_prompt_tokens(label_visible_controls(views))
+        memo.put(key, tokens)
+    return tokens

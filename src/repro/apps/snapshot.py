@@ -30,7 +30,11 @@ the containers that came to hold them.
 Process-global counters are not state: controls and slides built after a
 restore get fresh runtime and slide ids, as they would in a fresh build.
 No output depends on them: the ripper uses runtime ids only as identity
-keys within one rip, and nothing reads slide ids.
+keys within one rip, and nothing reads slide ids.  Nor is a
+:class:`~repro.uia.element.StampMemo`: its entries are keyed by layout
+stamps, which a restore puts back with the state they stamp, so the walk
+neither records nor restores it, and an entry recorded for the as-built
+state is hit again after every restore.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ import types
 from itertools import chain
 from typing import Any, List, Tuple
 
+from repro.uia.element import StampMemo
+
 _ATOMIC = (type(None), bool, int, float, complex, str, bytes, range)
-_OPAQUE = (type, types.ModuleType, enum.Enum)
+_OPAQUE = (type, types.ModuleType, enum.Enum, StampMemo)
 
 
 class AppSnapshot:

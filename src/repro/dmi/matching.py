@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import List, Optional, Sequence
 
+from repro.gui.screen import ScreenView
 from repro.uia.element import UIElement
 from repro.uia.identifiers import ControlIdentifier
 
@@ -94,28 +95,23 @@ class FuzzyControlMatcher:
         self.minimum_score = minimum_score
 
     # ------------------------------------------------------------------
-    def find(self, roots: Sequence[UIElement], identifier: ControlIdentifier,
-             require_on_screen: bool = True, allow_fuzzy: bool = True) -> MatchResult:
-        """Find the element best matching ``identifier`` under any of ``roots``.
+    def find(self, views: Sequence[ScreenView], identifier: ControlIdentifier,
+             allow_fuzzy: bool = True) -> MatchResult:
+        """Find the on-screen element best matching ``identifier`` in ``views``.
 
         Exact matches (primary id + control type, with the stored ancestor
-        path as a suffix or superset) win; otherwise the highest-scoring
-        fuzzy candidate above the threshold is returned (unless
-        ``allow_fuzzy`` is False).
+        path as a suffix or superset) win: each view's primary-id index
+        yields them without a scan.  Otherwise the highest-scoring fuzzy
+        candidate above the threshold, among every element the views show,
+        is returned (unless ``allow_fuzzy`` is False).
         """
-        candidates: List[UIElement] = []
-        for root in roots:
-            for element in root.iter_subtree():
-                if require_on_screen and not element.is_on_screen():
-                    continue
-                candidates.append(element)
-
         # Exact matches must also be ancestor-compatible: several controls can
         # share a primary id ("Blue" colour cells under different pickers) and
         # picking the wrong one would silently change semantics — the very
         # path-dependence problem DMI exists to avoid.
-        exact = [e for e in candidates
-                 if identifier.matches_element(e) and _ancestor_compatible(identifier, e)]
+        exact = [e for view in views for e in view.with_primary_id(identifier.primary_id)
+                 if e.control_type == identifier.control_type
+                 and _ancestor_compatible(identifier, e)]
         if exact:
             best = max(exact, key=lambda e: _ancestor_overlap(identifier, e))
             return MatchResult(element=best, score=1.0, exact=True)
@@ -124,14 +120,15 @@ class FuzzyControlMatcher:
 
         best_element: Optional[UIElement] = None
         best_score = 0.0
-        for element in candidates:
-            type_score = 1.0 if element.control_type == identifier.control_type else 0.0
-            name_score = _primary_similarity(identifier.primary_id, element)
-            ancestor_score = _ancestor_overlap(identifier, element)
-            score = 0.25 * type_score + 0.55 * name_score + 0.20 * ancestor_score
-            if score > best_score:
-                best_score = score
-                best_element = element
+        for view in views:
+            for element in view.elements:
+                type_score = 1.0 if element.control_type == identifier.control_type else 0.0
+                name_score = _primary_similarity(identifier.primary_id, element)
+                ancestor_score = _ancestor_overlap(identifier, element)
+                score = 0.25 * type_score + 0.55 * name_score + 0.20 * ancestor_score
+                if score > best_score:
+                    best_score = score
+                    best_element = element
         if best_element is not None and best_score >= self.minimum_score:
             return MatchResult(element=best_element, score=best_score, exact=False)
         return MatchResult(element=None, score=best_score, exact=False)
@@ -142,25 +139,28 @@ class FuzzyControlMatcher:
     #: matching before accepting a non-exact candidate.
     LABEL_MINIMUM_SCORE = 0.85
 
-    def find_by_label(self, roots: Sequence[UIElement], label: str,
-                      require_on_screen: bool = True) -> MatchResult:
-        """Find a control by its on-screen label (name).
+    def find_by_label(self, views: Sequence[ScreenView], label: str) -> MatchResult:
+        """Find an on-screen control by its label (name).
 
         This is the lookup used by the state/observation interfaces, which
         deliberately operate on the current screen's accessibility tree
         rather than on static topology ids (paper §3.5).
         """
+        # Only an equal name (ignoring case) scores 1.0, which no other
+        # candidate can beat: the views' name indexes find those.  Ties (a
+        # ribbon *group* and the control inside it often share a name) are
+        # broken in favour of the more interactive, more specific (deeper)
+        # element, and then of the earlier one.
+        exact = [e for view in views for e in view.named(label.lower())]
+        if exact:
+            best = max(exact, key=lambda e: (len(e.patterns), e.depth()))
+            return MatchResult(element=best, score=1.0, exact=True)
         best_element: Optional[UIElement] = None
         best_key = (-1.0, -1, -1)
         best_score = 0.0
-        for root in roots:
-            for element in root.iter_subtree():
-                if require_on_screen and not element.is_on_screen():
-                    continue
+        for view in views:
+            for element in view.elements:
                 score = _name_similarity(element.name, label)
-                # Ties (a ribbon *group* and the control inside it often share
-                # a name) are broken in favour of the more interactive, more
-                # specific (deeper) element.
                 key = (score, len(element.patterns), element.depth())
                 if key > best_key:
                     best_key = key

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from repro.apps.base import Application
 from repro.dmi.errors import ExecutionStatus, PatternUnsupportedFeedback, StructuredFeedback, ok_feedback
 from repro.dmi.matching import FuzzyControlMatcher
+from repro.gui.screen import ScreenView
 from repro.llm.tokens import estimate_tokens
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
@@ -67,16 +68,13 @@ class ObservationInterface:
         self.config = config or ObservationConfig()
 
     # ------------------------------------------------------------------
-    def _roots(self) -> List[UIElement]:
-        return list(reversed(self.app.desktop.open_windows(self.app.process_id)))
+    def _views(self) -> List[ScreenView]:
+        desktop = self.app.desktop
+        return desktop.views(list(reversed(desktop.open_windows(self.app.process_id))))
 
     def _visible_data_items(self) -> List[UIElement]:
-        items: List[UIElement] = []
-        for root in self._roots():
-            for element in root.iter_subtree():
-                if element.control_type == ControlType.DATA_ITEM and element.is_on_screen():
-                    items.append(element)
-        return items
+        return [element for view in self._views() for element in view.elements
+                if element.control_type == ControlType.DATA_ITEM]
 
     @staticmethod
     def _text_of(element: UIElement, max_chars: Optional[int] = None) -> str:
@@ -127,7 +125,7 @@ class ObservationInterface:
             table = {e.name: self._text_of(e) for e in self._visible_data_items()
                      if self._text_of(e)}
             return ok_feedback("get_texts", target="<all data items>", values=table)
-        match = self.matcher.find_by_label(self._roots(), control_label)
+        match = self.matcher.find_by_label(self._views(), control_label)
         if match.element is None:
             return StructuredFeedback(
                 status=ExecutionStatus.ERROR, command_kind="get_texts", target=control_label,

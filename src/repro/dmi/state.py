@@ -40,6 +40,7 @@ from repro.dmi.errors import (
     ok_feedback,
 )
 from repro.dmi.matching import FuzzyControlMatcher
+from repro.gui.screen import ScreenView
 from repro.uia.element import UIElement
 from repro.uia.patterns import (
     ExpandCollapsePattern,
@@ -76,11 +77,12 @@ class StateInterfaces:
     # ------------------------------------------------------------------
     # lookup helpers
     # ------------------------------------------------------------------
-    def _roots(self) -> List[UIElement]:
-        return list(reversed(self.app.desktop.open_windows(self.app.process_id)))
+    def _views(self) -> List[ScreenView]:
+        desktop = self.app.desktop
+        return desktop.views(list(reversed(desktop.open_windows(self.app.process_id))))
 
     def _find_by_label(self, label: str) -> Optional[UIElement]:
-        match = self.matcher.find_by_label(self._roots(), label)
+        match = self.matcher.find_by_label(self._views(), label)
         return match.element
 
     @staticmethod

@@ -292,10 +292,9 @@ class VisitExecutor:
         starts, and a fuzzy false-positive would skip required clicks.  Fuzzy
         matching still applies during the forward pass.
         """
-        top = windows[0]
+        top = self.app.desktop.views(windows[:1])
         for index in range(len(path) - 1, -1, -1):
-            match = self.matcher.find([top], path[index], require_on_screen=True,
-                                      allow_fuzzy=False)
+            match = self.matcher.find(top, path[index], allow_fuzzy=False)
             if match.found:
                 return index
         # Nothing from the path exists in the topmost window.  The main
@@ -308,8 +307,8 @@ class VisitExecutor:
     def _locate_with_retry(self, identifier: ControlIdentifier) -> Optional[UIElement]:
         """Find a control, retrying to absorb slow-loading UI (paper §3.4)."""
         for attempt in range(self.config.max_retries + 1):
-            windows = self._open_windows_topmost_first()
-            match = self.matcher.find(windows, identifier, require_on_screen=True)
+            views = self.app.desktop.views(self._open_windows_topmost_first())
+            match = self.matcher.find(views, identifier)
             if match.found:
                 return match.element
             # A retry re-lays-out the desktop, emulating "wait and re-scan".

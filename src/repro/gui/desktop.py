@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from repro.gui.screen import ScreenLayout
+from repro.gui.screen import ScreenLayout, ScreenView
 from repro.gui.widgets import Window
 from repro.uia.element import UIElement
 from repro.uia.events import EventBus, EventKind
@@ -113,6 +113,11 @@ class Desktop:
         changed rather than every open window."""
         self.layout.layout_windows(self.open_windows())
 
+    def views(self, windows: List[Window]) -> List[ScreenView]:
+        """What each of ``windows`` shows now, in the order given (see
+        :class:`~repro.gui.screen.ScreenView`)."""
+        return [self.layout.view(window) for window in windows]
+
     def element_at(self, x: float, y: float) -> Optional[UIElement]:
         """Hit-test: the deepest visible element under the point, topmost window first."""
         for window in reversed(self.open_windows()):
@@ -120,20 +125,3 @@ class Desktop:
             if hit is not None:
                 return hit
         return None
-
-    def visible_control_count(self) -> int:
-        """Total number of on-screen elements across all open windows."""
-        total = 0
-        for window in self.open_windows():
-            total += sum(1 for _ in _visible_iter(window))
-        return total
-
-
-def _visible_iter(root: UIElement):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.visible:
-            continue
-        yield node
-        stack.extend(reversed(node.children))

@@ -14,17 +14,67 @@ matters is that
 ``ScreenLayout`` therefore performs a simple recursive tiling: each
 container's visible children share its rectangle, split along the dominant
 axis in document order.
+
+The layout also keeps the **screen views** every on-screen read goes
+through: a :class:`ScreenView` is what one window shows at one layout stamp
+(its on-screen controls in pre-order), recorded in a
+:class:`~repro.uia.element.StampMemo` keyed by (window, stamp) and built
+again only when the window's stamp moved.  A relayout records the view its
+tiling walk visits, so the walk a change costs is shared by the layout, the
+GUI agent's labelling and grounding, and DMI's control matching.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.uia.element import BoundingRect, UIElement, seal_stamps
+from repro.uia.element import BoundingRect, StampMemo, UIElement, seal_stamps
+from repro.uia.tree import visible_elements
 
 #: Minimum size a leaf control is given, in pixels.
 MIN_LEAF_WIDTH = 24.0
 MIN_LEAF_HEIGHT = 16.0
+#: Entries a layout's memo keeps: the views of a trial's windows, of the
+#: state every restore returns to, and the values derived from them.
+MEMO_CAPACITY = 64
+
+
+class ScreenView:
+    """What one window shows at one layout stamp.
+
+    ``elements`` are the window's on-screen controls in depth-first
+    pre-order (a hidden control hides its subtree), walked unless the
+    caller has walked them; readers must not mutate it.  The indexes by
+    primary id and by lower-cased name are built on first use.  A view
+    describes its window only while the window carries ``stamp``:
+    :meth:`ScreenLayout.view` builds a new one once it moved.
+    """
+
+    __slots__ = ("window", "stamp", "elements", "_by_primary_id", "_by_name")
+
+    def __init__(self, window: UIElement, elements: Optional[List[UIElement]] = None) -> None:
+        self.window = window
+        self.stamp = window.layout_stamp
+        self.elements = visible_elements(window) if elements is None else elements
+        self._by_primary_id: Optional[Dict[str, List[UIElement]]] = None
+        self._by_name: Optional[Dict[str, List[UIElement]]] = None
+
+    def with_primary_id(self, primary_id: str) -> List[UIElement]:
+        """The on-screen elements whose primary id is ``primary_id``, in pre-order."""
+        if self._by_primary_id is None:
+            self._by_primary_id = {}
+            for element in self.elements:
+                self._by_primary_id.setdefault(element.primary_id, []).append(element)
+        return self._by_primary_id.get(primary_id, [])
+
+    def named(self, name: str) -> List[UIElement]:
+        """The on-screen elements whose name, lower-cased, is ``name``, in pre-order."""
+        if self._by_name is None:
+            self._by_name = {}
+            for element in self.elements:
+                if element.name:
+                    self._by_name.setdefault(element.name.lower(), []).append(element)
+        return self._by_name.get(name, [])
 
 
 class ScreenLayout:
@@ -34,7 +84,7 @@ class ScreenLayout:
     structure, so the layout remembers each window's stack index, rectangle
     and layout stamp (see :mod:`repro.uia.element`) at its last layout and
     lays out again only the windows where one of the three changed.  The
-    memo is per instance: a new ``ScreenLayout`` lays out every window.
+    records are per instance: a new ``ScreenLayout`` lays out every window.
     """
 
     def __init__(self, width: int = 1920, height: int = 1080) -> None:
@@ -42,6 +92,21 @@ class ScreenLayout:
         self.height = height
         #: (stack index, rect, stamp) of each window at its last layout.
         self._laid_out: Dict[UIElement, Tuple[int, BoundingRect, int]] = {}
+        #: Screen views by (window, stamp), and values readers derive from
+        #: them under keys naming the same (window, stamp) pairs.
+        self.memo = StampMemo(MEMO_CAPACITY)
+
+    def view(self, window: UIElement) -> ScreenView:
+        """What ``window`` shows now: the view recorded at its current
+        stamp, or a new one, recorded before the stamps are sealed."""
+        key = (window, window.layout_stamp)
+        view = self.memo.get(key)
+        if view is None:
+            view = ScreenView(window)
+            self.memo.put(key, view)
+            # A write from here on must not match the stamp recorded above.
+            seal_stamps()
+        return view
 
     # ------------------------------------------------------------------
     def layout_windows(self, windows: List[UIElement]) -> None:
@@ -64,34 +129,47 @@ class ScreenLayout:
                 rect = BoundingRect(left, top, width, height)
             key = (index, rect, window.layout_stamp)
             if self._laid_out.get(window) != key:
-                self.layout_element(window, rect)
+                view = ScreenView(window, self._tile(window, rect))
+                self.memo.put((window, view.stamp), view)
             laid_out[window] = key
         self._laid_out = laid_out
         # A write from here on must not match a stamp recorded above.
         seal_stamps()
 
-    def layout_element(self, element: UIElement, rect: BoundingRect, depth: int = 0) -> None:
-        """Recursively assign ``rect`` to ``element`` and tile its children."""
-        element.rect = rect
-        visible_children = [c for c in element.children if c.visible]
-        if not visible_children:
-            return
-        horizontal = self._split_horizontally(rect, depth)
-        count = len(visible_children)
-        if horizontal:
-            slot = max(rect.width / count, MIN_LEAF_WIDTH)
-            for i, child in enumerate(visible_children):
-                child_rect = BoundingRect(
-                    rect.left + i * slot, rect.top, slot, max(rect.height, MIN_LEAF_HEIGHT)
-                )
-                self.layout_element(child, child_rect, depth + 1)
-        else:
-            slot = max(rect.height / count, MIN_LEAF_HEIGHT)
-            for i, child in enumerate(visible_children):
-                child_rect = BoundingRect(
-                    rect.left, rect.top + i * slot, max(rect.width, MIN_LEAF_WIDTH), slot
-                )
-                self.layout_element(child, child_rect, depth + 1)
+    def _tile(self, window: UIElement, rect: BoundingRect) -> List[UIElement]:
+        """Assign ``rect`` to ``window`` and tile each on-screen control's
+        visible children inside its rectangle; return the on-screen
+        controls in the pre-order the tiling visits them in."""
+        window.rect = rect
+        elements = []
+        # A hidden window shows nothing; its controls keep their rectangles.
+        stack = [(window, 0)] if window.visible else []
+        while stack:
+            element, depth = stack.pop()
+            elements.append(element)
+            children = element.children
+            if not children:
+                continue
+            visible_children = [c for c in children if c.visible]
+            if not visible_children:
+                continue
+            rect = element.rect
+            count = len(visible_children)
+            if self._split_horizontally(rect, depth):
+                slot = max(rect.width / count, MIN_LEAF_WIDTH)
+                for i, child in enumerate(visible_children):
+                    child.rect = BoundingRect(
+                        rect.left + i * slot, rect.top, slot, max(rect.height, MIN_LEAF_HEIGHT)
+                    )
+            else:
+                slot = max(rect.height / count, MIN_LEAF_HEIGHT)
+                for i, child in enumerate(visible_children):
+                    child.rect = BoundingRect(
+                        rect.left, rect.top + i * slot, max(rect.width, MIN_LEAF_WIDTH), slot
+                    )
+            depth += 1
+            stack.extend([(child, depth) for child in reversed(visible_children)])
+        return elements
 
     @staticmethod
     def _split_horizontally(rect: BoundingRect, depth: int) -> bool:

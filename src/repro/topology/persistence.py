@@ -115,11 +115,15 @@ def ung_from_dict(payload: Dict) -> NavigationGraph:
 
 def save_ung(ung: NavigationGraph, path: Union[str, Path],
              report: Optional[RipReport] = None) -> Path:
-    """Write the UNG (and optional rip report) to a JSON file."""
+    """Write the UNG (and optional rip report) to a JSON file.
+
+    The file is one line: ``json.dumps`` without an indent runs CPython's C
+    encoder, where any indent falls back to the pure-Python one.  Files
+    written indented by earlier builds load the same.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(ung_to_dict(ung, report), handle, ensure_ascii=False, indent=1)
+    path.write_text(json.dumps(ung_to_dict(ung, report), ensure_ascii=False), encoding="utf-8")
     return path
 
 

@@ -14,24 +14,34 @@ structural write (a change of ``visible``, :meth:`UIElement.add_child`,
 whose subtree it changes and every ancestor up to the root with the
 current stamp, so an element whose stamp is unchanged since a reader last
 recorded it has the same visible structure and names below it.  Stamps key
-two memos: :class:`repro.gui.screen.ScreenLayout` relays out only the
-windows whose stamp moved, and the ripper's snapshot
-(:func:`repro.uia.identifiers.visible_identifiers`) re-walks only the
-subtrees whose stamp moved.  Stamps come from a process-global counter that
-only grows; :func:`seal_stamps` moves on to a fresh one after a layout or a
-snapshot has recorded the current stamps.  Until then a walk stops at the
+three memos: :class:`repro.gui.screen.ScreenLayout` relays out only the
+windows whose stamp moved; its screen views
+(:class:`repro.gui.screen.ScreenView`), which every on-screen read of both
+agents goes through, re-walk only the windows whose stamp moved; and the
+ripper's snapshot (:func:`repro.uia.identifiers.visible_identifiers`)
+re-walks only the subtrees whose stamp moved.  Stamps come from a
+process-global counter that only grows; :func:`seal_stamps` moves on to a
+fresh one after a layout, a view or a snapshot has recorded the current
+stamps.  Until then a walk stops at the
 first element already carrying the current stamp, as every ancestor of such
 an element carries it too, so building an app costs one short walk per
 write rather than one walk to the root.  (Two threads sealing at once may
 install their stamps in either order; each stamp is still current for one
 stretch of time only, which is all the early stop needs.)
+
+A :class:`StampMemo` holds values derived from what elements showed at
+recorded stamps.  It is not application state: a restore
+(:class:`repro.apps.snapshot.AppSnapshot`) puts back the stamps of the
+state it restores, along with that state, so an entry recorded at those
+stamps is valid again.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.uia.control_types import ControlType
 from repro.uia.patterns import PatternId, UIAPattern
@@ -46,6 +56,32 @@ def seal_stamps() -> None:
     """Give every later structural write a stamp no element carries yet."""
     global _stamp
     _stamp = next(_stamp_counter)
+
+
+class StampMemo:
+    """A bounded memo of values derived from elements at recorded stamps.
+
+    Every key names the elements and the layout stamps its value was read
+    at, so an entry stays valid for as long as those elements carry those
+    stamps, restores included; whoever records an entry seals the stamps
+    (:func:`seal_stamps`) before a write can reuse them.  Past ``capacity``
+    entries the least recently used one goes.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+
+    def get(self, key: Hashable) -> Optional[object]:
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        self._entries[key] = value
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
 
 def _touch(element: Optional["UIElement"]) -> None:

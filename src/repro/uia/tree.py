@@ -55,8 +55,8 @@ def find_all(root: UIElement, predicate: Predicate) -> List[UIElement]:
 def visible_elements(root: UIElement) -> List[UIElement]:
     """Return all elements of the subtree that are currently on screen.
 
-    This is the set the ripper captures before/after an interaction and the
-    set the GUI-only agent baseline can label and act upon.
+    This is what a :class:`~repro.gui.screen.ScreenView` holds, the set
+    both agents read the screen through.
     """
     result: List[UIElement] = []
     stack = [root]

@@ -45,7 +45,7 @@ def test_alphabetic_labels_sequence():
 
 
 def test_label_visible_controls_only_named_and_visible(ppt_app):
-    labelling = label_visible_controls([ppt_app.window])
+    labelling = label_visible_controls(ppt_app.desktop.views([ppt_app.window]))
     assert labelling
     assert all(element.name for element in labelling.values())
     assert all(element.is_on_screen() for element in labelling.values())

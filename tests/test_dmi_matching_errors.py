@@ -9,6 +9,7 @@ from repro.dmi.errors import (
     ok_feedback,
 )
 from repro.dmi.matching import FuzzyControlMatcher
+from repro.gui.screen import ScreenView
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
 from repro.uia.identifiers import ControlIdentifier, synthesize_identifier
@@ -33,16 +34,17 @@ def build_window():
 def test_exact_match_by_identifier():
     window, home, bold, *_ = build_window()
     matcher = FuzzyControlMatcher()
-    result = matcher.find([window], synthesize_identifier(bold))
+    result = matcher.find([ScreenView(window)], synthesize_identifier(bold))
     assert result.found and result.exact and result.element is bold
 
 
-def test_offscreen_controls_are_skipped_by_default():
+def test_offscreen_controls_are_skipped():
     window, *_rest, hidden = build_window()
     matcher = FuzzyControlMatcher()
     identifier = synthesize_identifier(hidden)
-    assert not matcher.find([window], identifier).found
-    assert matcher.find([window], identifier, require_on_screen=False).found
+    assert not matcher.find([ScreenView(window)], identifier).found
+    hidden.visible = True
+    assert matcher.find([ScreenView(window)], identifier).element is hidden
 
 
 def test_fuzzy_match_survives_renaming():
@@ -50,7 +52,7 @@ def test_fuzzy_match_survives_renaming():
     identifier = synthesize_identifier(bold)
     bold.name = "Bold (Ctrl+B)"
     bold.automation_id = "App.Home.BoldToggle"
-    result = FuzzyControlMatcher().find([window], identifier)
+    result = FuzzyControlMatcher().find([ScreenView(window)], identifier)
     assert result.found and not result.exact and result.element is bold
 
 
@@ -60,7 +62,7 @@ def test_fuzzy_match_does_not_cross_dotted_id_prefixes():
     wanted = ControlIdentifier(primary_id="App.Design.FormatBackground",
                                control_type=ControlType.BUTTON,
                                ancestor_path=("app.main",))
-    result = FuzzyControlMatcher().find([window], wanted)
+    result = FuzzyControlMatcher().find([ScreenView(window)], wanted)
     assert not result.found
 
 
@@ -68,15 +70,15 @@ def test_allow_fuzzy_false_requires_exact():
     window, home, bold, *_ = build_window()
     identifier = synthesize_identifier(bold)
     bold.automation_id = "App.Home.BoldRenamed"
-    assert not FuzzyControlMatcher().find([window], identifier, allow_fuzzy=False).found
+    assert not FuzzyControlMatcher().find([ScreenView(window)], identifier, allow_fuzzy=False).found
 
 
 def test_find_by_label_exact_and_fuzzy():
     window, *_ = build_window()
     matcher = FuzzyControlMatcher()
-    assert matcher.find_by_label([window], "Italic").element.name == "Italic"
-    assert matcher.find_by_label([window], "italic button").element.name == "Italic"
-    assert matcher.find_by_label([window], "zzzz").element is None
+    assert matcher.find_by_label([ScreenView(window)], "Italic").element.name == "Italic"
+    assert matcher.find_by_label([ScreenView(window)], "italic button").element.name == "Italic"
+    assert matcher.find_by_label([ScreenView(window)], "zzzz").element is None
 
 
 def test_nearest_names_for_feedback():

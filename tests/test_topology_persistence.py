@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.apps import PowerPointApp
-from repro.dmi.interface import DMI, OfflineArtifacts
+from repro.dmi.cache import ArtifactCache, app_version_for
+from repro.dmi.interface import DMI, DMIConfig, OfflineArtifacts
 from repro.ripping.ripper import RipReport
 from repro.topology.core import extract_core
 from repro.topology.forest import build_forest
@@ -15,6 +16,7 @@ from repro.topology.persistence import (
     load_ung,
     rip_report_from_dict,
     save_ung,
+    ung_digest,
     ung_from_dict,
     ung_to_dict,
 )
@@ -123,3 +125,19 @@ def test_loaded_model_rebuilds_forest_and_drives_dmi(tmp_path, ppt_artifacts):
     result = dmi.visit([{"id": blue.node_id}, {"id": apply_all.node_id}])
     assert result.ok
     assert all(s.background.color == "Blue" for s in app.presentation.slides)
+
+
+def test_indented_model_file_of_earlier_builds_loads_through_the_cache(tmp_path,
+                                                                       ppt_artifacts):
+    """Earlier builds wrote model files with ``indent=1``; the cache reads
+    such a file back to the same graph as the one-line files written now."""
+    cache = ArtifactCache(tmp_path, DMIConfig())
+    path = cache.store("powerpoint", ppt_artifacts,
+                       app_version=app_version_for("powerpoint"))
+    assert "\n" not in path.read_text(encoding="utf-8")
+    path.write_text(json.dumps(ung_to_dict(ppt_artifacts.ung, ppt_artifacts.rip_report),
+                               ensure_ascii=False, indent=1), encoding="utf-8")
+    loaded = ArtifactCache(tmp_path, DMIConfig()).get(
+        "powerpoint", app_version=app_version_for("powerpoint"))
+    assert loaded is not None
+    assert ung_digest(loaded.ung) == ung_digest(ppt_artifacts.ung)
