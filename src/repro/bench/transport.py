@@ -29,14 +29,15 @@ worker
 broker
     :class:`ObjectStoreBroker` implements the queue over any
     :class:`~repro.bench.store.ObjectStore` (S3-style conditional writes;
-    the plan name is folded into the ``manifest/``, ``lease/`` and
-    ``result/`` key layout, with one index object per plan under
-    ``plans/``).  Over a :class:`~repro.bench.store.FileSystemObjectStore`
+    the plan name is folded into the ``lease/`` and ``result/`` key
+    layout, with one object per plan under ``plans/`` holding its
+    manifests).  Over a :class:`~repro.bench.store.FileSystemObjectStore`
     it is a shared (NFS-style) directory queue; over a cloud store it is
     deployable unchanged.  Any number of workers on any number of machines
-    race for leases by compare-and-swap without locks; leases expire after
-    ``lease_ttl`` seconds and are reclaimed, so a crashed worker's manifest
-    is re-run by a peer.
+    race for leases without locks: a claim creates the shard's lease
+    object, and only the first create wins.  Leases expire after
+    ``lease_ttl`` seconds and are reclaimed by compare-and-swap, so a
+    crashed worker's manifest is re-run by a peer.
 
 Leasing is *fair-share with priority* across live plans: each broker
 handle round-robins over the plans that currently have leasable work
@@ -90,6 +91,7 @@ from repro.bench.shard import (
     _parse_json_bytes,
     _require,
     _require_int,
+    _require_list,
     _require_str,
     _require_str_tuple,
     check_plan_identity,
@@ -198,10 +200,10 @@ def _check_submittable(plan: ShardPlan) -> ShardPlan:
     return plan
 
 
-def _plan_header_payload(plan: ShardPlan, name: str,
-                         priority: int) -> Dict[str, object]:
-    """The submitted plan's identity header (the ``plans/<name>`` object)."""
-    header: Dict[str, object] = {
+def _plan_payload(plan: ShardPlan, name: str,
+                  priority: int) -> Dict[str, object]:
+    """The ``plans/<name>`` object: identity header, priority, manifests."""
+    payload: Dict[str, object] = {
         "kind": _PLAN_KIND,
         "format_version": MANIFEST_FORMAT_VERSION,
         "plan": name,
@@ -211,8 +213,9 @@ def _plan_header_payload(plan: ShardPlan, name: str,
     # from plan_identity()'s field set.
     for label, value in zip(PLAN_IDENTITY_LABELS,
                             plan.manifests[0].plan_identity()):
-        header[label] = list(value) if isinstance(value, tuple) else value
-    return header
+        payload[label] = list(value) if isinstance(value, tuple) else value
+    payload["manifests"] = [manifest.as_dict() for manifest in plan.manifests]
+    return payload
 
 
 def _parse_plan_header(payload: Dict[str, object],
@@ -222,6 +225,52 @@ def _parse_plan_header(payload: Dict[str, object],
     return tuple(_IDENTITY_PARSERS.get(label, _require)(payload, label,
                                                         source)
                  for label in PLAN_IDENTITY_LABELS)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One submitted plan as a broker handle memoizes it."""
+
+    name: str
+    priority: int
+    identity: Tuple[object, ...]
+    manifests: Tuple[ShardManifest, ...]
+
+    @property
+    def shard_count(self) -> int:
+        return len(self.manifests)
+
+    def file_name(self, index: int) -> str:
+        return shard_file_name(index, self.shard_count)
+
+    @classmethod
+    def checked(cls, name: str, priority: int, identity: Tuple[object, ...],
+                manifests: Sequence[ShardManifest], source: str) -> "_Plan":
+        """Every manifest belongs to the plan and sits at its own index."""
+        if len(manifests) != identity[0]:
+            raise ShardError(f"{source}: holds {len(manifests)} manifest(s) "
+                             f"for a {identity[0]}-shard plan")
+        for position, manifest in enumerate(manifests):
+            where = f"{source} manifests[{position}]"
+            check_plan_identity(identity, manifest, source=where)
+            if manifest.shard_index != position:
+                raise ShardError(f"{where}: carries shard index "
+                                 f"{manifest.shard_index}")
+        return cls(name, priority, identity, tuple(manifests))
+
+
+def _parse_plan(name: str, payload: Dict[str, object], source: str) -> _Plan:
+    """Validate a ``plans/<name>`` payload into a :class:`_Plan`."""
+    identity = _parse_plan_header(payload, source)
+    priority = _require_int(payload, "priority", source)
+    manifests = []
+    for position, entry in enumerate(_require_list(payload, "manifests",
+                                                   source)):
+        where = f"{source} manifests[{position}]"
+        if not isinstance(entry, dict):
+            raise ShardError(f"{where}: is not a JSON object")
+        manifests.append(ShardManifest.from_dict(entry, source=where))
+    return _Plan.checked(name, priority, identity, manifests, source)
 
 
 def _check_posted_results(reference: Tuple[object, ...],
@@ -384,32 +433,37 @@ class ObjectStoreBroker:
 
     Keys under the store (the plan name is folded into every prefix)::
 
-        plans/<name>                the plan's identity header + priority
-                                    (``put_if_absent`` once by submit);
-                                    listing ``plans/`` is the plan index
-        manifest/<name>/<shard>     one immutable manifest JSON per shard
-        lease/<name>/<shard>        one small mutable lease object per
-                                    shard; every state transition is a
-                                    compare-and-swap
-        result/<name>/<shard>       posted ShardResults
-                                    (``put_if_absent``: first write wins)
+        plans/<name>                the plan's identity header, priority
+                                    and every manifest (``put_if_absent``
+                                    once by submit); listing ``plans/`` is
+                                    the plan index
+        lease/<name>/<shard>        absent until a worker claims the shard
+                                    (``put_if_absent``); reclaiming an
+                                    expired lease and renewing a held one
+                                    are compare-and-swaps on it
+        result/<name>/<shard>       posted ShardResults (``put_if_absent``:
+                                    first write wins); the shard is done
+                                    exactly when this key exists
 
-    A lease object is ``{"state": "queued"}``, ``{"state": "leased",
-    "worker": …, "deadline_ms": …, "grant": …}`` or ``{"state": "done",
-    …}``.  Leasing (including reclaiming an expired lease) is one CAS from
-    the observed etag, so any number of workers race safely: exactly one
-    swap wins, the losers observe a changed etag and move on.  ``grant``
-    increments on every (re)lease and is embedded in the lease token, so a
-    stale holder's :meth:`renew` can never pass for the current holder's.
+    A lease object is ``{"state": "leased", "worker": …, "deadline_ms": …,
+    "grant": …}``.  A claim creates it, so any number of workers race
+    safely: exactly one create wins and a loser's claim costs that one
+    call.  ``grant`` increments on every reclaim and is embedded in the
+    lease token, so a stale holder's :meth:`renew` can never pass for the
+    current holder's.  A drain of one plan by one worker therefore writes
+    the plan once, then a claim and a result per shard.
 
-    The set of ``result/<name>/`` keys is authoritative for doneness (the
-    post-time CAS that flips the lease object to ``done`` is best-effort).
-    Lease deadlines are wall-clock timestamps compared across machines, so
-    keep worker clocks NTP-synced or size ``lease_ttl`` above the worst
-    expected skew — or state the worst skew as ``skew_allowance`` and
-    expiry checks grant that much extra life to every persisted deadline
-    (never stealing a live peer's lease at the cost of equally delayed
-    crash recovery).
+    A handle reads each plan object once and memoizes it (no verb deletes
+    a plan, so the memo cannot go stale).  It walks each plan's shard
+    indices from its own cursor, claiming as it goes, and lists a plan's
+    results only once the cursor is exhausted, to find unfinished shards
+    whose lease expired; a plan whose every shard has a result is
+    remembered as complete.  Lease deadlines are wall-clock timestamps
+    compared across machines, so keep worker clocks NTP-synced or size
+    ``lease_ttl`` above the worst expected skew — or state the worst skew
+    as ``skew_allowance`` and expiry checks grant that much extra life to
+    every persisted deadline (never stealing a live peer's lease at the
+    cost of equally delayed crash recovery).
 
     Every store call is wrapped in bounded retry-with-backoff (``retry``, a
     :class:`~repro.bench.store.RetryPolicy`): a
@@ -418,15 +472,14 @@ class ObjectStoreBroker:
     (each absorbed attempt emits a ``store_retry`` telemetry event) and
     only then surfaces as a labeled
     :class:`~repro.bench.store.RetryBudgetExceeded`.  Semantic failures
-    (lost CAS races, missing objects) are *results*, not errors, and are
-    never retried here.
+    (lost claims and CAS races, missing objects) are *results*, not
+    errors, and are never retried here.
     """
 
     PLANS_PREFIX = "plans/"
-    MANIFEST_PREFIX = "manifest/"
     LEASE_PREFIX = "lease/"
     RESULT_PREFIX = "result/"
-    _LEASE_STATES = ("queued", "leased", "done")
+    _LEASE_STATES = ("leased",)
 
     def __init__(self, store: ObjectStore,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -446,6 +499,12 @@ class ObjectStoreBroker:
         self._skew_ms = int(skew_allowance * 1000)
         #: Leases granted per plan by this handle (fair-share rotation).
         self._served: Dict[str, int] = {}
+        #: Plan objects read by this handle, by name.
+        self._plans: Dict[str, _Plan] = {}
+        #: Per plan, the next shard index this handle tries to claim.
+        self._cursor: Dict[str, int] = {}
+        #: Plans this handle has seen a result for every shard of.
+        self._complete: set = set()
 
     # ------------------------------------------------------------------
     # store plumbing
@@ -456,8 +515,11 @@ class ObjectStoreBroker:
     def _store_call(self, op: str, key: str, fn):
         return call_with_retries(fn, op=op, key=key, policy=self.retry)
 
+    def _get(self, key: str):
+        return self._store_call("get", key, lambda: self.store.get(key))
+
     def _get_json(self, key: str) -> Optional[Tuple[Dict[str, object], str]]:
-        stored = self._store_call("get", key, lambda: self.store.get(key))
+        stored = self._get(key)
         if stored is None:
             return None
         data, etag = stored
@@ -465,13 +527,11 @@ class ObjectStoreBroker:
 
     @staticmethod
     def _dump(payload: Dict[str, object]) -> bytes:
-        return json.dumps(payload, indent=1).encode("utf-8")
+        # No indent: an indent forces CPython's pure-Python encoder.
+        return json.dumps(payload).encode("utf-8")
 
     def _plan_key(self, name: str) -> str:
         return self.PLANS_PREFIX + name
-
-    def _manifest_prefix(self, name: str) -> str:
-        return f"{self.MANIFEST_PREFIX}{name}/"
 
     def _lease_prefix(self, name: str) -> str:
         return f"{self.LEASE_PREFIX}{name}/"
@@ -489,10 +549,10 @@ class ObjectStoreBroker:
                                 lambda: self.store.list_prefix(prefix))
 
     def _put_if_absent(self, key: str, data: bytes) -> bool:
-        # Retrying a conditional put is safe-by-design here: both writes
-        # are content-deterministic, so if an earlier attempt actually
-        # landed before its error surfaced, the retry's False reads the
-        # same as losing to a peer who wrote identical bytes.
+        # Faults strike before the write, so a retry is safe.  A store
+        # that lands a write and then reports an error makes the retry
+        # read False: for a plan or a result that is the same bytes a peer
+        # would write; for a claim, the shard comes back after lease_ttl.
         return self._store_call(
             "put_if_absent", key,
             lambda: self.store.put_if_absent(key, data))
@@ -502,55 +562,42 @@ class ObjectStoreBroker:
             "put_if_match", key,
             lambda: self.store.put_if_match(key, data, etag))
 
-    def _header(self, name: str) -> Dict[str, object]:
-        found = self._get_json(self._plan_key(name))
+    def _plan(self, name: str) -> _Plan:
+        """The named plan, read from the store on this handle's first use."""
+        plan = self._plans.get(name)
+        if plan is not None:
+            return plan
+        key = self._plan_key(name)
+        found = self._get_json(key)
         if found is None:
             known = ", ".join(self.plan_names()) or "none"
             raise ShardError(
                 f"{self.store.describe()}: no plan has been submitted to "
                 f"this object store under the name {name!r} (run 'repro "
                 f"shard submit' first; known plans: {known})")
-        return found[0]
+        plan = self._plans[name] = _parse_plan(name, found[0],
+                                               self._source(key))
+        return plan
 
-    def _identity(self, name: str) -> Tuple[object, ...]:
-        return _parse_plan_header(self._header(name),
-                                  self._source(self._plan_key(name)))
-
-    def _parse_lease_object(self, key: str,
-                            payload: Dict[str, object]) -> str:
-        state = _require_str(payload, "state", self._source(key))
+    def _deadline_ms(self, key: str, payload: Dict[str, object]) -> int:
+        """A lease object's deadline, after checking its shape."""
+        source = self._source(key)
+        state = _require_str(payload, "state", source)
         if state not in self._LEASE_STATES:
-            raise ShardError(f"{self._source(key)}: field 'state' is "
-                             f"{state!r}; expected one of "
+            raise ShardError(f"{source}: field 'state' is {state!r}; "
+                             f"expected one of "
                              f"{', '.join(map(repr, self._LEASE_STATES))}")
-        return state
+        return _require_int(payload, "deadline_ms", source)
 
-    def _load_manifest(self, name: str, file_name: str) -> ShardManifest:
-        key = self._manifest_prefix(name) + file_name
-        found = self._get_json(key)
-        if found is None:
-            raise ShardError(f"{self._source(key)}: missing manifest object "
-                             "for an enqueued shard")
-        return ShardManifest.from_dict(found[0], source=self._source(key))
+    def _live(self, key: str, payload: Dict[str, object],
+              now_ms: int) -> bool:
+        """Whether a lease object still protects its holder (skew grace
+        included)."""
+        return now_ms < self._deadline_ms(key, payload) + self._skew_ms
 
     def _done_names(self, name: str) -> set:
         prefix = self._result_prefix(name)
         return {key[len(prefix):] for key in self._list(prefix)}
-
-    def _pending_lease_keys(self, name: str,
-                            shard_count: int) -> List[str]:
-        """The plan's lease keys whose shard has no posted result yet.
-
-        Lease keys are named after their shard (as :meth:`submit` wrote
-        them), so only the result prefix is listed; a lease object that
-        was never written reads as absent and is skipped by the claim loop.
-        """
-        done = self._done_names(name)
-        prefix = self._lease_prefix(name)
-        file_names = (shard_file_name(index, shard_count)
-                      for index in range(shard_count))
-        return [prefix + file_name for file_name in file_names
-                if file_name not in done]
 
     # ------------------------------------------------------------------
     # fair-share rotation
@@ -559,11 +606,12 @@ class ObjectStoreBroker:
             self, candidates: Sequence[Tuple[str, int, int]]) -> List[str]:
         """Order plans for the next lease attempt.
 
-        ``candidates`` is ``(name, priority, queued_depth)`` for every
-        plan with leasable work.  Least-served (by this handle) goes
-        first — plain round-robin, so a 1000-shard plan and a 3-shard plan
-        alternate leases instead of the small one waiting out the big one —
-        with higher ``priority``, deeper queue, then name breaking ties.
+        ``candidates`` is ``(name, priority, unclaimed_depth)`` for every
+        plan this handle has not seen complete; the depth is the shards
+        past its cursor.  Least-served (by this handle) goes first — plain
+        round-robin, so a 1000-shard plan and a 3-shard plan alternate
+        leases instead of the small one waiting out the big one — with
+        higher ``priority``, deeper queue, then name breaking ties.
         Served counts are per broker handle, not shared state: every
         worker process rotates fairly on its own, which yields fleet-level
         fairness without cross-worker coordination.
@@ -590,7 +638,7 @@ class ObjectStoreBroker:
     # ------------------------------------------------------------------
     def submit(self, plan: ShardPlan, name: str = DEFAULT_PLAN,
                priority: int = 0) -> None:
-        """Enqueue every manifest of ``plan`` under ``name``.
+        """Enqueue every manifest of ``plan`` under ``name``: one write.
 
         One plan per name: resubmitting an occupied name raises.  Higher
         ``priority`` plans win lease-order ties against equally-served
@@ -599,85 +647,98 @@ class ObjectStoreBroker:
         name = validate_plan_name(name)
         _check_priority(priority)
         _check_submittable(plan)
-        header = self._dump(_plan_header_payload(plan, name, priority))
-        # Header first (exactly one submitter can create it): a plan object
-        # with manifests still appearing reads as a plan being enqueued.
-        if not self._put_if_absent(self._plan_key(name), header):
+        _Plan.checked(name, priority, plan.manifests[0].plan_identity(),
+                      plan.manifests, f"plan {name!r}")
+        if not self._put_if_absent(self._plan_key(name), self._dump(
+                _plan_payload(plan, name, priority))):
             raise ShardError(
                 f"{self.store.describe()}: object store already holds a "
                 f"plan named {name!r} (collect it or pick another plan "
                 "name)")
-        for manifest in plan.manifests:
-            file_name = plan.manifest_name(manifest.shard_index)
-            self._put_if_absent(self._manifest_prefix(name) + file_name,
-                                self._dump(manifest.as_dict()))
-            self._put_if_absent(self._lease_prefix(name) + file_name,
-                                self._dump({"state": "queued"}))
         self._emit_plan_submitted(name, plan, priority)
 
     def lease(self, worker_id: str) -> Optional[ShardLease]:
-        """Atomically take one queued manifest, or ``None`` if none is free.
+        """Atomically take one unclaimed or expired manifest, or ``None``.
 
         Plans are tried in fair-share order (round-robin per handle,
-        ``priority`` then queue depth as tiebreaks) and the returned lease
-        is tagged with its plan name.  Expired leases are reclaimed too,
-        so a crashed worker's manifest becomes leasable again after
+        ``priority`` then unclaimed depth as tiebreaks) and the returned
+        lease is tagged with its plan name.  Expired leases are reclaimed
+        too, so a crashed worker's manifest becomes leasable again after
         ``lease_ttl`` seconds.  A broker holding no plans at all is simply
         empty (``None``), so daemon workers may start before the first
         submit.
         """
-        pending: Dict[str, List[str]] = {}
         candidates = []
         for name in self.plan_names():
-            header = self._header(name)
-            source = self._source(self._plan_key(name))
-            # Lease objects whose shard has no result yet (queued work plus
-            # in-flight/expired leases): both the queue-depth tiebreak and
-            # the keys the claim loop scans.
-            keys = self._pending_lease_keys(
-                name, _require_int(header, "shard_count", source))
-            if not keys:
+            if name in self._complete:
                 continue
-            pending[name] = keys
-            priority = _require_int(header, "priority", source)
-            candidates.append((name, priority, len(keys)))
+            plan = self._plan(name)
+            candidates.append((name, plan.priority,
+                               plan.shard_count - self._cursor.get(name, 0)))
         for name in self._fair_share_order(candidates):
-            lease = self._lease_from_plan(name, pending[name], worker_id)
+            plan = self._plan(name)
+            lease = (self._claim_next(plan, worker_id)
+                     or self._reclaim(plan, worker_id))
             if lease is not None:
                 self._served[name] = self._served.get(name, 0) + 1
                 return lease
         return None
 
-    def _lease_from_plan(self, name: str, keys: List[str],
-                         worker_id: str) -> Optional[ShardLease]:
+    def _claim_next(self, plan: _Plan,
+                    worker_id: str) -> Optional[ShardLease]:
+        """Claim the first shard past this handle's cursor nobody holds."""
+        cursor = self._cursor.get(plan.name, 0)
+        lease = None
+        while lease is None and cursor < plan.shard_count:
+            lease = self._grant(plan, cursor, worker_id, grant=1)
+            cursor += 1
+        self._cursor[plan.name] = cursor
+        return lease
+
+    def _reclaim(self, plan: _Plan, worker_id: str) -> Optional[ShardLease]:
+        """Take an unfinished shard whose lease expired (the cursor is
+        exhausted, so every shard has been claimed once)."""
+        done = self._done_names(plan.name)
+        pending = [index for index in range(plan.shard_count)
+                   if plan.file_name(index) not in done]
+        if not pending:
+            self._complete.add(plan.name)
+            return None
         now_ms = int(self._clock() * 1000)
-        prefix = self._lease_prefix(name)
-        for key in keys:
-            file_name = key[len(prefix):]
+        prefix = self._lease_prefix(plan.name)
+        for index in pending:
+            key = prefix + plan.file_name(index)
             found = self._get_json(key)
-            if found is None:
-                continue  # deleted under us; nothing to take
-            payload, etag = found
-            state = self._parse_lease_object(key, payload)
-            if state == "done":
-                continue
-            if state == "leased":
-                deadline_ms = _require_int(payload, "deadline_ms",
-                                           self._source(key))
-                if now_ms < deadline_ms + self._skew_ms:
+            if found is None:  # never claimed: claim it now
+                lease = self._grant(plan, index, worker_id, grant=1)
+            else:
+                payload, etag = found
+                if self._live(key, payload, now_ms):
                     continue  # a live peer holds it (within skew grace)
-                # else: expired — reclaim by CAS'ing it straight to ours.
-            grant = (_require_int(payload, "grant", self._source(key)) + 1
-                     if "grant" in payload else 1)
-            deadline = self._clock() + self.lease_ttl
-            claim = {"state": "leased", "worker": worker_id,
-                     "deadline_ms": int(deadline * 1000), "grant": grant}
-            if not self._put_if_match(key, self._dump(claim), etag):
-                continue  # another worker swapped first; next shard
-            return ShardLease(manifest=self._load_manifest(name, file_name),
-                              worker_id=worker_id, deadline=deadline,
-                              token=f"{file_name}:{grant}", plan=name)
+                grant = _require_int(payload, "grant", self._source(key))
+                lease = self._grant(plan, index, worker_id, grant + 1, etag)
+            if lease is not None:
+                return lease
         return None
+
+    def _grant(self, plan: _Plan, index: int, worker_id: str, grant: int,
+               etag: Optional[str] = None) -> Optional[ShardLease]:
+        """Write the lease object for shard ``index``: create it, or swap
+        the expired one read at ``etag``; ``None`` if a peer got there
+        first."""
+        file_name = plan.file_name(index)
+        key = self._lease_prefix(plan.name) + file_name
+        deadline = self._clock() + self.lease_ttl
+        claim = self._dump({"state": "leased", "worker": worker_id,
+                            "deadline_ms": int(deadline * 1000),
+                            "grant": grant})
+        won = (self._put_if_absent(key, claim) if etag is None
+               else self._put_if_match(key, claim, etag))
+        if not won:
+            return None
+        return ShardLease(manifest=plan.manifests[index], worker_id=worker_id,
+                          deadline=deadline, token=f"{file_name}:{grant}",
+                          plan=plan.name)
 
     def renew(self, lease: ShardLease) -> Optional[ShardLease]:
         """Extend a still-held lease by ``lease_ttl`` from now.
@@ -688,18 +749,19 @@ class ObjectStoreBroker:
         tells the worker to abandon the manifest: a peer owns it now and
         will reproduce the same bytes.
         """
-        # No _identity() re-read here: a ShardLease proves the plan was
-        # already validated, and renew is the heartbeat hot path — one CAS
-        # per tick, not an extra plan GET per tick.
+        # No plan read here: a ShardLease proves the plan was already
+        # validated, and renew is the heartbeat hot path.
         file_name, _, grant_text = lease.token.rpartition(":")
         key = self._lease_prefix(lease.plan) + file_name
         found = self._get_json(key)
         if found is None:
             return None
         payload, etag = found
-        state = self._parse_lease_object(key, payload)
-        if state != "leased" or payload.get("grant") != int(grant_text):
-            return None  # reclaimed (new grant) or already done
+        self._deadline_ms(key, payload)
+        if payload.get("grant") != int(grant_text):
+            return None  # reclaimed: a new grant
+        if self._get(self._result_prefix(lease.plan) + file_name) is not None:
+            return None  # already done
         deadline = self._clock() + self.lease_ttl
         renewed = dict(payload, deadline_ms=int(deadline * 1000))
         if not self._put_if_match(key, self._dump(renewed), etag):
@@ -707,34 +769,19 @@ class ObjectStoreBroker:
         return replace(lease, deadline=deadline)
 
     def post(self, lease: ShardLease, results: ShardResults) -> bool:
-        """Post one shard's results; returns ``False`` on a duplicate post."""
-        name = lease.plan
-        reference = self._identity(name)
-        manifest = results.manifest
+        """Post one shard's results; returns ``False`` on a duplicate post.
+
+        The result object is the shard's "done": one create, first write
+        wins, and the lease object is left as it is.
+        """
         _check_posted_results(
-            reference, results,
+            self._plan(lease.plan).identity, results,
             source=f"{self.store.describe()}: posted results")
-        file_name = shard_file_name(manifest.shard_index,
-                                    manifest.shard_count)
-        first_post = self._put_if_absent(
-            self._result_prefix(name) + file_name,
+        manifest = results.manifest
+        return self._put_if_absent(
+            self._result_prefix(lease.plan)
+            + shard_file_name(manifest.shard_index, manifest.shard_count),
             self._dump(results.as_dict()))
-        # Flip the lease object to done so nobody re-leases the shard.
-        # Best-effort: result/ presence is what status/collect trust, so a
-        # lost CAS race here costs at most one wasted re-run.
-        key = self._lease_prefix(name) + file_name
-        for _ in range(8):
-            found = self._get_json(key)
-            if found is None:
-                break
-            payload, etag = found
-            if self._parse_lease_object(key, payload) == "done":
-                break
-            done = {"state": "done", "worker": lease.worker_id,
-                    "grant": payload.get("grant", 0)}
-            if self._put_if_match(key, self._dump(done), etag):
-                break
-        return first_post
 
     def collect(self, name: str = DEFAULT_PLAN) -> List[ShardResults]:
         """One plan's posted results, in shard-index order.
@@ -744,7 +791,7 @@ class ObjectStoreBroker:
         name that was never submitted raises.
         """
         validate_plan_name(name)
-        identity = self._identity(name)
+        identity = self._plan(name).identity
         # The reads run under a collect span of the plan trace, so a store
         # retry they absorb joins every trial's timeline (build_trace pulls
         # the plan trace into each trial's closure).
@@ -767,39 +814,29 @@ class ObjectStoreBroker:
         return collected
 
     def status(self) -> BrokerStatus:
-        """Per-plan + aggregate counters for progress and drain checks."""
+        """Per-plan + aggregate counters for progress and drain checks.
+
+        Lists each plan's results and leases: ``done`` counts results,
+        ``leased`` the live leases of unfinished shards, and ``queued`` the
+        rest (never claimed, or claimed and expired).
+        """
         rows = []
         now_ms = int(self._clock() * 1000)
         for name in self.plan_names():
-            header = self._header(name)
-            source = self._source(self._plan_key(name))
-            identity = _parse_plan_header(header, source)
+            plan = self._plan(name)
             done = self._done_names(name)
-            queued = leased = 0
+            leased = 0
             prefix = self._lease_prefix(name)
             for key in self._list(prefix):
                 if key[len(prefix):] in done:
                     continue
                 found = self._get_json(key)
-                if found is None:
-                    continue
-                payload, _etag = found
-                state = self._parse_lease_object(key, payload)
-                if state == "queued":
-                    queued += 1
-                elif state == "leased":
-                    deadline_ms = _require_int(payload, "deadline_ms",
-                                               self._source(key))
-                    if now_ms >= deadline_ms + self._skew_ms:
-                        queued += 1  # expired: reclaimable, i.e. leasable
-                    else:
-                        leased += 1
-            rows.append(PlanStatus(name=name,
-                                   priority=_require_int(header, "priority",
-                                                         source),
-                                   queued=queued, leased=leased,
-                                   done=len(done),
-                                   shard_count=int(identity[0])))
+                if found is not None and self._live(key, found[0], now_ms):
+                    leased += 1
+            rows.append(PlanStatus(
+                name=name, priority=plan.priority,
+                queued=plan.shard_count - len(done) - leased, leased=leased,
+                done=len(done), shard_count=plan.shard_count))
         return BrokerStatus(plans=tuple(rows))
 
 

@@ -206,21 +206,21 @@ def hit_test(root: UIElement, x: float, y: float) -> Optional[UIElement]:
 
 
 def neighbours_of(element: UIElement, radius: float = 120.0) -> List[UIElement]:
-    """Visible elements whose centres lie within ``radius`` pixels of ``element``.
+    """Visible leaves whose centres lie within ``radius`` pixels of ``element``.
 
     Used by the LLM grounding-error model to pick a plausible wrong target.
+    The leaves come from the screen view of ``element``'s window (a tree
+    on no desktop is walked), last first: the reverse of pre-order, which
+    is the order the seeded pick has always drawn from.
     """
     cx, cy = element.rect.center
     root = element.root()
+    desktop = getattr(root, "desktop", None)
+    view = desktop.layout.view(root) if desktop is not None else ScreenView(root)
     result = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.visible:
-            continue
+    for node in reversed(view.elements):
         if node is not element and node.children == []:
             nx, ny = node.rect.center
             if abs(nx - cx) <= radius and abs(ny - cy) <= radius:
                 result.append(node)
-        stack.extend(node.children)
     return result

@@ -186,10 +186,12 @@ def run_chaos_store_broker(seed: int, trials: int,
                 worker_id="equivalence-c0", poll=0, max_manifests=1).run()
     ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
                 worker_id="equivalence-c1", poll=0).run()
+    merged = merge_shard_results(broker.collect())
+    # Counted over the whole path, collect included: a two-shard drain
+    # makes few enough store calls that a seeded storm may spare it.
     assert store.injected.snapshot()["errors"] > 0, (
         "the hostile schedule injected nothing — the chaos run proved "
         "nothing beyond the plain broker path")
-    merged = merge_shard_results(broker.collect())
     return outcomes_bytes(merged)
 
 

@@ -101,9 +101,18 @@ def test_hit_test_skips_invisible():
 def test_neighbours_of_finds_nearby_leaves():
     desktop, window, pane, button = build_desktop()
     second = Button("Other")
+    third = Button("Hidden")
     pane.add_child(second)
+    pane.add_child(third)
+    third.visible = False
     desktop.relayout()
-    assert second in neighbours_of(button, radius=1000.0)
+    # Visible leaves other than the element, last in pre-order first.
+    assert neighbours_of(button, radius=1000.0) == [second]
+    fourth = Button("Another")
+    pane.add_child(fourth)
+    desktop.relayout()
+    assert neighbours_of(button, radius=1000.0) == [fourth, second]
+    assert neighbours_of(button, radius=0.0) == []
 
 
 def test_dialogs_are_laid_out_smaller_and_centred():

@@ -317,6 +317,33 @@ def test_a_failed_collect_leaves_no_span_pushed():
     assert sink.count("shard_collected") == 2
 
 
+#: The store ops that write.
+WRITE_OPS = ("put_if_absent", "put_if_match", "delete")
+
+
+@pytest.mark.parametrize("kind", ALL_BROKER_KINDS)
+def test_a_drain_writes_a_claim_and_a_result_per_shard(kind, tmp_path):
+    """Submit is one write; a one-worker drain makes at most two writes
+    and four store calls per shard; collect lists the results once and
+    reads each."""
+    shards = 6
+    store = CountingStore(make_store(kind, tmp_path))
+    broker = ObjectStoreBroker(store)
+
+    def calls(verb):
+        before = Counter(store.calls)
+        verb()
+        return Counter(store.calls) - before
+
+    assert calls(lambda: broker.submit(small_plan(shards=shards))) \
+        == Counter(put_if_absent=1)
+    drain = calls(ShardWorker(broker, MemoizedExecutor(), worker_id="w",
+                              poll=0, heartbeat=0).run)
+    assert sum(drain[op] for op in WRITE_OPS) <= 2 * shards, drain
+    assert sum(drain.values()) <= 4 * shards, drain
+    assert calls(broker.collect) == Counter(list_prefix=1, get=shards)
+
+
 @pytest.mark.parametrize("kind", ALL_BROKER_KINDS)
 def test_a_live_sink_adds_no_store_calls(kind, tmp_path):
     """Draining and collecting a plan makes the same store calls, op by

@@ -30,6 +30,7 @@ from repro.dmi.matching import (
     _primary_similarity,
 )
 from repro.dmi.observation import ObservationInterface
+from repro.gui.screen import neighbours_of
 from repro.gui.widgets import Window
 from repro.llm.profiles import GPT5_MEDIUM
 from repro.uia.control_types import ControlType
@@ -154,6 +155,48 @@ def test_every_screen_read_equals_a_fresh_walk_after_every_step(trees, steps):
         for label in (target.name, text, pool[other % len(pool)].name.upper()):
             assert matcher.find_by_label(views, label).element == \
                 fresh_find_by_label(windows, label)
+
+
+def walked_neighbours_of(element, radius):
+    """``neighbours_of`` as it was before views: a stack walk of the whole
+    window that pushes children unreversed."""
+    cx, cy = element.rect.center
+    result = []
+    stack = [element.root()]
+    while stack:
+        node = stack.pop()
+        if not node.visible:
+            continue
+        if node is not element and node.children == []:
+            nx, ny = node.rect.center
+            if abs(nx - cx) <= radius and abs(ny - cy) <= radius:
+                result.append(node)
+        stack.extend(node.children)
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees=st.lists(mostly_visible_tree_strategy, min_size=2, max_size=3),
+       steps=st.lists(step_strategy, max_size=20),
+       radius=st.sampled_from((40.0, 120.0, 5000.0)))
+def test_neighbours_of_equals_the_full_window_walk(trees, steps, radius):
+    """The grounding model's candidates, read from the window's view, are
+    the walk's candidates in the walk's order after every step, so the
+    seeded pick among them cannot move."""
+    app = ForestApp(trees)
+    snapshot = app.snapshot()
+    built = app.desktop.open_windows(app.process_id)
+    pool = [node for window in built for node in window.iter_subtree()]
+    for step in [None] + steps:
+        if step == "restore":
+            app.restore(snapshot)
+        elif step == "relayout":
+            app.desktop.relayout()
+        elif step is not None:
+            _mutate(built, pool, step)
+        for target in pool[::max(1, len(pool) // 5)]:
+            assert [id(e) for e in neighbours_of(target, radius)] == \
+                [id(e) for e in walked_neighbours_of(target, radius)]
 
 
 # ----------------------------------------------------------------------

@@ -282,11 +282,14 @@ def test_corrupt_plan_object_raises_clean_shard_error(tmp_path):
 def test_corrupt_manifest_object_raises_clean_shard_error(tmp_path):
     store, broker = store_broker(tmp_path)
     broker.submit(small_plan(shards=1))
-    key = "manifest/default/" + shard_file_name(0, 1)
-    corrupt_object(store, key, json.dumps({"kind": "wrong-kind"}))
+    key = "plans/default"
+    payload = json.loads(store.get(key)[0])
+    payload["manifests"][0] = {"kind": "wrong-kind"}
+    corrupt_object(store, key, json.dumps(payload))
     with pytest.raises(ShardError, match="field 'kind'") as excinfo:
         broker.lease("worker-a")
     assert repr(key) in str(excinfo.value)
+    assert "manifests[0]" in str(excinfo.value)
 
 
 def test_truncated_result_object_raises_clean_shard_error(tmp_path):
@@ -306,6 +309,7 @@ def test_truncated_result_object_raises_clean_shard_error(tmp_path):
 def test_lease_object_missing_state_field_raises_clean_shard_error(tmp_path):
     store, broker = store_broker(tmp_path)
     broker.submit(small_plan(shards=1))
+    assert broker.lease("worker-a") is not None  # the claim creates it
     key = "lease/default/" + shard_file_name(0, 1)
     corrupt_object(store, key, "{}")
     with pytest.raises(ShardError,
@@ -646,19 +650,25 @@ def test_abandoned_manifests_count_toward_max_manifests(tmp_path):
     renewals, thief = [], {}
 
     def stolen_mid_run(manifest):
+        # A handle claims unclaimed shards before it reclaims expired ones:
+        # the thief takes shard 1, then steals shard 0 once it expired.
+        first = broker.lease("thief")
         clock.advance(61.0)
-        thief.setdefault("lease", broker.lease("thief"))
+        thief.setdefault("leases", [first, broker.lease("thief")])
         wait_until(lambda: renewals)
+        clock.advance(61.0)  # the thief's leases lapse too: work waits
 
     worker = ShardWorker(broker, StubExecutor(before=stolen_mid_run),
                          worker_id="capped", poll=0, heartbeat=0.02,
                          max_manifests=1,
                          on_renew=lambda lease, ok: renewals.append(ok))
     completed = worker.run()
+    assert [lease.manifest.shard_index for lease in thief["leases"]] == [1, 0]
     # One execution happened (and was abandoned); the cap stops the worker
-    # from taking the second shard even though it posted nothing.
+    # from taking the waiting shards even though it posted nothing.
     assert completed == [] and worker.abandoned == 1
-    assert broker.status().done == 0
+    status = broker.status()
+    assert status.done == 0 and status.queued == 2
 
 
 # ----------------------------------------------------------------------
