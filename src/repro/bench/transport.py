@@ -229,7 +229,8 @@ def _parse_plan_header(payload: Dict[str, object],
 
 @dataclass(frozen=True)
 class _Plan:
-    """One submitted plan as a broker handle memoizes it."""
+    """One submitted plan as a broker handle memoizes it (``manifests`` is
+    emptied once the handle has seen the plan complete)."""
 
     name: str
     priority: int
@@ -238,7 +239,7 @@ class _Plan:
 
     @property
     def shard_count(self) -> int:
-        return len(self.manifests)
+        return self.identity[0]
 
     def file_name(self, index: int) -> str:
         return shard_file_name(index, self.shard_count)
@@ -447,23 +448,26 @@ class ObjectStoreBroker:
 
     A lease object is ``{"state": "leased", "worker": …, "deadline_ms": …,
     "grant": …}``.  A claim creates it, so any number of workers race
-    safely: exactly one create wins and a loser's claim costs that one
-    call.  ``grant`` increments on every reclaim and is embedded in the
-    lease token, so a stale holder's :meth:`renew` can never pass for the
-    current holder's.  A drain of one plan by one worker therefore writes
-    the plan once, then a claim and a result per shard.
+    safely: exactly one create wins.  ``grant`` increments on every
+    reclaim and is embedded in the lease token, so a stale holder's
+    :meth:`renew` can never pass for the current holder's.  A drain of one
+    plan by one worker therefore writes the plan once, then a claim and a
+    result per shard.
 
     A handle reads each plan object once and memoizes it (no verb deletes
     a plan, so the memo cannot go stale).  It walks each plan's shard
-    indices from its own cursor, claiming as it goes, and lists a plan's
-    results only once the cursor is exhausted, to find unfinished shards
-    whose lease expired; a plan whose every shard has a result is
-    remembered as complete.  Lease deadlines are wall-clock timestamps
-    compared across machines, so keep worker clocks NTP-synced or size
-    ``lease_ttl`` above the worst expected skew — or state the worst skew
-    as ``skew_allowance`` and expiry checks grant that much extra life to
-    every persisted deadline (never stealing a live peer's lease at the
-    cost of equally delayed crash recovery).
+    indices from its own cursor, claiming as it goes; after a lost claim
+    it lists the plan's lease keys once to skip every claimed shard, so
+    with N workers a lease costs about one lost create, not N - 1.  It
+    lists a plan's results only once the cursor is exhausted, to find
+    unfinished shards whose lease expired; a plan whose every shard has a
+    result is remembered as complete, and its memo drops the manifests.
+    Lease deadlines are wall-clock timestamps compared across machines, so
+    keep worker clocks NTP-synced or size ``lease_ttl`` above the worst
+    expected skew — or state the worst skew as ``skew_allowance`` and
+    expiry checks grant that much extra life to every persisted deadline
+    (never stealing a live peer's lease at the cost of equally delayed
+    crash recovery).
 
     Every store call is wrapped in bounded retry-with-backoff (``retry``, a
     :class:`~repro.bench.store.RetryPolicy`): a
@@ -503,7 +507,8 @@ class ObjectStoreBroker:
         self._plans: Dict[str, _Plan] = {}
         #: Per plan, the next shard index this handle tries to claim.
         self._cursor: Dict[str, int] = {}
-        #: Plans this handle has seen a result for every shard of.
+        #: Plans this handle has seen a result for every shard of; their
+        #: memo keeps the header fields and drops the manifests.
         self._complete: set = set()
 
     # ------------------------------------------------------------------
@@ -595,8 +600,14 @@ class ObjectStoreBroker:
         included)."""
         return now_ms < self._deadline_ms(key, payload) + self._skew_ms
 
-    def _done_names(self, name: str) -> set:
-        prefix = self._result_prefix(name)
+    def _mark_complete(self, plan: _Plan) -> None:
+        """Results never go away, so a complete plan stays complete: keep
+        its header fields for ``post``, ``collect`` and ``status`` only."""
+        self._complete.add(plan.name)
+        self._plans[plan.name] = replace(plan, manifests=())
+
+    def _names(self, prefix: str) -> set:
+        """The shard file names listed under ``prefix``."""
         return {key[len(prefix):] for key in self._list(prefix)}
 
     # ------------------------------------------------------------------
@@ -686,23 +697,34 @@ class ObjectStoreBroker:
 
     def _claim_next(self, plan: _Plan,
                     worker_id: str) -> Optional[ShardLease]:
-        """Claim the first shard past this handle's cursor nobody holds."""
+        """Claim the first shard past this handle's cursor nobody holds.
+
+        A lost claim means peers are claiming too: one listing of the
+        plan's lease keys then moves the cursor past every shard already
+        claimed, so a handle racing peers pays one lost create per lease,
+        not one per shard its peers took since its last lease.
+        """
         cursor = self._cursor.get(plan.name, 0)
         lease = None
         while lease is None and cursor < plan.shard_count:
             lease = self._grant(plan, cursor, worker_id, grant=1)
             cursor += 1
+            if lease is None:
+                claimed = self._names(self._lease_prefix(plan.name))
+                while (cursor < plan.shard_count
+                       and plan.file_name(cursor) in claimed):
+                    cursor += 1
         self._cursor[plan.name] = cursor
         return lease
 
     def _reclaim(self, plan: _Plan, worker_id: str) -> Optional[ShardLease]:
         """Take an unfinished shard whose lease expired (the cursor is
         exhausted, so every shard has been claimed once)."""
-        done = self._done_names(plan.name)
+        done = self._names(self._result_prefix(plan.name))
         pending = [index for index in range(plan.shard_count)
                    if plan.file_name(index) not in done]
         if not pending:
-            self._complete.add(plan.name)
+            self._mark_complete(plan)
             return None
         now_ms = int(self._clock() * 1000)
         prefix = self._lease_prefix(plan.name)
@@ -824,7 +846,7 @@ class ObjectStoreBroker:
         now_ms = int(self._clock() * 1000)
         for name in self.plan_names():
             plan = self._plan(name)
-            done = self._done_names(name)
+            done = self._names(self._result_prefix(name))
             leased = 0
             prefix = self._lease_prefix(name)
             for key in self._list(prefix):
@@ -833,6 +855,8 @@ class ObjectStoreBroker:
                 found = self._get_json(key)
                 if found is not None and self._live(key, found[0], now_ms):
                     leased += 1
+            if len(done) == plan.shard_count:
+                self._mark_complete(plan)
             rows.append(PlanStatus(
                 name=name, priority=plan.priority,
                 queued=plan.shard_count - len(done) - leased, leased=leased,

@@ -156,8 +156,10 @@ def hostile_fault_schedule(seed: int = 8) -> FaultSchedule:
     """The canonical chaos-smoke adversary: transient error bursts on every
     store operation.  Latency/CAS-loss/truncation injection are covered by
     dedicated conformance clauses; this schedule is the one the equivalence
-    guarantee is proven under (and the one CI pins to JSON)."""
-    spec = FaultSpec(error_rate=0.15, error_burst=2)
+    guarantee is proven under.  It faults one call in four (in bursts of
+    two): a two-shard drain makes only a few calls per op, which a sparser
+    storm can miss entirely."""
+    spec = FaultSpec(error_rate=0.25, error_burst=2)
     return FaultSchedule(seed=seed, ops={
         op: spec for op in ("put_if_absent", "put_if_match", "get",
                             "list_prefix", "delete")})
@@ -181,17 +183,16 @@ def run_chaos_store_broker(seed: int, trials: int,
     broker = ObjectStoreBroker(store, retry=RetryPolicy(
         attempts=32, backoff_base_s=0.0, sleep=lambda _delay: None))
     broker.submit(plan)
+    submitted = store.injected.snapshot()["errors"]
     cache_dir = work_dir / "chaos-cache"
     ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
                 worker_id="equivalence-c0", poll=0, max_manifests=1).run()
     ShardWorker(broker, ManifestExecutor(cache_dir=cache_dir),
                 worker_id="equivalence-c1", poll=0).run()
+    assert store.injected.snapshot()["errors"] > submitted, (
+        "the hostile schedule injected nothing into the drain — the chaos "
+        "run proved nothing beyond the plain broker path")
     merged = merge_shard_results(broker.collect())
-    # Counted over the whole path, collect included: a two-shard drain
-    # makes few enough store calls that a seeded storm may spare it.
-    assert store.injected.snapshot()["errors"] > 0, (
-        "the hostile schedule injected nothing — the chaos run proved "
-        "nothing beyond the plain broker path")
     return outcomes_bytes(merged)
 
 

@@ -10,8 +10,11 @@ lives in ``tests/test_transport.py`` instead.
 a seeded hostile :class:`~repro.bench.faults.FaultSchedule` (transient
 error bursts on every store operation): bounded retry is supposed to make
 that weather invisible, so every clause must hold verbatim — same
-assertions, zero accommodations.
+assertions, zero accommodations.  Its one extra test checks that the storm
+strikes every verb of a drain, so those clauses are not passed vacuously.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -19,6 +22,9 @@ from broker_contract import (
     ALL_BROKER_KINDS,
     CHAOS_BROKER_KINDS,
     BrokerContractSuite,
+    make_chaos_broker,
+    run_manifest,
+    small_plan,
 )
 
 
@@ -36,3 +42,31 @@ class TestBrokerContractChaos(BrokerContractSuite):
     @pytest.fixture(params=CHAOS_BROKER_KINDS)
     def broker_kind(self, request) -> str:
         return request.param
+
+    @pytest.mark.parametrize("store_kind", ALL_BROKER_KINDS)
+    def test_the_storm_reaches_every_verb(self, store_kind, tmp_path):
+        """The suite's storm is not vacuous for the drain: submitting,
+        draining and collecting two six-shard plans under it absorbs
+        injected faults in every verb, not just in the reads ``collect``
+        makes."""
+        broker = make_chaos_broker(store_kind, tmp_path)
+        faults = Counter()
+
+        def call(verb, *args):
+            before = broker.store.injected.snapshot()["errors"]
+            value = getattr(broker, verb)(*args)
+            faults[verb] += broker.store.injected.snapshot()["errors"] - before
+            return value
+
+        for name in ("a", "b"):
+            call("submit", small_plan(shards=6), name)
+        while True:
+            lease = call("lease", "worker-a")
+            if lease is None:
+                break
+            lease = call("renew", lease)
+            assert call("post", lease, run_manifest(lease.manifest))
+        for name in ("a", "b"):
+            assert len(call("collect", name)) == 6
+        assert all(faults[verb] > 0 for verb in (
+            "submit", "lease", "renew", "post", "collect")), faults

@@ -31,7 +31,6 @@ import time
 import pytest
 
 from broker_contract import (
-    CHAOS_SEED,
     FakeClock,
     chaos_retry_policy,
     hostile_schedule,
@@ -438,13 +437,9 @@ class TestWorkerUnderStorm:
         assert list(merge_shard_results(broker.collect()))
 
     def test_broker_retry_keeps_a_worker_alive_in_a_hostile_store(self):
-        """A hostile schedule on every store op: the broker's bounded
-        retries keep the worker loop alive and the plan drains.  The storm
-        faults one call in four: a two-shard drain makes about fifteen
-        store calls, which the contract suite's sparser storm can miss."""
-        schedule = FaultSchedule(seed=CHAOS_SEED, ops={
-            op: FaultSpec(error_rate=0.25, error_burst=2) for op in STORE_OPS})
-        store = FaultyObjectStore(InMemoryObjectStore(), schedule,
+        """A full hostile schedule on every store op: the broker's bounded
+        retries keep the worker loop alive and the plan drains."""
+        store = FaultyObjectStore(InMemoryObjectStore(), hostile_schedule(),
                                   sleep=no_sleep)
         broker = ObjectStoreBroker(store, retry=chaos_retry_policy())
         store.enabled = False

@@ -19,6 +19,7 @@ from broker_contract import (
     MemoizedExecutor,
     make_chaos_broker,
     make_store,
+    run_manifest,
     small_plan,
 )
 from repro.bench.engine import TrialSpec, trial_seed
@@ -342,6 +343,34 @@ def test_a_drain_writes_a_claim_and_a_result_per_shard(kind, tmp_path):
     assert sum(drain[op] for op in WRITE_OPS) <= 2 * shards, drain
     assert sum(drain.values()) <= 4 * shards, drain
     assert calls(broker.collect) == Counter(list_prefix=1, get=shards)
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("kind", ALL_BROKER_KINDS)
+def test_racing_workers_lose_at_most_one_claim_per_lease(kind, workers,
+                                                         tmp_path):
+    """Handles that lease in lockstep, each behind the claims of all its
+    peers, still write a claim and a result per shard plus at most one
+    lost claim per lease (and one more per handle as the plan runs out)."""
+    shards = 6
+    store = CountingStore(make_store(kind, tmp_path))
+    ObjectStoreBroker(store).submit(small_plan(shards=shards))
+    store.calls.clear()
+    brokers = [ObjectStoreBroker(store) for _ in range(workers)]
+    posted = 0
+    while True:
+        held = [(broker, broker.lease(f"w{index}"))
+                for index, broker in enumerate(brokers)]
+        held = [(broker, lease) for broker, lease in held
+                if lease is not None]
+        if not held:
+            break
+        for broker, lease in held:
+            assert broker.post(lease, run_manifest(lease.manifest))
+            posted += 1
+    assert posted == shards
+    assert set(store.calls) <= {"put_if_absent", "list_prefix", "get"}
+    assert store.calls["put_if_absent"] <= 3 * shards + workers, store.calls
 
 
 @pytest.mark.parametrize("kind", ALL_BROKER_KINDS)

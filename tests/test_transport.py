@@ -258,6 +258,28 @@ def test_store_broker_does_not_release_a_done_shard(tmp_path):
     assert status.done == 1 and status.queued == 0 and status.complete
 
 
+def test_a_handle_keeps_no_manifests_of_a_complete_plan():
+    """A long-lived handle memoizes plans, but once it has seen a plan
+    complete it keeps only the header: a straggler's post, status and
+    collect still work from it."""
+    broker = ObjectStoreBroker(InMemoryObjectStore())
+    broker.submit(small_plan(shards=2), name="a")
+    broker.submit(small_plan(shards=1), name="b")
+    straggler = broker.lease("slow")
+    leases = [straggler, broker.lease("w"), broker.lease("w")]
+    for lease in leases:
+        assert broker.post(lease, run_manifest(lease.manifest))
+    assert broker.lease("w") is None
+    observer = ObjectStoreBroker(broker.store)
+    for handle in (broker, observer):
+        status = handle.status()
+        assert status.complete and status.shard_count == 3
+        assert all(plan.manifests == () for plan in handle._plans.values())
+    assert broker.post(straggler,
+                       run_manifest(straggler.manifest)) is False
+    assert len(broker.collect("a")) == 2 and len(observer.collect("b")) == 1
+
+
 # ----------------------------------------------------------------------
 # fault injection: corrupt objects in the store
 # ----------------------------------------------------------------------
