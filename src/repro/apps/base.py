@@ -15,9 +15,10 @@ from repro.apps.snapshot import AppSnapshot
 from repro.gui.desktop import Desktop
 from repro.gui.input import InputSimulator, Shortcut
 from repro.gui.widgets import Dialog, Window
+from repro.uia.writes import Marked, mark
 
 
-class Application:
+class Application(Marked):
     """Base class for the simulated Office-like applications."""
 
     #: Human-readable application name (used in window titles and ids).
@@ -81,6 +82,8 @@ class Application:
         """Open a modal dialog owned by this application."""
         dialog.application = self
         dialog.properties["app_name"] = self.APP_NAME
+        mark(dialog.__dict__)
+        mark(dialog.properties)
         self.desktop.open_window(dialog, process_id=self.process_id)
         return dialog
 
@@ -100,6 +103,7 @@ class Application:
     # ------------------------------------------------------------------
     def register_shortcut(self, combination: str, callback: Callable[[], None]) -> None:
         self._shortcuts[str(Shortcut.parse(combination))] = callback
+        mark(self._shortcuts)
 
     def handle_shortcut(self, shortcut: Shortcut) -> bool:
         """Dispatch a keyboard shortcut; returns True if it was handled."""
@@ -115,6 +119,7 @@ class Application:
     def register_context(self, name: str, setup: Callable[[], None]) -> None:
         """Register a ripping context, e.g. 'image selected' for PowerPoint."""
         self._contexts[name] = setup
+        mark(self._contexts)
 
     def exploration_contexts(self) -> Dict[str, Callable[[], None]]:
         """Contexts the ripper should explore in addition to the default one."""

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.uia.writes import Marked, mark
+
 
 @dataclass
-class TextFormat:
+class TextFormat(Marked):
     """Character/paragraph formatting attributes."""
 
     font: str = "Calibri"
@@ -40,7 +42,7 @@ class TextFormat:
 
 
 @dataclass
-class Paragraph:
+class Paragraph(Marked):
     """A paragraph of text with uniform formatting.
 
     Real Word tracks per-run formatting; uniform-per-paragraph formatting is
@@ -58,7 +60,7 @@ class Paragraph:
         return len(self.words)
 
 
-class Document:
+class Document(Marked):
     """An editable document: paragraphs, selection, find/replace, page setup."""
 
     def __init__(self, paragraphs: Optional[List[Paragraph]] = None, title: str = "Document1"):
@@ -241,6 +243,7 @@ class Document:
             if edge not in self.margins:
                 raise ValueError(f"unknown margin edge {edge!r}")
             self.margins[edge] = float(value)
+            mark(self.margins)
         self.saved = False
 
     def set_zoom(self, percent: float) -> None:

@@ -682,7 +682,7 @@ class ExcelApp(Application):
 
     def _set_selected_column_widths(self, width: float) -> None:
         for _row, column in self.sheet.selection:
-            self.sheet.column_widths[column] = width
+            self.sheet.set_column_width_at(column, width)
 
     def _open_insert_function_dialog(self) -> None:
         builder = DialogBuilder("Insert Function")

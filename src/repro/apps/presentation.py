@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.uia.writes import Marked
+
 
 @dataclass
-class ShapeFormat:
+class ShapeFormat(Marked):
     """Visual formatting of a shape."""
 
     fill_color: Optional[str] = None
@@ -30,7 +32,7 @@ class ShapeFormat:
 
 
 @dataclass
-class Shape:
+class Shape(Marked):
     """A shape placed on a slide."""
 
     shape_type: str                    # text_box | picture | rectangle | oval | arrow | chart
@@ -50,7 +52,7 @@ class Shape:
 
 
 @dataclass
-class Background:
+class Background(Marked):
     """Slide background fill."""
 
     fill_type: str = "solid"       # solid | gradient | picture | pattern
@@ -59,7 +61,7 @@ class Background:
 
 
 @dataclass
-class Transition:
+class Transition(Marked):
     """Slide transition settings."""
 
     effect: str = "None"           # None | Fade | Push | Wipe | Morph
@@ -68,7 +70,7 @@ class Transition:
     advance_after_seconds: Optional[float] = None
 
 
-class Slide:
+class Slide(Marked):
     """A single slide."""
 
     _counter = 0
@@ -126,7 +128,7 @@ class Slide:
         return [s for s in self.shapes if s.shape_type == "picture"]
 
 
-class Presentation:
+class Presentation(Marked):
     """A deck of slides plus presentation-level state."""
 
     def __init__(self, name: str = "Presentation1", slide_count: int = 1):

@@ -18,14 +18,35 @@ and the closure cells, defaults and ``__self__`` of callables.  It does not
 descend into modules, classes or enum members (shared, never per-trial
 state), and it raises :class:`TypeError` on any other object without a
 ``__dict__``, whose state it could not see.  Frozen dataclasses are walked
-but not recorded: their fields never change.
+but not recorded: their fields never change.  The walk is the record of the
+as-built state; a restore never walks.
 
-A restore compares nothing: it writes every recorded container back, which
-costs less than finding the few that changed.  So an attribute that now
-holds an equal copy (a dataclass ``==`` would accept, though it no longer
-aliases what the original did) gets the original object back, and objects
-created after the snapshot, such as dialogs (built on open), drop out with
-the containers that came to hold them.
+What a restore rewrites.  Every recorded list, set and closure cell, changed
+or not: they are few, and a list captured empty (most are: leaf controls'
+children) costs a truth test.  A recorded dict (an app holds thousands)
+only if the write log (:mod:`repro.uia.writes`) marked it since this
+snapshot's capture or last restore; a trial writes about a hundred.  So
+**every write to a dict after an app is built goes through a seam that
+marks it**: the set-only descriptors and :class:`~repro.uia.writes.Marked`
+bases of controls, patterns, models, the desktop and the input simulator,
+the stamping and tiling writes, and :func:`~repro.uia.writes.mark` beside a
+write into a plain dict.  A write that skipped its seam would survive the
+restore; ``tests/snapshot_drift.py`` checks every recorded container after
+every restore of the default grid, a synthetic grid and random clicks.
+
+The log is one process-wide set of dict ids, armed while any snapshot
+lives.  Each capture and restore first hands its marks to the pending sets
+of the snapshots that recorded those dicts (dropping marks on dicts nobody
+recorded, like a new dialog's), so writes to one app survive restores of
+another.  The log and the owners' index hold ids, never the objects, so a
+dropped runner's apps are collectable; the last snapshot to die disarms
+the log.
+
+A restored dict gets its saved contents back by identity, so an attribute
+that now holds an equal copy (a dataclass ``==`` would accept, though it no
+longer aliases what the original did) gets the original object back, and
+objects created after the snapshot, such as dialogs (built on open), drop
+out with the containers that came to hold them.
 
 Process-global counters are not state: controls and slides built after a
 restore get fresh runtime and slide ids, as they would in a fresh build.
@@ -41,13 +62,56 @@ from __future__ import annotations
 
 import enum
 import types
+import weakref
 from itertools import chain
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Set, Tuple, Union
 
+from repro.uia import writes
 from repro.uia.element import StampMemo
 
 _ATOMIC = (type(None), bool, int, float, complex, str, bytes, range)
 _OPAQUE = (type, types.ModuleType, enum.Enum, StampMemo)
+
+
+class _Overlap(tuple):
+    """The pending sets of several live snapshots that recorded one dict."""
+
+    def add(self, key: int) -> None:
+        for pending in self:
+            pending.add(key)
+
+
+#: The id of every dict a live snapshot recorded -> the pending set of the
+#: snapshot that recorded it, or an :class:`_Overlap` of several.  It holds
+#: ids and sets of ids, so it keeps no recorded object alive.
+_owners: Dict[int, Union[Set[int], _Overlap]] = {}
+
+
+def _distribute() -> None:
+    """Move the write log's marks to the pending sets of the dicts' owners;
+    a mark no live snapshot owns is dropped."""
+    log = writes.log
+    marked = log.copy()  # other threads may mark meanwhile
+    log.difference_update(marked)
+    owner_of = _owners.get
+    for key in marked:
+        owner = owner_of(key)
+        if owner is not None:
+            owner.add(key)
+
+
+def _release(keys: List[int], pending: Set[int]) -> None:
+    """A snapshot died: drop its ownership, and disarm the write log once
+    no snapshot owns a dict."""
+    for key in keys:
+        owner = _owners.get(key)
+        if owner is pending:
+            del _owners[key]
+        elif isinstance(owner, _Overlap):
+            rest = [other for other in owner if other is not pending]
+            _owners[key] = rest[0] if len(rest) == 1 else _Overlap(rest)
+    if not _owners:
+        writes.log = None
 
 
 class AppSnapshot:
@@ -55,30 +119,51 @@ class AppSnapshot:
 
     def __init__(self, root: Any) -> None:
         self.root = root
-        #: Dicts (instance ``__dict__``\s included) and sets, with contents.
-        self._refills: List[Tuple[Any, Any]] = []
+        #: Dicts (instance ``__dict__``\s included) by id, with contents.
+        self._dicts: Dict[int, Tuple[dict, dict]] = {}
+        self._sets: List[Tuple[set, frozenset]] = []
         self._lists: List[Tuple[list, list]] = []
+        #: Lists captured empty (most of them: leaf controls' children).
+        self._empty_lists: List[list] = []
         self._cells: List[Tuple[types.CellType, Any]] = []
+        #: Ids of this snapshot's dicts written since capture or restore.
+        self._pending: Set[int] = set()
+        if writes.log is None:
+            writes.log = set()
+        else:
+            # Marks made so far go to their owners; none is this one's.
+            _distribute()
         self._capture(root)
+        pending = self._pending
+        for key in self._dicts:
+            owner = _owners.setdefault(key, pending)
+            if owner is not pending:
+                _owners[key] = _Overlap((*(owner if isinstance(owner, _Overlap)
+                                           else (owner,)), pending))
+        weakref.finalize(self, _release, list(self._dicts), pending)
 
     def _capture(self, root: Any) -> None:
         seen = set()
         stack = [root]
         push = stack.append
         extend = stack.extend
+        dicts = self._dicts
         while stack:
             obj = stack.pop()
             if type(obj) in _ATOMIC or id(obj) in seen:
                 continue
             seen.add(id(obj))
             if isinstance(obj, dict):
-                self._refills.append((obj, dict(obj)))
+                dicts[id(obj)] = (obj, dict(obj))
                 extend(chain.from_iterable(obj.items()))
             elif isinstance(obj, list):
-                self._lists.append((obj, list(obj)))
-                extend(obj)
+                if obj:
+                    self._lists.append((obj, list(obj)))
+                    extend(obj)
+                else:
+                    self._empty_lists.append(obj)
             elif isinstance(obj, set):
-                self._refills.append((obj, frozenset(obj)))
+                self._sets.append((obj, frozenset(obj)))
                 extend(obj)
             elif isinstance(obj, (tuple, frozenset)):
                 extend(obj)
@@ -100,22 +185,44 @@ class AppSnapshot:
             elif hasattr(obj, "__dict__"):
                 params = getattr(type(obj), "__dataclass_params__", None)
                 if params is None or not params.frozen:
-                    self._refills.append((obj.__dict__, dict(obj.__dict__)))
+                    values = obj.__dict__
+                    dicts[id(values)] = (values, dict(values))
                 extend(obj.__dict__.values())
             else:
                 raise TypeError(f"cannot snapshot a {type(obj).__name__!r}: "
                                 "its state is not in a __dict__")
 
-    def restore(self) -> None:
-        """Write the captured state back into the captured objects.
+    def restore(self) -> int:
+        """Write the captured state back into the captured objects; return
+        how many dicts it rewrote.
 
-        Every recorded container is rewritten, changed or not: finding the
-        few that changed, by identity, costs more than rewriting them all.
+        Every recorded list, set and closure cell is rewritten, changed or
+        not.  A dict is rewritten only if the write log marked it since
+        this snapshot's capture or last restore.
         """
-        for live, saved in self._refills:
+        _distribute()
+        pending = self._pending
+        rewritten = list(pending)  # a copy: other threads may distribute
+        pending.difference_update(rewritten)
+        dicts = self._dicts
+        for key in rewritten:
+            live, saved = dicts[key]
+            live.clear()
+            live.update(saved)
+            owner = _owners[key]
+            if owner is not pending:
+                # An overlapping snapshot sees this rewrite as a write.
+                for other in owner:
+                    if other is not pending:
+                        other.add(key)
+        for live, saved in self._sets:
             live.clear()
             live.update(saved)
         for live, saved in self._lists:
             live[:] = saved
+        for live in self._empty_lists:
+            if live:
+                live.clear()
         for cell, contents in self._cells:
             cell.cell_contents = contents
+        return len(rewritten)

@@ -60,6 +60,7 @@ from repro.gui.ribbon import (
 )
 from repro.gui.widgets import Button
 from repro.spec import FailureCause, Intent, IntentKind, TaskSpec
+from repro.uia.writes import Marked, mark
 
 #: App-name prefix the rest of the stack dispatches on (``app_factory``,
 #: ``TaskSpec`` validation, the artifact cache).
@@ -309,7 +310,7 @@ def topology_digest(spec: Union[str, SyntheticSpec]) -> str:
 # ----------------------------------------------------------------------
 # checkable state
 # ----------------------------------------------------------------------
-class SyntheticState:
+class SyntheticState(Marked):
     """The generated app's model: everything a checker can assert on."""
 
     def __init__(self, topology: Dict[str, object]) -> None:
@@ -332,6 +333,11 @@ class SyntheticState:
         if topology["cycle"]:
             for extra in topology["cycle"]["extras"]:
                 self.toggles[extra] = False
+
+    def set(self, table: Dict[str, object], key: str, value: object) -> None:
+        """Write ``key`` of one of the state's tables (``self.toggles``, ...)."""
+        table[key] = value
+        mark(table)
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-comparable dump (used by determinism tests)."""
@@ -460,13 +466,13 @@ class SyntheticApp(Application):
     # state mutations (wired to controls)
     # ------------------------------------------------------------------
     def _turn_on(self, name: str) -> None:
-        self._state.toggles[name] = True
+        self._state.set(self._state.toggles, name, True)
 
     def _choose(self, gallery: str, choice: str) -> None:
-        self._state.gallery[gallery] = choice
+        self._state.set(self._state.gallery, gallery, choice)
 
     def _pick(self, menu: str, item: str) -> None:
-        self._state.menu[menu] = item
+        self._state.set(self._state.menu, menu, item)
 
     # ------------------------------------------------------------------
     # the dialog chain (built fresh per open; optional expander cycle)
@@ -480,12 +486,12 @@ class SyntheticApp(Application):
             dialog, dialog_spec["edit"],
             value=self._state.fields[dialog_spec["edit"]],
             on_commit=lambda v, l=dialog_spec["edit"]:
-                self._state.fields.__setitem__(l, v))
+                self._state.set(self._state.fields, l, v))
         builder.add_checkbox(
             dialog, dialog_spec["checkbox"],
             checked=self._state.checks[dialog_spec["checkbox"]],
             on_change=lambda v, l=dialog_spec["checkbox"]:
-                self._state.checks.__setitem__(l, v))
+                self._state.set(self._state.checks, l, v))
         if index + 1 < len(dialogs):
             next_title = dialogs[index + 1]["title"]
             builder.add_button(dialog, f"Open {next_title}",

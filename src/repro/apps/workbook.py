@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.uia.writes import Marked, mark
+
 _A1_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 
 
@@ -68,7 +70,7 @@ def parse_range(reference: str) -> List[Tuple[int, int]]:
 
 
 @dataclass
-class CellFormat:
+class CellFormat(Marked):
     """Visual/numeric formatting of a cell."""
 
     number_format: str = "General"   # General | Number | Currency | Percentage | Date | Text
@@ -85,7 +87,7 @@ class CellFormat:
 
 
 @dataclass
-class Cell:
+class Cell(Marked):
     """A single spreadsheet cell."""
 
     value: object = None
@@ -107,7 +109,7 @@ class Cell:
 
 
 @dataclass
-class ConditionalFormatRule:
+class ConditionalFormatRule(Marked):
     """A conditional-formatting rule over a range."""
 
     range_ref: str
@@ -135,7 +137,7 @@ class ConditionalFormatRule:
 
 
 @dataclass
-class Chart:
+class Chart(Marked):
     """A chart inserted into a worksheet."""
 
     chart_type: str
@@ -143,7 +145,7 @@ class Chart:
     title: str = ""
 
 
-class Worksheet:
+class Worksheet(Marked):
     """A sparse grid of cells plus sheet-level settings."""
 
     def __init__(self, name: str, rows: int = 100, columns: int = 26):
@@ -177,6 +179,7 @@ class Worksheet:
         key = (row, column)
         if key not in self._cells:
             self._cells[key] = Cell()
+            mark(self._cells)
         return self._cells[key]
 
     def set_value(self, reference: str, value: object) -> Cell:
@@ -310,6 +313,7 @@ class Worksheet:
 
     def set_filter(self, column: int, criterion: str) -> None:
         self.filters[column] = criterion
+        mark(self.filters)
 
     def freeze_panes(self, rows: int, columns: int = 0) -> None:
         self.frozen_rows = rows
@@ -324,13 +328,18 @@ class Worksheet:
         self.hidden_columns.add(column_letter_to_index(letters))
 
     def set_column_width(self, letters: str, width: float) -> None:
-        self.column_widths[column_letter_to_index(letters)] = width
+        self.set_column_width_at(column_letter_to_index(letters), width)
+
+    def set_column_width_at(self, column: int, width: float) -> None:
+        self.column_widths[column] = width
+        mark(self.column_widths)
 
     def set_row_height(self, row: int, height: float) -> None:
         self.row_heights[row] = height
+        mark(self.row_heights)
 
 
-class Workbook:
+class Workbook(Marked):
     """A collection of worksheets plus workbook-level state."""
 
     def __init__(self, name: str = "Book1", sheet_names: Iterable[str] = ("Sheet1",)):

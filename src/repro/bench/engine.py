@@ -164,10 +164,12 @@ def _worker_init(dmi_config, cache_dir: str,
         cache_max_entries=cache_max_entries))
 
 
-def _worker_run(payload: Dict[str, object]) -> Dict[str, object]:
+def _worker_run(payload: Dict[str, object]) -> Tuple[Dict[str, object], float]:
+    """Run one spec in a pool worker: its result and its measured seconds."""
     assert _WORKER_RUNNER is not None, "worker pool used before initialization"
+    started = time.perf_counter()
     result = _WORKER_RUNNER.run_spec(TrialSpec.from_dict(payload))
-    return result.as_dict()
+    return result.as_dict(), time.perf_counter() - started
 
 
 class ParallelExecutor(Executor):
@@ -248,11 +250,11 @@ class ParallelExecutor(Executor):
             results: List[Optional[SessionResult]] = [None] * len(specs)
             # Trials execute in worker processes whose default sinks are
             # reset to null by _worker_init, so the parent emits the trial
-            # events: started at submit, finished per completion.  Real
-            # per-trial seconds are unknown here (the worker ran them) and
-            # reported as None so the trial_seconds timer stays honest; the
-            # simulated wall clock and plan/act phases come from the result
-            # and match what a serial run would have emitted.
+            # events: started at submit, finished per completion.  A
+            # trial's real seconds are the worker's own measurement of its
+            # run, sent back with the result; the simulated wall clock and
+            # plan/act phases come from the result and match what a serial
+            # run would have emitted.
             sink = telemetry.default_sink()
             # Trace contexts are parent-side too: each trial gets its
             # deterministic trace (parented to the ambient span, e.g. a
@@ -276,7 +278,8 @@ class ParallelExecutor(Executor):
                 completed = 0
                 for future in as_completed(futures):
                     index = futures[future]
-                    result = SessionResult.from_dict(future.result())
+                    payload, seconds = future.result()
+                    result = SessionResult.from_dict(payload)
                     results[index] = result
                     completed += 1
                     if sink:
@@ -285,7 +288,7 @@ class ParallelExecutor(Executor):
                         sink.emit(ctx.attach(TrialFinished(
                             task_id=spec.task_id, setting_key=spec.setting_key,
                             trial=spec.trial, success=result.success,
-                            seconds=None, wall_s=result.wall_time_s,
+                            seconds=seconds, wall_s=result.wall_time_s,
                             phases=phases_from_result(result)),
                             duration_s=time.perf_counter() - submitted))
                     if progress is not None:

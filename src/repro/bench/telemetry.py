@@ -153,10 +153,10 @@ class TrialStarted(TelemetryEvent):
 class TrialFinished(TelemetryEvent):
     """One trial completed.
 
-    ``seconds`` is real (measured) execution time where the emitting process
-    ran the trial itself; a parent observing worker-process completions
-    reports ``None`` (the measurement does not exist there, and a sentinel
-    0.0 would corrupt the ``trial_seconds`` timer stats).  ``wall_s`` is the
+    ``seconds`` is real (measured) execution time: the emitting process's
+    own measurement, or, for a pool parent, the worker process's measurement
+    sent back with the result.  ``None`` means nobody measured it (a
+    sentinel 0.0 would corrupt the ``trial_seconds`` timer stats).  ``wall_s`` is the
     trial's *simulated* wall-clock from the session record — deterministic,
     so it agrees across execution paths.  ``phases`` breaks the trial down:
     ``rip`` (artifact load/build) and ``build`` (agent + DMI assembly) are

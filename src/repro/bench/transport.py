@@ -878,14 +878,19 @@ RenewCallback = Callable[[ShardLease, bool], None]
 
 
 class LeaseHeartbeat:
-    """Background renewal of one held lease, every ``interval`` seconds.
+    """Background renewal of the held lease, every ``interval`` seconds.
 
-    Start it right after leasing, stop it right after the manifest run
-    (before posting).  :attr:`lease` is the freshest handle — post with it,
-    since some brokers re-token the lease on every renewal.  If a renewal
-    reports the lease lost (reclaimed by a peer, or a broker error mid
-    renew), :attr:`lost` latches ``True`` and the thread exits; the worker
-    must then abandon the manifest instead of posting.
+    One heartbeat thread serves a worker's whole run: the lease passed to
+    the constructor is held from :meth:`start`, :meth:`hold` points the
+    thread at each later lease (with that lease's span context) right after
+    leasing, :meth:`release` stops the renewals right after the manifest
+    run, before posting, and :meth:`stop` ends the thread.  A held lease is
+    renewed within ``interval`` of being held and every ``interval`` after.
+    :attr:`lease` is the freshest handle — post with it, since some brokers
+    re-token the lease on every renewal.  If a renewal reports the lease
+    lost (reclaimed by a peer, or a broker error mid renew), :attr:`lost`
+    latches ``True`` until the next :meth:`hold` and renewals stop; the
+    worker must then abandon the manifest instead of posting.
     """
 
     def __init__(self, broker: ObjectStoreBroker, lease: ShardLease,
@@ -898,18 +903,21 @@ class LeaseHeartbeat:
         self.broker = broker
         self.interval = interval
         self.on_renew = on_renew
-        #: The worker's lease span, passed explicitly because the renewal
+        #: The held lease's span, passed explicitly because the renewal
         #: thread cannot see the worker thread's ambient (thread-local)
         #: context.  Renewal/lost events become its child spans.
         self.context = context
         self._renewals = 0
         self._lease = lease
-        self._lock = threading.Lock()
+        self._held = True
+        #: Held across each renewal, so :meth:`release` returns only once
+        #: no renewal is in flight (re-entrant: ``on_renew`` may read
+        #: :attr:`lease`).
+        self._lock = threading.RLock()
         self._stop = threading.Event()
         self._lost = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True,
-            name=f"lease-heartbeat-{lease.manifest.shard_index}")
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="lease-heartbeat")
 
     @property
     def lease(self) -> ShardLease:
@@ -924,44 +932,64 @@ class LeaseHeartbeat:
         self._thread.start()
         return self
 
+    def hold(self, lease: ShardLease,
+             context: Optional[tracectx.SpanContext] = None) -> None:
+        """Renew ``lease`` from now on."""
+        with self._lock:
+            self._lease = lease
+            self.context = context
+            self._renewals = 0
+            self._lost.clear()
+            self._held = True
+
+    def release(self) -> None:
+        """Stop renewing; returns once no renewal is in flight."""
+        with self._lock:
+            self._held = False
+
     def stop(self) -> None:
         self._stop.set()
         self._thread.join()
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            try:
-                renewed = self.broker.renew(self.lease)
-            except (ShardError, OSError):
-                # Transient broker trouble (a storage blip mid-renew) is
-                # not proof the lease is gone: the ttl/3 cadence leaves
-                # further chances before expiry, and a lease that really
-                # was reclaimed shows up as renew() -> None next tick.
-                continue
-            sink = telemetry.default_sink()
-            if renewed is None:
-                self._lost.set()
-                if sink:
-                    lease = self.lease
-                    event = LeaseLost(shard_index=lease.manifest.shard_index,
-                                      worker_id=lease.worker_id)
-                    if self.context is not None:
-                        event = self.context.child(
-                            "lease_lost", lease.token).attach(event)
-                    sink.emit(event)
-                self._notify(self.lease, False)
-                return
             with self._lock:
-                self._lease = renewed
+                if self._held:
+                    self._renew()
+
+    def _renew(self) -> None:
+        lease = self._lease
+        try:
+            renewed = self.broker.renew(lease)
+        except (ShardError, OSError):
+            # Transient broker trouble (a storage blip mid-renew) is
+            # not proof the lease is gone: the ttl/3 cadence leaves
+            # further chances before expiry, and a lease that really
+            # was reclaimed shows up as renew() -> None next tick.
+            return
+        sink = telemetry.default_sink()
+        if renewed is None:
+            self._held = False
+            self._lost.set()
             if sink:
-                self._renewals += 1
-                event = LeaseRenewed(shard_index=renewed.manifest.shard_index,
-                                     worker_id=renewed.worker_id)
+                event = LeaseLost(shard_index=lease.manifest.shard_index,
+                                  worker_id=lease.worker_id)
                 if self.context is not None:
                     event = self.context.child(
-                        "lease_renewed", self._renewals).attach(event)
+                        "lease_lost", lease.token).attach(event)
                 sink.emit(event)
-            self._notify(renewed, True)
+            self._notify(lease, False)
+            return
+        self._lease = renewed
+        if sink:
+            self._renewals += 1
+            event = LeaseRenewed(shard_index=renewed.manifest.shard_index,
+                                 worker_id=renewed.worker_id)
+            if self.context is not None:
+                event = self.context.child(
+                    "lease_renewed", self._renewals).attach(event)
+            sink.emit(event)
+        self._notify(renewed, True)
 
     def _notify(self, lease: ShardLease, renewed: bool) -> None:
         if self.on_renew is None:
@@ -1080,6 +1108,8 @@ class ShardWorker:
         #: test fleet's sleep schedule is reproducible while real fleets
         #: (unique hostname-pid ids) still decorrelate.
         self._backoff_rng = random.Random(f"idle-backoff:{self.worker_id}")
+        #: The running :meth:`run`'s heartbeat, once it has leased.
+        self._beat: Optional[LeaseHeartbeat] = None
 
     def stop(self) -> None:
         """Ask the worker to exit cleanly: the current manifest finishes
@@ -1097,8 +1127,19 @@ class ShardWorker:
         results this worker posted.
 
         ``max_manifests`` counts *executions* (posted or abandoned), so the
-        cap bounds this worker's compute even under lease churn.
+        cap bounds this worker's compute even under lease churn.  One
+        heartbeat thread, started at the first lease, renews every lease
+        of the run.
         """
+        try:
+            return self._drain(progress, on_manifest)
+        finally:
+            if self._beat is not None:
+                self._beat.stop()
+                self._beat = None
+
+    def _drain(self, progress: Optional[ProgressCallback],
+               on_manifest: Optional[ManifestCallback]) -> List[ShardResults]:
         completed: List[ShardResults] = []
         executed = 0
         idle_streak = 0
@@ -1138,11 +1179,14 @@ class ShardWorker:
                     LeaseAcquired(shard_index=lease.manifest.shard_index,
                                   worker_id=self.worker_id),
                     duration_s=time.perf_counter() - lease_started))
-            beat = None
+            beat = self._beat
             if self.heartbeat > 0:
-                beat = LeaseHeartbeat(self.broker, lease, self.heartbeat,
-                                      on_renew=self.on_renew,
-                                      context=ctx).start()
+                if beat is None:
+                    beat = self._beat = LeaseHeartbeat(
+                        self.broker, lease, self.heartbeat,
+                        on_renew=self.on_renew, context=ctx).start()
+                else:
+                    beat.hold(lease, ctx)
             stats_before = self.executor.cache_stats()
             try:
                 if ctx is not None:
@@ -1152,7 +1196,7 @@ class ShardWorker:
                 if ctx is not None:
                     tracectx.pop(ctx)
                 if beat is not None:
-                    beat.stop()
+                    beat.release()
             executed += 1
             self._account_cache(lease.plan, stats_before)
             if beat is not None:

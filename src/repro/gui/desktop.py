@@ -14,11 +14,12 @@ from repro.gui.screen import ScreenLayout, ScreenView
 from repro.gui.widgets import Window
 from repro.uia.element import UIElement
 from repro.uia.events import EventBus, EventKind
+from repro.uia.writes import Marked, mark
 
 _process_id_counter = itertools.count(1000)
 
 
-class Desktop:
+class Desktop(Marked):
     """A simulated desktop session.
 
     Responsibilities:
@@ -59,6 +60,7 @@ class Desktop:
         window.desktop = self
         if process_id is not None:
             window.process_id = process_id
+        mark(window.__dict__)
         self.windows.append(window)
         self.events.emit_kind(EventKind.WINDOW_OPENED, source=window)
         self.relayout()

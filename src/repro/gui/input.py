@@ -17,6 +17,7 @@ from repro.gui.widgets import Edit, ScrollBarControl, Widget
 from repro.uia.element import UIElement
 from repro.uia.events import EventKind
 from repro.uia.patterns import PatternId
+from repro.uia.writes import Marked
 
 
 class InputError(RuntimeError):
@@ -49,7 +50,7 @@ class InputLogEntry:
     detail: dict = field(default_factory=dict)
 
 
-class InputSimulator:
+class InputSimulator(Marked):
     """Delivers simulated mouse and keyboard input to a :class:`Desktop`."""
 
     def __init__(self, desktop: Desktop) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.uia import writes
 from repro.uia.element import BoundingRect, StampMemo, UIElement, seal_stamps
 from repro.uia.tree import visible_elements
 
@@ -77,7 +78,7 @@ class ScreenView:
         return self._by_name.get(name, [])
 
 
-class ScreenLayout:
+class ScreenLayout(writes.Marked):
     """Assigns bounding rectangles to visible elements of open windows.
 
     A window's tiling depends only on its rectangle and its visible
@@ -85,6 +86,8 @@ class ScreenLayout:
     and layout stamp (see :mod:`repro.uia.element`) at its last layout and
     lays out again only the windows where one of the three changed.  The
     records are per instance: a new ``ScreenLayout`` lays out every window.
+    Every rectangle the tiling writes marks its element's dict
+    (:mod:`repro.uia.writes`).
     """
 
     def __init__(self, width: int = 1920, height: int = 1080) -> None:
@@ -139,8 +142,13 @@ class ScreenLayout:
     def _tile(self, window: UIElement, rect: BoundingRect) -> List[UIElement]:
         """Assign ``rect`` to ``window`` and tile each on-screen control's
         visible children inside its rectangle; return the on-screen
-        controls in the pre-order the tiling visits them in."""
-        window.rect = rect
+        controls in the pre-order the tiling visits them in.  A control
+        whose rectangle keeps its place and size keeps its rectangle: only
+        a moved one is written, and marked (:mod:`repro.uia.writes`)."""
+        moved = []
+        if window.rect != rect:
+            window.rect = rect
+            moved.append(window)
         elements = []
         # A hidden window shows nothing; its controls keep their rectangles.
         stack = [(window, 0)] if window.visible else []
@@ -157,18 +165,24 @@ class ScreenLayout:
             count = len(visible_children)
             if self._split_horizontally(rect, depth):
                 slot = max(rect.width / count, MIN_LEAF_WIDTH)
-                for i, child in enumerate(visible_children):
-                    child.rect = BoundingRect(
-                        rect.left + i * slot, rect.top, slot, max(rect.height, MIN_LEAF_HEIGHT)
-                    )
+                height = max(rect.height, MIN_LEAF_HEIGHT)
+                places = [(rect.left + i * slot, rect.top, slot, height)
+                          for i in range(count)]
             else:
                 slot = max(rect.height / count, MIN_LEAF_HEIGHT)
-                for i, child in enumerate(visible_children):
-                    child.rect = BoundingRect(
-                        rect.left, rect.top + i * slot, max(rect.width, MIN_LEAF_WIDTH), slot
-                    )
+                width = max(rect.width, MIN_LEAF_WIDTH)
+                places = [(rect.left, rect.top + i * slot, width, slot)
+                          for i in range(count)]
+            for child, place in zip(visible_children, places):
+                old = child.rect
+                if (old.left, old.top, old.width, old.height) != place:
+                    child.rect = BoundingRect(*place)
+                    moved.append(child)
             depth += 1
             stack.extend([(child, depth) for child in reversed(visible_children)])
+        log = writes.log
+        if log is not None:
+            log.update([id(element.__dict__) for element in moved])
         return elements
 
     @staticmethod

@@ -34,6 +34,19 @@ recorded stamps.  It is not application state: a restore
 (:class:`repro.apps.snapshot.AppSnapshot`) puts back the stamps of the
 state it restores, along with that state, so an entry recorded at those
 stamps is valid again.
+
+**Write marks.**  A restore rewrites only the dicts the write log
+(:mod:`repro.uia.writes`) marked, so every element write that can happen
+after an app is built marks the element's ``__dict__`` (or, for a pattern
+added later, its ``patterns``) while a snapshot is armed: the stamped
+writes above and the stamp each of them leaves on the ancestors, the
+``parent`` writes of :meth:`UIElement.add_child` and
+:meth:`UIElement.remove_child`, ``text`` (a set-only marking descriptor),
+and the ``rect`` the layout's tiling writes.  The class has no
+``__setattr__`` hook: an app build makes tens of thousands of other
+attribute writes, each of which it would slow down.  The constructor
+writes straight into the new element's dict, which no snapshot recorded.
+With no snapshot armed a seam costs one ``is None`` check.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional
 
+from repro.uia import writes
 from repro.uia.control_types import ControlType
 from repro.uia.patterns import PatternId, UIAPattern
 
@@ -87,8 +101,11 @@ class StampMemo:
 def _touch(element: Optional["UIElement"]) -> None:
     """Stamp ``element`` and its ancestors with the current stamp."""
     stamp = _stamp
+    log = writes.log
     while element is not None and element.layout_stamp != stamp:
         element.layout_stamp = stamp
+        if log is not None:
+            log.add(id(element.__dict__))
         element = element.parent
 
 
@@ -96,7 +113,7 @@ class _Stamped:
     """``visible``, ``name`` and ``automation_id``: set-only data descriptors.
 
     A read is a plain instance-dict lookup; a write that changes the value
-    stamps the element (see the module docstring).
+    stamps and marks the element (see the module docstring).
     """
 
     def __set_name__(self, owner: type, attribute: str) -> None:
@@ -106,6 +123,9 @@ class _Stamped:
         values = element.__dict__
         if values.get(self.attribute) != value:
             values[self.attribute] = value
+            log = writes.log
+            if log is not None:
+                log.add(id(values))
             _touch(element)
 
 
@@ -171,6 +191,7 @@ class UIElement:
     visible = _Stamped()
     name = _Stamped()
     automation_id = _Stamped()
+    text = writes.MarkedAttribute()
 
     def __init__(
         self,
@@ -182,18 +203,19 @@ class UIElement:
         visible: bool = True,
         rect: Optional[BoundingRect] = None,
     ) -> None:
-        # Straight into the dict: a new element has no parent to stamp.
+        # Straight into the dict: no snapshot has recorded a new element,
+        # and it has no parent to stamp, only itself.
         values = self.__dict__
         values["name"] = name
         values["automation_id"] = automation_id
         self.control_type = ControlType(control_type)
         self.description = description
         self.is_enabled = enabled
-        self.layout_stamp = 0
+        values["layout_stamp"] = _stamp
         self.parent: Optional[UIElement] = None
-        self.visible = visible
+        values["visible"] = visible
         self.rect = rect or BoundingRect()
-        self.text: str = ""
+        values["text"] = ""
         self.runtime_id: int = next(_runtime_id_counter)
         self.children: List[UIElement] = []
         self.patterns: Dict[PatternId, UIAPattern] = {}
@@ -209,6 +231,9 @@ class UIElement:
         if child.parent is not None:
             child.parent.remove_child(child)
         child.parent = self
+        log = writes.log
+        if log is not None:
+            log.add(id(child.__dict__))
         if index is None:
             self.children.append(child)
         else:
@@ -225,6 +250,9 @@ class UIElement:
         if child in self.children:
             self.children.remove(child)
             child.parent = None
+            log = writes.log
+            if log is not None:
+                log.add(id(child.__dict__))
             _touch(self)
 
     def clear_children(self) -> None:
@@ -270,6 +298,9 @@ class UIElement:
     def add_pattern(self, pattern: UIAPattern) -> UIAPattern:
         """Register a pattern instance on this element and return it."""
         self.patterns[pattern.pattern_id] = pattern
+        log = writes.log
+        if log is not None:
+            log.add(id(self.patterns))
         return pattern
 
     def get_pattern(self, pattern_id: PatternId) -> Optional[UIAPattern]:

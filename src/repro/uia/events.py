@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.uia import writes
 from repro.uia.element import UIElement
 
 
@@ -57,6 +58,7 @@ class EventBus:
     def subscribe(self, handler: Handler, kind: Optional[EventKind] = None) -> Callable[[], None]:
         """Register ``handler`` and return a callable that unsubscribes it."""
         self._handlers.setdefault(kind, []).append(handler)
+        writes.mark(self._handlers)
 
         def unsubscribe() -> None:
             handlers = self._handlers.get(kind, [])

@@ -30,6 +30,8 @@ import enum
 import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from repro.uia import writes
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.uia.element import UIElement
 
@@ -83,7 +85,8 @@ class _Journaled:
     """A set-only data descriptor for a journaled pattern attribute.
 
     It defines ``__set__`` but no ``__get__``, so a read is a plain
-    instance-dict lookup; only a write pays for the journal.
+    instance-dict lookup; only a write pays for the journal and the write
+    mark (:mod:`repro.uia.writes`).
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -94,6 +97,9 @@ class _Journaled:
         old = values.get(self.name)
         if old != value:
             values[self.name] = value
+            log = writes.log
+            if log is not None:
+                log.add(id(values))
             entries = _armed.entries
             if entries is not None:
                 entries.append((pattern, old))
@@ -128,6 +134,8 @@ class InvokePattern(UIAPattern):
 
     pattern_id = PatternId.INVOKE
 
+    invoke_count = writes.MarkedAttribute()
+
     def __init__(self, element: "UIElement", on_invoke: Optional[Callable[[], None]] = None):
         super().__init__(element)
         self._on_invoke = on_invoke
@@ -151,6 +159,8 @@ class TogglePattern(UIAPattern):
     """Two/three-state controls such as check boxes."""
 
     pattern_id = PatternId.TOGGLE
+
+    state = writes.MarkedAttribute()
 
     def __init__(
         self,
@@ -232,6 +242,9 @@ class ScrollPattern(UIAPattern):
     pattern_id = PatternId.SCROLL
 
     NO_SCROLL = -1.0
+
+    horizontal_percent = writes.MarkedAttribute()
+    vertical_percent = writes.MarkedAttribute()
 
     def __init__(
         self,
@@ -384,6 +397,8 @@ class TextPattern(UIAPattern):
 
     pattern_id = PatternId.TEXT
 
+    selection = writes.MarkedAttribute()
+
     def __init__(self, element: "UIElement", provider=None):
         super().__init__(element)
         self._provider = provider
@@ -442,6 +457,8 @@ class ValuePattern(UIAPattern):
 
     pattern_id = PatternId.VALUE
 
+    value = writes.MarkedAttribute()
+
     def __init__(
         self,
         element: "UIElement",
@@ -469,6 +486,8 @@ class RangeValuePattern(UIAPattern):
     """Controls with a numeric value in a range (sliders, spinners)."""
 
     pattern_id = PatternId.RANGE_VALUE
+
+    value = writes.MarkedAttribute()
 
     def __init__(
         self,
@@ -532,6 +551,8 @@ class WindowPattern(UIAPattern):
     """Top-level and modal windows."""
 
     pattern_id = PatternId.WINDOW
+
+    is_open = writes.MarkedAttribute()
 
     def __init__(
         self,

@@ -20,6 +20,7 @@ from repro.bench.runner import (
     setting_by_key,
 )
 from repro.bench.tasks import task_by_id
+from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.dmi.cache import ArtifactCache, config_fingerprint
 from repro.dmi.interface import DMIConfig
 from repro.ripping.ripper import GuiRipper, RipperConfig
@@ -102,6 +103,20 @@ def test_parallel_executor_streams_progress_and_preserves_order(tmp_path):
     assert all(e.total == 3 for e in events)
     # Results come back in spec order regardless of completion order.
     assert [r.task_id for r in outcome.results] == list(SUBSET)
+
+
+def test_a_jobs_run_records_each_trials_measured_seconds(tmp_path):
+    """A pool worker measures each trial it runs and sends the seconds back
+    with the result, so the parent's ``trial_seconds`` timer gets one real
+    observation per trial."""
+    runner = BenchmarkRunner(BenchmarkConfig(trials=2, seed=5, tasks=subset_tasks(),
+                                             jobs=2, cache_dir=tmp_path / "cache"))
+    sink = AggregatingSink()
+    with use_sink(sink):
+        runner.run_setting(setting_by_key("dmi-gpt5-medium"))
+    seconds = sink.timer("trial_seconds")
+    assert sink.count("trial_finished") == 6
+    assert seconds is not None and seconds.count == 6 and seconds.total > 0
 
 
 def test_serial_executor_streams_progress():

@@ -484,10 +484,11 @@ def test_parallel_run_does_not_double_emit_trial_events(tmp_path, capsys):
     record = RunRegistry(tmp_path / "registry").latest()
     assert record.executor == "parallel"
     assert record.counters["trial_finished"] == 1
-    # The parent didn't run the trial itself, so the measured-time timers
-    # carry no fake observations (only the pre-warm rip/build on the
-    # parent side of the pool would be real, and those aren't per-trial).
-    assert "trial_seconds" not in record.timers
+    # The worker measured the trial's seconds and sent them back; the
+    # phase timers carry no fake observations (only the pre-warm rip/build
+    # on the parent side of the pool would be real, and those aren't
+    # per-trial).
+    assert record.timers["trial_seconds"]["count"] == 1
     assert "phase_rip" not in record.timers
     assert "phase_build" not in record.timers
     assert record.timers["trial_wall_s"]["count"] == 1

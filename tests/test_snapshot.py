@@ -4,13 +4,17 @@
 reproduce a fresh build's ``observe`` after any interaction, in place (the
 main window and the model stay the same objects), and the benchmark runner
 must build each app once and still give every trial a fresh build's
-starting state.
+starting state.  A restore rewrites only the dicts the write log marked,
+so after every restore the drift oracle (``tests/snapshot_drift.py``)
+checks every recorded container too.
 """
 
 from __future__ import annotations
 
 import collections
+import gc
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.agent.host_agent import HostAgent
 from repro.apps import app_factory
 from repro.apps.base import Application
+from repro.apps.snapshot import AppSnapshot
 from repro.apps.synthetic import SyntheticSpec, synthetic_suite
 from repro.bench.runner import (
     BenchmarkConfig,
@@ -30,6 +35,8 @@ from repro.bench.telemetry import EventSink, TrialFinished, use_sink
 from repro.dmi.cache import ArtifactCache
 from repro.dmi.interface import DMIConfig
 from repro.gui.widgets import Button
+
+from snapshot_drift import drift
 
 RESTORE_APPS = ["word", "excel", "powerpoint",
                 SyntheticSpec(seed=3).app_name, SyntheticSpec(seed=8).app_name]
@@ -73,6 +80,7 @@ def test_restore_after_random_clicks_matches_a_fresh_build(observe, as_built, na
     for pick in picks:
         _click_nth(app, pick)
     app.restore(snapshot)
+    assert drift(snapshot) == []
     assert app.window is window and app.state is model
     assert observe(app) == fresh
 
@@ -109,6 +117,39 @@ def test_restore_rebinds_closure_variables_and_refills_sets(mini_app):
     assert (clicks, seen) == (0, {0})
 
 
+def test_restores_interleaved_across_two_apps_lose_no_write(observe):
+    """Each app's writes survive restores of the other: write A, restore
+    B, write B, restore A, restore B."""
+    word, excel = app_factory("word")(), app_factory("excel")()
+    word_snapshot, excel_snapshot = word.snapshot(), excel.snapshot()
+    fresh_word, fresh_excel = observe(word), observe(excel)
+    word.input.click(word.window.find(name="Layout", control_type="TabItem"))
+    word.document.set_margins(top=1.0)
+    excel.restore(excel_snapshot)
+    excel.input.click(excel.window.find(name="Insert", control_type="TabItem"))
+    excel.workbook.active_sheet.set_filter(2, "> 3")
+    assert observe(word) != fresh_word and observe(excel) != fresh_excel
+    word.restore(word_snapshot)
+    assert drift(word_snapshot) == [] and observe(word) == fresh_word
+    excel.restore(excel_snapshot)
+    assert drift(excel_snapshot) == [] and observe(excel) == fresh_excel
+
+
+def test_two_snapshots_of_one_app_each_see_the_others_restores(observe):
+    """A restore's own rewrites count as writes for every other snapshot
+    that recorded the same dicts."""
+    app = app_factory("word")()
+    as_built = app.snapshot()
+    fresh = observe(app)
+    app.input.click(app.window.find(name="Layout", control_type="TabItem"))
+    app.document.set_margins(top=1.0)
+    edited = app.snapshot()
+    changed = observe(app)
+    for snapshot, expected in ((as_built, fresh), (edited, changed), (as_built, fresh)):
+        app.restore(snapshot)
+        assert drift(snapshot) == [] and observe(app) == expected
+
+
 def test_snapshot_refuses_state_it_cannot_see():
     app = app_factory(SyntheticSpec(seed=3).app_name)()
     app.window.properties["recent"] = collections.deque()
@@ -139,13 +180,15 @@ def warm_cache(tmp_path, word_artifacts, excel_artifacts, ppt_artifacts,
 
 def _checking_restores(monkeypatch, observe, app_names):
     """Check, at the start of every trial, that the restored app observes
-    as a fresh build does; count the checks per app name."""
+    as a fresh build does and that no recorded container drifted; count the
+    checks per app name."""
     checked = collections.Counter()
     fresh = {name: observe(app_factory(name)()) for name in app_names}
     restored_app = BenchmarkRunner._restored_app
 
     def checking(runner, app_name):
         app = restored_app(runner, app_name)
+        assert drift(runner._apps[app_name][1]) == []
         assert observe(app) == fresh[app_name], f"{app_name} restored to another state"
         checked[app_name] += 1
         return app
@@ -175,6 +218,37 @@ def test_one_runner_builds_each_app_once_over_the_default_grid(monkeypatch, obse
     assert sum(len(outcome.results) for outcome in outcomes.values()) == 81
     assert builds == {"WordApp": 1, "ExcelApp": 1, "PowerPointApp": 1}
     assert checked == {"word": 27, "excel": 27, "powerpoint": 27}
+
+
+def test_a_default_grid_restore_rewrites_only_the_dicts_its_trial_wrote(monkeypatch,
+                                                                       warm_cache):
+    """Each app records thousands of dicts; a trial writes about a hundred,
+    and the restore after it rewrites only those."""
+    rewritten = []
+    restore = AppSnapshot.restore
+
+    def counting(snapshot):
+        rewritten.append(restore(snapshot))
+        return rewritten[-1]
+
+    monkeypatch.setattr(AppSnapshot, "restore", counting)
+    runner = BenchmarkRunner(BenchmarkConfig(trials=1, seed=11, cache_dir=warm_cache))
+    runner.run_settings([setting_by_key(key) for key in CORE_SETTING_KEYS])
+    recorded = min(len(snapshot._dicts) for _, snapshot in runner._apps.values())
+    assert len(rewritten) == 81 and recorded > 2000
+    assert sum(rewritten) / len(rewritten) <= 300
+
+
+def test_a_dropped_runners_apps_are_collectable(warm_cache):
+    """Neither the write log nor the record of live snapshots keeps a
+    dropped runner's apps alive."""
+    runner = BenchmarkRunner(BenchmarkConfig(seed=11, cache_dir=warm_cache))
+    runner.run_trial(task_by_id("excel-03-bold-header"),
+                     setting_by_key("gui-gpt5-medium"), 0)
+    app = weakref.ref(runner._apps["excel"][0])
+    del runner
+    gc.collect()
+    assert app() is None
 
 
 def test_every_trial_of_a_synthetic_grid_starts_from_a_fresh_builds_state(

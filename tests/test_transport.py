@@ -101,6 +101,39 @@ def test_heartbeat_keeps_a_long_manifest_alive(tmp_path):
     assert list(merge_shard_results(broker.collect()))
 
 
+def test_one_heartbeat_thread_renews_every_lease_of_a_drain(tmp_path, monkeypatch):
+    """A worker starts one heartbeat thread for its whole run and points it
+    at each lease in turn: every shard of a 6-shard drain is renewed, and
+    the thread is gone once the run returns."""
+    broker = fs_broker(tmp_path / "queue", lease_ttl=60.0)
+    broker.submit(small_plan(shards=6))
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        if thread.name == "lease-heartbeat":
+            started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    renewed = {}
+
+    def note_renewal(lease, ok):
+        renewed.setdefault(lease.manifest.shard_index, []).append(ok)
+
+    def wait_for_renewal(manifest):
+        wait_until(lambda: renewed.get(manifest.shard_index))
+
+    worker = ShardWorker(broker, StubExecutor(before=wait_for_renewal),
+                         worker_id="one-beat", poll=0, heartbeat=0.02,
+                         on_renew=note_renewal)
+    assert len(worker.run()) == 6
+    assert len(started) == 1 and not started[0].is_alive()
+    assert sorted(renewed) == list(range(6))
+    assert all(all(oks) for oks in renewed.values())
+    assert broker.status().complete
+
+
 def test_without_heartbeats_a_long_manifest_is_reclaimed_mid_run(tmp_path):
     """The control for the test above: same long manifest, heartbeats off —
     a rival reclaims the expired lease mid-run (the pre-heartbeat PR 3
