@@ -35,12 +35,13 @@ restore; ``tests/snapshot_drift.py`` checks every recorded container after
 every restore of the default grid, a synthetic grid and random clicks.
 
 The log is one process-wide set of dict ids, armed while any snapshot
-lives.  Each capture and restore first hands its marks to the pending sets
-of the snapshots that recorded those dicts (dropping marks on dicts nobody
-recorded, like a new dialog's), so writes to one app survive restores of
-another.  The log and the owners' index hold ids, never the objects, so a
-dropped runner's apps are collectable; the last snapshot to die disarms
-the log.
+lives; the runner pauses it while it builds an app or rips a scratch one,
+which writes no recorded dict.  Each capture and restore first hands the
+log's marks to the pending sets of the snapshots that recorded those dicts
+(dropping marks on dicts nobody recorded, like a new dialog's), so writes
+to one app survive restores of another.  The log and the owners' index
+hold ids, never the objects, so a dropped runner's apps are collectable;
+the last snapshot to die disarms the log.
 
 A restored dict gets its saved contents back by identity, so an attribute
 that now holds an equal copy (a dataclass ``==`` would accept, though it no
@@ -90,7 +91,7 @@ _owners: Dict[int, Union[Set[int], _Overlap]] = {}
 def _distribute() -> None:
     """Move the write log's marks to the pending sets of the dicts' owners;
     a mark no live snapshot owns is dropped."""
-    log = writes.log
+    log = writes.arm()
     marked = log.copy()  # other threads may mark meanwhile
     log.difference_update(marked)
     owner_of = _owners.get
@@ -111,7 +112,7 @@ def _release(keys: List[int], pending: Set[int]) -> None:
             rest = [other for other in owner if other is not pending]
             _owners[key] = rest[0] if len(rest) == 1 else _Overlap(rest)
     if not _owners:
-        writes.log = None
+        writes.disarm()
 
 
 class AppSnapshot:
@@ -128,11 +129,8 @@ class AppSnapshot:
         self._cells: List[Tuple[types.CellType, Any]] = []
         #: Ids of this snapshot's dicts written since capture or restore.
         self._pending: Set[int] = set()
-        if writes.log is None:
-            writes.log = set()
-        else:
-            # Marks made so far go to their owners; none is this one's.
-            _distribute()
+        # Marks made so far go to their owners; none is this one's.
+        _distribute()
         self._capture(root)
         pending = self._pending
         for key in self._dicts:

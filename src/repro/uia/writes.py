@@ -20,9 +20,29 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional, Set
 
-#: The ids of the dicts written since the armed snapshots were captured or
-#: restored, or ``None`` while no snapshot is armed.
+#: What the seams read: the armed log, the ids of the dicts written since
+#: the live snapshots were captured or restored, or ``None`` while no
+#: snapshot is armed or marking is paused (:func:`unmarked`).
 log: Optional[Set[int]] = None
+#: The armed log, paused or not.
+_armed: Optional[Set[int]] = None
+_paused = 0
+
+
+def arm() -> Set[int]:
+    """The armed log, armed first if no snapshot had armed it."""
+    global log, _armed
+    if _armed is None:
+        _armed = set()
+    if not _paused:
+        log = _armed
+    return _armed
+
+
+def disarm() -> None:
+    """No snapshot is left: seams go back to one ``is None`` check."""
+    global log, _armed
+    log = _armed = None
 
 
 def mark(values: dict) -> None:
@@ -67,9 +87,12 @@ def unmarked() -> Iterator[None]:
     building a new app on its own desktop or ripping one; the log is
     process-wide, so no other thread may write a recorded dict meanwhile.
     """
-    global log
-    armed, log = log, None
+    global log, _paused
+    _paused += 1
+    log = None
     try:
         yield
     finally:
-        log = armed
+        _paused -= 1
+        if not _paused:
+            log = _armed
