@@ -25,7 +25,7 @@ What a restore rewrites.  Every recorded list, set and closure cell, changed
 or not: they are few, and a list captured empty (most are: leaf controls'
 children) costs a truth test.  A recorded dict (an app holds thousands)
 only if the write log (:mod:`repro.uia.writes`) marked it since this
-snapshot's capture or last restore; a trial writes about a hundred.  So
+snapshot's capture or last restore; a trial writes a few dozen.  So
 **every write to a dict after an app is built goes through a seam that
 marks it**: the set-only descriptors and :class:`~repro.uia.writes.Marked`
 bases of controls, patterns, models, the desktop and the input simulator,

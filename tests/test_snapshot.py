@@ -222,7 +222,7 @@ def test_one_runner_builds_each_app_once_over_the_default_grid(monkeypatch, obse
 
 def test_a_default_grid_restore_rewrites_only_the_dicts_its_trial_wrote(monkeypatch,
                                                                        warm_cache):
-    """Each app records thousands of dicts; a trial writes about a hundred,
+    """Each app records thousands of dicts; a trial writes a few dozen,
     and the restore after it rewrites only those."""
     rewritten = []
     restore = AppSnapshot.restore
