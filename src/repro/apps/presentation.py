@@ -207,9 +207,6 @@ class Presentation(Marked):
     def select_shape(self, shape: Optional[Shape]) -> None:
         self.selected_shape = shape
 
-    def selected_shape_format(self) -> Optional[ShapeFormat]:
-        return self.selected_shape.format if self.selected_shape is not None else None
-
     def apply_format_to_selection(self, **attributes) -> bool:
         if self.selected_shape is None:
             return False

@@ -132,9 +132,6 @@ class SyntheticSpec:
     def task_id(self, ordinal: int) -> str:
         return f"{TASK_PREFIX}{self.token()}:{ordinal:04d}"
 
-    def grid_tasks(self) -> int:
-        return self.tasks
-
     @classmethod
     def parse(cls, spec: str) -> "SyntheticSpec":
         """Parse a canonical token or friendly ``key=value`` pairs.
@@ -184,14 +181,6 @@ class SyntheticSpec:
 
 def _coerce(spec: Union[str, SyntheticSpec]) -> SyntheticSpec:
     return spec if isinstance(spec, SyntheticSpec) else SyntheticSpec.parse(spec)
-
-
-def is_synthetic_app(name: str) -> bool:
-    return isinstance(name, str) and name.startswith(APP_PREFIX)
-
-
-def is_synthetic_task(task_id: str) -> bool:
-    return isinstance(task_id, str) and task_id.startswith(TASK_PREFIX)
 
 
 # ----------------------------------------------------------------------

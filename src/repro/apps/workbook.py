@@ -198,9 +198,6 @@ class Worksheet(Marked):
         cell = self._cells.get((row, column))
         return cell.value if cell is not None else None
 
-    def used_cells(self) -> Dict[Tuple[int, int], Cell]:
-        return dict(self._cells)
-
     def used_range(self) -> Optional[str]:
         if not self._cells:
             return None

@@ -30,7 +30,6 @@ from __future__ import annotations
 import tempfile
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 import zlib
@@ -261,6 +260,8 @@ class ParallelExecutor(Executor):
             # shard lease, when one is active) and the finished event
             # carries submit-to-completion elapsed as the span duration.
             spans: Dict[int, Tuple[tracectx.SpanContext, float]] = {}
+            # Imported here so a serial run never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
             with ProcessPoolExecutor(
                     max_workers=self.jobs, initializer=_worker_init,
                     initargs=(runner.config.dmi, str(cache_dir),

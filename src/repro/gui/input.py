@@ -78,10 +78,6 @@ class InputSimulator(Marked):
         self.desktop.events.emit_kind(EventKind.INVOKED, source=element)
         self.desktop.relayout()
 
-    def double_click(self, element: UIElement) -> None:
-        self.click(element)
-        self.click(element)
-
     # ------------------------------------------------------------------
     # mouse: coordinate-addressed (the fragile imperative path)
     # ------------------------------------------------------------------

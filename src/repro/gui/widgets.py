@@ -296,11 +296,6 @@ class TabItem(Widget):
     def is_selected(self) -> bool:
         return self._item.is_selected
 
-    def attach_panel(self, panel: UIElement) -> UIElement:
-        self.panel = panel
-        panel.visible = self._item.is_selected
-        return panel
-
     def _handle_select(self, selected: bool) -> None:
         if self.panel is not None:
             self.panel.visible = selected

@@ -11,9 +11,7 @@ nodes arise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
@@ -37,11 +35,6 @@ class UNGNode:
     contexts: Set[str] = field(default_factory=set)
     #: Window title the control was captured under (main window or dialog).
     window: str = ""
-
-    @property
-    def is_virtual_root(self) -> bool:
-        return self.node_id == VIRTUAL_ROOT_ID
-
 
 class NavigationGraph:
     """A directed graph of controls with click-reachability edges."""
@@ -150,17 +143,31 @@ class NavigationGraph:
         return result
 
     # ------------------------------------------------------------------
-    # interop / diagnostics
+    # diagnostics
     # ------------------------------------------------------------------
-    def to_networkx(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        for node_id, node in self.nodes.items():
-            graph.add_node(node_id, name=node.name, control_type=node.control_type.value)
-        graph.add_edges_from(self.edges())
-        return graph
-
     def has_cycle(self) -> bool:
-        return not nx.is_directed_acyclic_graph(self.to_networkx())
+        """Any directed cycle, self-loops and cycles the root cannot reach
+        included: an iterative three-colour DFS from every node."""
+        done: Set[str] = set()
+        for start in self.nodes:
+            if start in done:
+                continue
+            on_path = {start}
+            stack = [(start, iter(self._successors[start]))]
+            while stack:
+                node, targets = stack[-1]
+                for target in targets:
+                    if target in on_path:
+                        return True
+                    if target not in done:
+                        on_path.add(target)
+                        stack.append((target, iter(self._successors[target])))
+                        break
+                else:
+                    stack.pop()
+                    on_path.discard(node)
+                    done.add(node)
+        return False
 
     def stats(self) -> Dict[str, object]:
         reachable = self.reachable_from_root()

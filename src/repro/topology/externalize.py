@@ -54,10 +54,6 @@ class ExternalizationResult:
     #: Estimated total nodes of the resulting forest (main tree + subtrees).
     estimated_total_nodes: int = 0
 
-    def is_externalized(self, node_id: str) -> bool:
-        return node_id in self.externalized
-
-
 def plan_externalization(dag: DecycleResult,
                          config: ExternalizationConfig = ExternalizationConfig()
                          ) -> ExternalizationResult:

@@ -57,10 +57,6 @@ class ForestNode:
         """Functional (non-navigational) nodes are the leaves of the forest."""
         return not self.children and not self.is_reference
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
     def add_child(self, child: "ForestNode") -> "ForestNode":
         child.parent = self
         self.children.append(child)

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple, Union, get_origin, get_type_hints
 
 from repro.ripping.ripper import RipReport
 from repro.ripping.ung import NavigationGraph, UNGNode
-from repro.uia.control_types import ControlType
+from repro.uia.control_types import control_type_of
 
 #: Format marker so later revisions can migrate old files.
 FORMAT_VERSION = 1
@@ -91,7 +91,7 @@ def ung_from_dict(payload: Dict) -> NavigationGraph:
             node = UNGNode(
                 node_id=entry["node_id"],
                 name=entry["name"],
-                control_type=ControlType(entry["control_type"]),
+                control_type=control_type_of(entry["control_type"]),
                 automation_id=entry.get("automation_id", ""),
                 description=entry.get("description", ""),
                 contexts=set(entry.get("contexts", [])),

@@ -16,7 +16,7 @@ reproduction:
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet
+from typing import Dict, FrozenSet
 
 
 class ControlType(str, enum.Enum):
@@ -70,6 +70,18 @@ class ControlType(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Every member by its value (a member hashes and compares as its value).
+_BY_VALUE: Dict[str, ControlType] = {member.value: member for member in ControlType}
+
+
+def control_type_of(value: str) -> ControlType:
+    """``ControlType(value)`` by one dict lookup, not ``EnumMeta.__call__``."""
+    try:
+        return _BY_VALUE[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"{value!r} is not a valid ControlType") from None
 
 
 #: Control types whose descriptions are always included in the serialized

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.uia import writes
-from repro.uia.control_types import ControlType
+from repro.uia.control_types import ControlType, control_type_of
 from repro.uia.patterns import PatternId, UIAPattern
 
 _runtime_id_counter = itertools.count(1)
@@ -208,7 +208,7 @@ class UIElement:
         values = self.__dict__
         values["name"] = name
         values["automation_id"] = automation_id
-        self.control_type = ControlType(control_type)
+        self.control_type = control_type_of(control_type)
         self.description = description
         self.is_enabled = enabled
         values["layout_stamp"] = _stamp
@@ -306,9 +306,6 @@ class UIElement:
     def get_pattern(self, pattern_id: PatternId) -> Optional[UIAPattern]:
         """Return the pattern with ``pattern_id`` or None if unsupported."""
         return self.patterns.get(pattern_id)
-
-    def supports_pattern(self, pattern_id: PatternId) -> bool:
-        return pattern_id in self.patterns
 
     # ------------------------------------------------------------------
     # visibility

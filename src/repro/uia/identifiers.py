@@ -56,11 +56,6 @@ class ControlIdentifier:
             PATH_SEPARATOR.join(_escape(seg) for seg in self.ancestor_path),
         )
 
-    @property
-    def short_name(self) -> str:
-        """Human-oriented short label (primary id only)."""
-        return self.primary_id
-
     def matches_element(self, element: UIElement) -> bool:
         """Exact match of primary id and control type against an element."""
         return (

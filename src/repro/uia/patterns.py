@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.uia import writes
 
@@ -601,8 +601,3 @@ ALL_PATTERN_CLASSES = {
         LegacyAccessiblePattern,
     )
 }
-
-
-def supported_pattern_ids(element: "UIElement") -> Sequence[PatternId]:
-    """Return the ids of all patterns supported by ``element``."""
-    return tuple(element.patterns.keys())

@@ -70,12 +70,6 @@ def visible_elements(root: UIElement) -> List[UIElement]:
     return result
 
 
-def elements_of_type(root: UIElement, control_type: ControlType) -> List[UIElement]:
-    """Return every element in the subtree with the given control type."""
-    wanted = ControlType(control_type)
-    return find_all(root, lambda e: e.control_type == wanted)
-
-
 class TreeWalker:
     """A filtered walker over the accessibility tree (UIA ``TreeWalker``).
 

@@ -325,9 +325,11 @@ def _wrong_node_field(field, value):
     _wrong_shape("root_id", ["root"]),
     _wrong_node_field("name", 7),
     _wrong_shape("rip_report", {"clicks": "many"}),
+    _wrong_node_field("control_type", "Widget"),
 ], ids=["unparsable", "top-level-list", "report-list", "node-not-object",
         "edge-not-pair", "top-level-null", "root-not-a-node",
-        "root-not-string", "node-name-not-string", "report-count-not-int"])
+        "root-not-string", "node-name-not-string", "report-count-not-int",
+        "unknown-control-type"])
 def test_cache_treats_corrupt_entries_as_misses(tmp_path, corrupt, ppt_artifacts):
     cache = ArtifactCache(tmp_path, DMIConfig())
     path = cache.store("powerpoint", ppt_artifacts)

@@ -92,11 +92,57 @@ def test_find_nodes_by_name():
     assert graph.find_nodes_by_name("a", exact=False)
 
 
-def test_to_networkx_mirrors_structure():
-    graph = small_graph()
-    nx_graph = graph.to_networkx()
-    assert nx_graph.number_of_nodes() == 4
-    assert nx_graph.number_of_edges() == 4
+def graph_with_edges(node_ids, edges):
+    graph = NavigationGraph(app_name="demo")
+    for node_id in node_ids:
+        graph.add_node(UNGNode(node_id=node_id, name=node_id,
+                               control_type=ControlType.BUTTON))
+    for source, target in edges:
+        graph.add_edge(source, target)
+    return graph
+
+
+@pytest.mark.parametrize("node_ids, edges, cyclic", [
+    ((), (), False),
+    (("a",), (("a", "a"),), True),
+    (("a", "b"), ((VIRTUAL_ROOT_ID, "a"), ("a", "b"), ("b", "a")), True),
+    (("a", "b", "c"), ((VIRTUAL_ROOT_ID, "a"), ("b", "c"), ("c", "b")), True),
+    (("a", "b", "c", "d"), ((VIRTUAL_ROOT_ID, "a"), ("a", "b"), ("a", "c"),
+                            ("b", "d"), ("c", "d")), False),
+], ids=["empty", "self-loop", "two-cycle", "cycle-unreachable-from-root",
+        "diamond"])
+def test_has_cycle_hand_built_cases(node_ids, edges, cyclic):
+    assert graph_with_edges(node_ids, edges).has_cycle() is cyclic
+
+
+def kahn_has_cycle(graph):
+    """Oracle: Kahn's algorithm peels every node of a DAG, and no node of a
+    cycle."""
+    in_degree = {node_id: graph.in_degree(node_id) for node_id in graph.nodes}
+    ready = [node_id for node_id, degree in in_degree.items() if degree == 0]
+    peeled = 0
+    while ready:
+        node_id = ready.pop()
+        peeled += 1
+        for target in graph.successors(node_id):
+            in_degree[target] -= 1
+            if in_degree[target] == 0:
+                ready.append(target)
+    return peeled < graph.node_count()
+
+
+@st.composite
+def random_graphs(draw):
+    node_ids = [VIRTUAL_ROOT_ID] + [f"n{k}" for k in range(draw(st.integers(0, 8)))]
+    endpoint = st.sampled_from(node_ids)
+    edges = draw(st.lists(st.tuples(endpoint, endpoint), max_size=20))
+    return graph_with_edges(node_ids[1:], edges)
+
+
+@given(random_graphs())
+@settings(max_examples=300, deadline=None)
+def test_has_cycle_agrees_with_kahns_algorithm(graph):
+    assert graph.has_cycle() is kahn_has_cycle(graph)
 
 
 # ----------------------------------------------------------------------
@@ -219,6 +265,16 @@ def test_rip_output_is_pinned(request, fixture, digest):
     """The ripper against fixed bytes, not only against itself: a change to
     the exploration loop must leave every app's UNG digest where it was."""
     assert ung_digest(request.getfixturevalue(fixture).ung) == digest
+
+
+@pytest.mark.parametrize("fixture, cycles", [
+    ("word_artifacts", True), ("excel_artifacts", False),
+    ("ppt_artifacts", False)])
+def test_rip_report_cycles_is_pinned(request, fixture, cycles):
+    """The report's flag is the check's verdict on the ripped graph."""
+    artifacts = request.getfixturevalue(fixture)
+    assert artifacts.rip_report.cycles is cycles
+    assert artifacts.rip_report.cycles == artifacts.ung.has_cycle()
 
 
 @pytest.mark.parametrize("fixture, digest", zip(PINNED_APPS, [

@@ -1,5 +1,7 @@
 """Tests for the UIA control-type catalogue."""
 
+import pytest
+
 from repro.uia.control_types import (
     CLICKABLE_CONTROL_TYPES,
     CONTAINER_CONTROL_TYPES,
@@ -7,6 +9,7 @@ from repro.uia.control_types import (
     KEY_CONTROL_TYPES,
     NON_NAVIGATING_CONTROL_TYPES,
     all_control_types,
+    control_type_of,
     is_clickable_type,
     is_container_type,
 )
@@ -25,6 +28,20 @@ def test_control_type_values_are_unique():
 def test_control_type_round_trip_from_string():
     for control_type in ControlType:
         assert ControlType(control_type.value) is control_type
+
+
+def test_control_type_of_matches_the_enum_call():
+    for control_type in ControlType:
+        assert control_type_of(control_type.value) is control_type
+        assert control_type_of(control_type) is control_type
+
+
+@pytest.mark.parametrize("value", ["Widget", "BUTTON", "", None, ["Button"]])
+def test_control_type_of_rejects_what_the_enum_call_rejects(value):
+    with pytest.raises(ValueError):
+        ControlType(value)
+    with pytest.raises(ValueError, match="not a valid ControlType"):
+        control_type_of(value)
 
 
 def test_key_types_are_valid_control_types():
