@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Each bench regenerates one table or figure from the paper's evaluation
-section (see DESIGN.md's per-experiment index and EXPERIMENTS.md).  The
-expensive inputs — the offline navigation models and the Table 3 end-to-end
-runs — are produced once per session and shared by every bench.
+section; the file name says which (``test_table3_*``, ``test_figure5a_*``,
+...).  The expensive inputs — the offline navigation models and the Table 3
+end-to-end runs — are produced once per session and shared by every bench.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Runs the full OSWorld-W-style suite (27 single-app tasks, 3 trials, 30-step
 cap) under the eight configurations of Table 3 and prints SR / Steps / Time
 per row, plus per-application success rates.
 
-Shape expectations (absolute numbers differ from the paper — see DESIGN.md
-and EXPERIMENTS.md): GUI+DMI beats GUI-only on success rate for every model,
-with fewer steps and lower completion time; the Nav.forest ablation stays
-close to the baseline for GPT-5.
+Shape expectations (absolute numbers differ from the paper; the simulator
+is calibrated to its shape, see ``repro.llm.profiles``): GUI+DMI beats
+GUI-only on success rate for every model, with fewer steps and lower
+completion time; the Nav.forest ablation stays close to the baseline for
+GPT-5.
 """
 
 from __future__ import annotations

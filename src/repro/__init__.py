@@ -24,7 +24,7 @@ Top-level layout
     observation) and the robust executor behind them.
 ``repro.llm``
     A calibrated stochastic policy simulator standing in for GPT-5-class
-    models (see DESIGN.md, substitution table).
+    models (calibration notes in ``repro.llm.profiles``).
 ``repro.agent``
     A UFO-2-like computer-use-agent framework (HostAgent/AppAgent) and its
     DMI-augmented variant.

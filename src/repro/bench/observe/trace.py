@@ -51,10 +51,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bench.telemetry import TelemetryEvent
 
 
-class ObserveError(ValueError):
-    """Trace input is unreadable or structurally invalid."""
-
-
 #: Hex digits kept from the sha256; 64 bits of id space is plenty for a
 #: benchmark fleet and keeps JSONL lines and rendered timelines readable.
 _ID_HEX = 16

@@ -2,8 +2,8 @@
 
 Each function takes already-computed benchmark outcomes and returns the
 formatted text the corresponding bench prints, so the mapping
-"paper artefact -> code that regenerates it" stays explicit (see DESIGN.md's
-per-experiment index and EXPERIMENTS.md).
+"paper artefact -> code that regenerates it" stays explicit: one
+``benchmarks/test_<table-or-figure>_*.py`` per artefact.
 """
 
 from __future__ import annotations

@@ -183,6 +183,12 @@ class TrialFinished(TelemetryEvent):
         return out
 
 
+#: The timers whose observations are simulated seconds, not measured ones:
+#: :class:`TrialFinished`'s ``wall_s`` and its ``plan``/``act`` phases.
+SIMULATED_TIMERS: frozenset = frozenset(
+    {"trial_wall_s", "phase_plan", "phase_act"})
+
+
 @dataclass(frozen=True)
 class CacheHit(TelemetryEvent):
     """An offline model was served from the artifact cache."""

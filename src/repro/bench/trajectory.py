@@ -1,41 +1,25 @@
-"""Regression-aware run comparison and the ``BENCH_*.json`` trajectory.
+"""Regression-aware run comparison: ``repro runs diff A B``.
 
-Two consumers of the run registry live here:
+:func:`diff_runs` flattens two :class:`~repro.bench.registry.RunRecord`\\ s
+into one numeric metric namespace (:func:`flatten_metrics`: wall clock,
+trial count, every telemetry counter, timer totals, and the per-setting
+Table 3 aggregates as ``<setting>.<metric>``) and tabulates the deltas;
+:class:`FailIf` turns ``--fail-if wall_clock>+10%`` style thresholds into
+pass/fail verdicts so CI can gate on regressions.
 
-``repro runs diff A B``
-    :func:`diff_runs` flattens two :class:`~repro.bench.registry.RunRecord`\\ s
-    into one numeric metric namespace (:func:`flatten_metrics`: wall clock,
-    trial count, every telemetry counter, timer totals, and the per-setting
-    Table 3 aggregates as ``<setting>.<metric>``) and tabulates the deltas;
-    :class:`FailIf` turns ``--fail-if wall_clock>+10%`` style thresholds
-    into pass/fail verdicts so CI can gate on regressions.
-
-``repro runs export --bench BENCH_5.json``
-    :func:`export_bench` emits the repository's benchmark-trajectory file:
-    one datapoint per recorded run, in chronological order, so the perf
-    history of the scaling stack accumulates PR over PR instead of living
-    in ad-hoc ``benchmarks/test_*_scaling.py`` prints.
+The repository's perf trajectory (``BENCH_<n>.json``) is not built from run
+records: ``benchmarks/trajectory_point.py`` writes each point from the
+``dmibench`` workloads.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.registry import RegistryError, RunRecord
-from repro.bench.telemetry import EVENT_NAMES
-
-#: Version of the BENCH_*.json trajectory layout.
-BENCH_FORMAT_VERSION = 1
-
-_BENCH_KIND = "repro-bench-trajectory"
-
-#: ``BENCH_<pr>.json`` — the conventional trajectory file name; the PR
-#: number is inferred from it when ``--pr`` is not given.
-_BENCH_NAME_RE = re.compile(r"^BENCH_(\d+)\.json$")
+from repro.bench.telemetry import EVENT_NAMES, SIMULATED_TIMERS
 
 
 def flatten_metrics(record: RunRecord) -> Dict[str, float]:
@@ -44,8 +28,10 @@ def flatten_metrics(record: RunRecord) -> Dict[str, float]:
     Namespace: ``wall_clock`` and ``trial_count`` from the record itself;
     every telemetry counter under its own name (``cache_misses`` style is
     the raw event name, e.g. ``cache_miss``); each timer's total seconds as
-    ``<timer>_total_s``; and each per-setting aggregate metric as
-    ``<setting_key>.<metric>``.
+    ``<timer>_total_s``, prefixed ``sim_`` for the simulated timers
+    (:data:`~repro.bench.telemetry.SIMULATED_TIMERS`) so that no perf gate
+    reads simulated seconds as measured ones; and each per-setting
+    aggregate metric as ``<setting_key>.<metric>``.
 
     Every *known* event counter is present, defaulting to ``0.0``: an
     AggregatingSink only creates counters for events that occurred, but a
@@ -62,7 +48,8 @@ def flatten_metrics(record: RunRecord) -> Dict[str, float]:
     for name, stats in record.timers.items():
         total = stats.get("total_s") if isinstance(stats, dict) else None
         if isinstance(total, (int, float)) and not isinstance(total, bool):
-            flat[f"{name}_total_s"] = float(total)
+            prefix = "sim_" if name in SIMULATED_TIMERS else ""
+            flat[f"{prefix}{name}_total_s"] = float(total)
     for setting_key, summary in record.metrics.items():
         if not isinstance(summary, dict):
             continue
@@ -210,53 +197,3 @@ def check_fail_ifs(rows: Sequence[DiffRow],
         if message is not None:
             violations.append(message)
     return violations
-
-
-# ----------------------------------------------------------------------
-# the BENCH_*.json trajectory
-# ----------------------------------------------------------------------
-def bench_datapoint(record: RunRecord) -> Dict[str, object]:
-    """One trajectory datapoint: the record's identity plus flat metrics."""
-    return {
-        "run_id": record.run_id,
-        "created_at": record.created_at,
-        "executor": record.executor,
-        "config_key": record.config_key,
-        "seed": record.seed,
-        "trials": record.trials,
-        "jobs": record.jobs,
-        "settings": len(record.setting_keys),
-        "tasks": len(record.task_ids),
-        "metrics": flatten_metrics(record),
-    }
-
-
-def infer_pr_number(path: Union[str, Path]) -> Optional[int]:
-    match = _BENCH_NAME_RE.match(Path(path).name)
-    return int(match.group(1)) if match else None
-
-
-def export_bench(records: Sequence[RunRecord], path: Union[str, Path],
-                 pr: Optional[int] = None) -> Dict[str, object]:
-    """Write the trajectory file for ``records``; returns the payload.
-
-    Records are emitted in chronological (run id) order.  ``pr`` tags which
-    PR the trajectory snapshot belongs to; when omitted it is inferred from
-    a ``BENCH_<n>.json`` file name, else recorded as ``None``.
-    """
-    if not records:
-        raise RegistryError("no run records to export; run something with "
-                            "--registry first")
-    target = Path(path)
-    payload: Dict[str, object] = {
-        "kind": _BENCH_KIND,
-        "format_version": BENCH_FORMAT_VERSION,
-        "pr": pr if pr is not None else infer_pr_number(target),
-        "datapoints": [bench_datapoint(record)
-                       for record in sorted(records,
-                                            key=lambda r: r.run_id)],
-    }
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=1, ensure_ascii=False)
-                      + "\n", encoding="utf-8")
-    return payload

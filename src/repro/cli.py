@@ -60,10 +60,10 @@ The subcommands cover the common workflows without writing any code:
     identity, execution path, wall clock, telemetry counters and the
     Table 3 aggregates) when ``--registry DIR`` (or ``$REPRO_REGISTRY``)
     is set; ``runs list`` / ``runs show ID`` browse them,
-    ``runs diff A B`` prints the per-metric delta table and exits nonzero
-    when a ``--fail-if wall_clock>+10%`` style regression threshold trips,
-    and ``runs export --bench BENCH_5.json`` emits the repository's
-    benchmark-trajectory JSON so perf history accumulates PR over PR.
+    and ``runs diff A B`` prints the per-metric delta table and exits
+    nonzero when a ``--fail-if wall_clock>+10%`` style regression threshold
+    trips.  The perf trajectory (``BENCH_<n>.json``) is written from
+    dmibench by ``benchmarks/trajectory_point.py``, not from the registry.
 ``cache``
     Maintain an offline-model cache directory.  ``cache stats --cache-dir
     DIR`` lists the entries with sizes and last-load ages (from the
@@ -136,7 +136,6 @@ Examples::
     python -m repro runs list --registry runs/
     python -m repro runs diff 20260726-1 20260726-2 --registry runs/ \\
         --fail-if 'wall_clock>+10%' --fail-if 'cache_miss>+0'
-    python -m repro runs export --registry runs/ --bench BENCH_6.json
     python -m repro cache stats --cache-dir .dmi-cache
     python -m repro cache gc --cache-dir .dmi-cache --max-age-s 604800 \\
         --max-bytes 10000000 --registry runs/
@@ -177,7 +176,6 @@ from repro.bench.trajectory import (
     FailIf,
     check_fail_ifs,
     diff_runs,
-    export_bench,
     render_diff,
 )
 from repro.bench.shard import (
@@ -514,16 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exit nonzero when a metric regresses past "
                                 "SPEC, e.g. 'wall_clock>+10%%' or "
                                 "'cache_hit<-2' (repeatable)")
-
-    runs_export = runs_sub.add_parser(
-        "export", help="emit the BENCH_*.json benchmark-trajectory file")
-    add_registry_flag(runs_export)
-    runs_export.add_argument("--bench", metavar="FILE", required=True,
-                             help="trajectory file to write "
-                                  "(conventionally BENCH_<pr>.json)")
-    runs_export.add_argument("--pr", type=int, default=None,
-                             help="PR number to tag the trajectory with "
-                                  "(default: inferred from the file name)")
 
     def nonnegative_int(text: str) -> int:
         value = int(text)
@@ -1275,7 +1263,7 @@ def command_shard(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# runs list / show / diff / export (the run registry)
+# runs list / show / diff (the run registry)
 # ----------------------------------------------------------------------
 def _silence_stdout() -> None:
     """Point stdout at devnull after a BrokenPipeError, so the
@@ -1291,18 +1279,12 @@ def _open_registry(args) -> RunRegistry:
     return registry
 
 
-def _load_registry_tolerant(registry: RunRegistry):
-    """Readable records, with one stderr warning per skipped bad file."""
+def command_runs_list(args) -> int:
+    registry = _open_registry(args)
     records, problems = registry.load_all_tolerant()
     for problem in problems:
         print(f"repro: skipping unreadable run record: {problem}",
               file=sys.stderr)
-    return records
-
-
-def command_runs_list(args) -> int:
-    registry = _open_registry(args)
-    records = _load_registry_tolerant(registry)
     # Newest first: run ids sort chronologically (timestamp-prefixed), so
     # the latest run is always the first line — deterministic even for
     # same-second runs thanks to the id's microsecond+nonce tail.
@@ -1359,28 +1341,11 @@ def command_runs_diff(args) -> int:
     return 1 if violations else 0
 
 
-def command_runs_export(args) -> int:
-    registry = _open_registry(args)
-    try:
-        payload = export_bench(_load_registry_tolerant(registry), args.bench,
-                               pr=args.pr)
-    except RegistryError as error:
-        raise SystemExit(f"repro: {error}")
-    except OSError as error:
-        raise SystemExit(f"repro: cannot write trajectory {args.bench!r}: "
-                         f"{error}")
-    tagged = f" (PR {payload['pr']})" if payload["pr"] is not None else ""
-    print(f"wrote {len(payload['datapoints'])} datapoint(s) to "
-          f"{args.bench}{tagged}")
-    return 0
-
-
 def command_runs(args) -> int:
     handlers = {
         "list": command_runs_list,
         "show": command_runs_show,
         "diff": command_runs_diff,
-        "export": command_runs_export,
     }
     return handlers[args.runs_command](args)
 

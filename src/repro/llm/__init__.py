@@ -7,9 +7,9 @@ the task instruction plus either the navigation forest or the visible
 controls), combined with an error model whose parameters mirror the failure
 modes the paper attributes to LLMs — imperfect visual grounding, fragile
 long-horizon navigation planning, occasional semantic misunderstanding,
-imperfect instruction-following and per-call latency.  See DESIGN.md
-(substitution table) for why this preserves the behaviour the paper
-measures.
+imperfect instruction-following and per-call latency.  See
+:mod:`repro.llm.profiles` for how each parameter is calibrated from the
+paper's own measurements.
 """
 
 from repro.llm.tokens import estimate_tokens

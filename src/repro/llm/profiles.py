@@ -13,8 +13,7 @@ values are calibrated from the paper's own measurements:
   where Office controls live (providing the forest as prose changes little),
   while GPT-5-mini benefits modestly from it.
 
-The calibration targets the *shape* of the results, not the exact numbers —
-see DESIGN.md.
+The calibration targets the *shape* of the results, not the exact numbers.
 """
 
 from __future__ import annotations

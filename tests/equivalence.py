@@ -58,7 +58,7 @@ from repro.bench.shard import (
 from repro.bench.faults import FaultSchedule, FaultSpec, FaultyObjectStore
 from repro.bench.tasks import task_by_id
 from repro.bench.store import FileSystemObjectStore, RetryPolicy
-from repro.bench.telemetry import AggregatingSink, use_sink
+from repro.bench.telemetry import SIMULATED_TIMERS, AggregatingSink, use_sink
 from repro.bench.transport import ObjectStoreBroker, ShardWorker
 from repro.cli import export_settings_payload
 
@@ -277,7 +277,7 @@ def assert_telemetry_parity(sinks: Dict[str, AggregatingSink],
             assert sink.count(counter) == expected_trials, (
                 f"path {name!r} reported {sink.count(counter)} "
                 f"{counter} events; expected {expected_trials}")
-        for timer_name in ("trial_wall_s", "phase_plan", "phase_act"):
+        for timer_name in sorted(SIMULATED_TIMERS):
             timer = sink.timer(timer_name)
             assert timer is not None and timer.count == expected_trials, (
                 f"path {name!r} is missing {timer_name} observations")

@@ -1,10 +1,10 @@
-"""Tests for the run registry, the runs diff/trajectory, and `repro runs`.
+"""Tests for the run registry, ``runs diff`` and the `repro runs` CLI.
 
-The acceptance-criteria tests for PR 5 live here: a sharded broker run
-through the CLI with ``--registry`` produces a RunRecord whose trial count,
-cache hit/miss and lease-lifecycle counters are asserted; ``repro runs
-diff`` exits nonzero exactly when a ``--fail-if`` threshold trips; and
-``repro runs export --bench`` writes a valid ``BENCH_5.json`` trajectory.
+A sharded broker run through the CLI with ``--registry`` produces a
+RunRecord whose trial count, cache hit/miss and lease-lifecycle counters
+are asserted, and ``repro runs diff`` exits nonzero exactly when a
+``--fail-if`` threshold trips.  The perf trajectory is not built from run
+records; ``tests/test_trajectory_point.py`` covers the script that writes it.
 """
 
 import json
@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.bench.registry import (
-    EXECUTOR_PATHS,
     RegistryError,
     RunRecord,
     RunRegistry,
@@ -23,12 +22,9 @@ from repro.bench.telemetry import AggregatingSink, CacheMiss, WorkerIdle
 from repro.bench.trajectory import (
     DiffRow,
     FailIf,
-    bench_datapoint,
     check_fail_ifs,
     diff_runs,
-    export_bench,
     flatten_metrics,
-    infer_pr_number,
     render_diff,
 )
 from repro.cli import main
@@ -224,12 +220,24 @@ def test_same_second_run_ids_stay_unique_and_in_creation_order(tmp_path,
 def test_flatten_metrics_namespace():
     record = make_record(
         wall=2.0, counters={"cache_miss": 3},
-        timers={"trial_wall_s": {"count": 1, "total_s": 131.0}})
+        timers={name: {"count": 1, "total_s": total} for name, total in (
+            ("trial_wall_s", 131.0), ("phase_plan", 40.0),
+            ("phase_act", 91.0), ("trial_seconds", 0.5),
+            ("phase_rip", 0.25), ("phase_build", 0.125))})
     flat = flatten_metrics(record)
     assert flat["wall_clock"] == 2.0
     assert flat["trial_count"] == 1.0
     assert flat["cache_miss"] == 3.0
-    assert flat["trial_wall_s_total_s"] == 131.0
+    # Simulated seconds carry a sim_ prefix; measured timers keep their
+    # names, so a perf gate cannot read one as the other.
+    assert flat["sim_trial_wall_s_total_s"] == 131.0
+    assert flat["sim_phase_plan_total_s"] == 40.0
+    assert flat["sim_phase_act_total_s"] == 91.0
+    assert flat["trial_seconds_total_s"] == 0.5
+    assert flat["phase_rip_total_s"] == 0.25
+    assert flat["phase_build_total_s"] == 0.125
+    assert not {"trial_wall_s_total_s", "phase_plan_total_s",
+                "phase_act_total_s"} & set(flat)
     assert flat["dmi-gpt5-medium.SR"] == 100.0
     # Known event counters with no recorded events read as explicit zeros
     # (a run with no cache misses gates as cache_miss == 0, not "missing").
@@ -281,7 +289,7 @@ def test_fail_if_parsing():
     assert spec == FailIf(metric="wall_clock", op=">", value=10.0,
                           percent=True)
     assert FailIf.parse("cache_hit<-2").percent is False
-    assert FailIf.parse(" trial_wall_s_total_s > 0.5 ").value == 0.5
+    assert FailIf.parse(" trial_seconds_total_s > 0.5 ").value == 0.5
     for bad in ("wall_clock", "wall_clock=>5", ">5%", "wall_clock>ten"):
         with pytest.raises(RegistryError, match="invalid --fail-if"):
             FailIf.parse(bad)
@@ -303,38 +311,6 @@ def test_fail_if_percent_and_absolute_semantics():
     assert "missing" in spec.check(DiffRow("wall_clock", None, 5.0))
     violations = check_fail_ifs([], [spec])
     assert violations and "missing from both" in violations[0]
-
-
-# ----------------------------------------------------------------------
-# the BENCH_*.json trajectory
-# ----------------------------------------------------------------------
-def test_export_bench_writes_the_trajectory(tmp_path):
-    records = [make_record("20260102-000000-bbbbbb", wall=2.0),
-               make_record("20260101-000000-aaaaaa", wall=1.0)]
-    target = tmp_path / "BENCH_5.json"
-    payload = export_bench(records, target)
-    on_disk = json.loads(target.read_text(encoding="utf-8"))
-    assert on_disk == payload
-    assert payload["kind"] == "repro-bench-trajectory"
-    assert payload["format_version"] == 1
-    assert payload["pr"] == 5  # inferred from the file name
-    points = payload["datapoints"]
-    assert [p["run_id"] for p in points] == ["20260101-000000-aaaaaa",
-                                             "20260102-000000-bbbbbb"]
-    assert points[0]["metrics"]["wall_clock"] == 1.0
-    assert points[0]["executor"] in EXECUTOR_PATHS
-
-
-def test_export_bench_pr_inference_and_override(tmp_path):
-    assert infer_pr_number("BENCH_12.json") == 12
-    assert infer_pr_number("bench.json") is None
-    payload = export_bench([make_record()], tmp_path / "custom.json", pr=7)
-    assert payload["pr"] == 7
-    payload = export_bench([make_record()], tmp_path / "custom.json")
-    assert payload["pr"] is None
-    with pytest.raises(RegistryError, match="no run records"):
-        export_bench([], tmp_path / "BENCH_0.json")
-    assert bench_datapoint(make_record())["settings"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +340,9 @@ def test_runs_list_and_show(tmp_path, capsys):
     assert shown["run_id"] == "20260101-000000-aaaaaa"
 
 
-def test_runs_list_and_export_skip_unreadable_records(tmp_path, capsys):
-    """One torn or stray file must not make the whole registry
-    unlistable/unexportable; it is skipped with a stderr warning."""
+def test_runs_list_skips_unreadable_records(tmp_path, capsys):
+    """One torn or stray file must not make the whole registry unlistable;
+    it is skipped with a stderr warning."""
     registry = _seed_registry(tmp_path)
     (registry.root / "stray.json").write_text("{torn", encoding="utf-8")
     assert main(["runs", "list", "--registry", str(registry.root),
@@ -374,11 +350,6 @@ def test_runs_list_and_export_skip_unreadable_records(tmp_path, capsys):
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 2      # the two good records
     assert "skipping unreadable run record" in captured.err
-    target = tmp_path / "BENCH_9.json"
-    assert main(["runs", "export", "--registry", str(registry.root),
-                 "--bench", str(target)]) == 0
-    capsys.readouterr()
-    assert len(json.loads(target.read_text())["datapoints"]) == 2
 
 
 def test_runs_requires_a_registry(monkeypatch):
@@ -422,18 +393,6 @@ def test_runs_diff_exits_nonzero_on_regression(tmp_path, capsys):
               "--fail-if", "walrus"])
     with pytest.raises(SystemExit, match="no run 'zzz'"):
         main(["runs", "diff", "zzz", "20260102", "--registry", root])
-
-
-def test_runs_export_cli(tmp_path, capsys):
-    registry = _seed_registry(tmp_path)
-    target = tmp_path / "BENCH_5.json"
-    assert main(["runs", "export", "--registry", str(registry.root),
-                 "--bench", str(target)]) == 0
-    assert "2 datapoint(s)" in capsys.readouterr().out
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["pr"] == 5 and len(payload["datapoints"]) == 2
-    with pytest.raises(SystemExit, match="no run registry"):
-        main(["runs", "export", "--bench", str(target)])
 
 
 # ----------------------------------------------------------------------
