@@ -15,7 +15,8 @@ from repro.apps.snapshot import AppSnapshot
 from repro.gui.desktop import Desktop
 from repro.gui.input import InputSimulator, Shortcut
 from repro.gui.widgets import Dialog, Window
-from repro.uia.writes import Marked, mark
+from repro.uia import writes
+from repro.uia.writes import Marked, save
 
 
 class Application(Marked):
@@ -27,6 +28,12 @@ class Application(Marked):
     #: rebuilt app (bump this on UI changes) never serves a stale cached
     #: navigation model.
     APP_VERSION = "1.0"
+
+    def __new__(cls, *args: object, **kwargs: object) -> "Application":
+        # Everything this build makes is born in an epoch of its own: the
+        # one this app's snapshot owns (:mod:`repro.uia.writes`).
+        writes.open_epoch()
+        return super().__new__(cls)
 
     def __init__(self, desktop: Optional[Desktop] = None) -> None:
         self.desktop = desktop or Desktop()
@@ -62,9 +69,10 @@ class Application(Marked):
     # state snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> AppSnapshot:
-        """Record the state of everything reachable from this application:
-        its desktop and windows, every control and pattern, the document
-        model and the closures of the controls' callbacks."""
+        """Start saving what this application's build made (its desktop and
+        windows, every control and pattern, the document model) before each
+        first write, so :meth:`restore` can put it back.  An application
+        has at most one live snapshot: a second raises :class:`ValueError`."""
         return AppSnapshot(self)
 
     def restore(self, snapshot: AppSnapshot) -> None:
@@ -80,10 +88,10 @@ class Application(Marked):
     # ------------------------------------------------------------------
     def open_dialog(self, dialog: Dialog) -> Dialog:
         """Open a modal dialog owned by this application."""
+        save(dialog)
+        save(dialog, dialog.properties)
         dialog.application = self
         dialog.properties["app_name"] = self.APP_NAME
-        mark(dialog.__dict__)
-        mark(dialog.properties)
         self.desktop.open_window(dialog, process_id=self.process_id)
         return dialog
 
@@ -102,8 +110,8 @@ class Application(Marked):
     # shortcuts
     # ------------------------------------------------------------------
     def register_shortcut(self, combination: str, callback: Callable[[], None]) -> None:
+        save(self, self._shortcuts)
         self._shortcuts[str(Shortcut.parse(combination))] = callback
-        mark(self._shortcuts)
 
     def handle_shortcut(self, shortcut: Shortcut) -> bool:
         """Dispatch a keyboard shortcut; returns True if it was handled."""
@@ -118,8 +126,8 @@ class Application(Marked):
     # ------------------------------------------------------------------
     def register_context(self, name: str, setup: Callable[[], None]) -> None:
         """Register a ripping context, e.g. 'image selected' for PowerPoint."""
+        save(self, self._contexts)
         self._contexts[name] = setup
-        mark(self._contexts)
 
     def exploration_contexts(self) -> Dict[str, Callable[[], None]]:
         """Contexts the ripper should explore in addition to the default one."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.uia.writes import Marked, mark
+from repro.uia.writes import Marked, save
 
 
 @dataclass
@@ -85,18 +85,21 @@ class Document(Marked):
     # ------------------------------------------------------------------
     def add_paragraph(self, text: str, fmt: Optional[TextFormat] = None) -> Paragraph:
         paragraph = Paragraph(text=text, format=fmt or TextFormat())
+        save(self, self.paragraphs)
         self.paragraphs.append(paragraph)
         self.saved = False
         return paragraph
 
     def insert_paragraph(self, index: int, text: str, fmt: Optional[TextFormat] = None) -> Paragraph:
         paragraph = Paragraph(text=text, format=fmt or TextFormat())
+        save(self, self.paragraphs)
         self.paragraphs.insert(index, paragraph)
         self.saved = False
         return paragraph
 
     def delete_paragraph(self, index: int) -> Paragraph:
         self.saved = False
+        save(self, self.paragraphs)
         removed = self.paragraphs.pop(index)
         if self.selection is not None:
             self.selection = None
@@ -242,8 +245,8 @@ class Document(Marked):
         for edge, value in edges.items():
             if edge not in self.margins:
                 raise ValueError(f"unknown margin edge {edge!r}")
+            save(self, self.margins)
             self.margins[edge] = float(value)
-            mark(self.margins)
         self.saved = False
 
     def set_zoom(self, percent: float) -> None:

@@ -44,6 +44,7 @@ from repro.gui.widgets import (
     StatusBar,
     TextLabel,
 )
+from repro.uia.writes import save
 
 #: Number formats offered by the Number group combo box.
 NUMBER_FORMATS = ("General", "Number", "Currency", "Accounting", "Percentage",
@@ -548,10 +549,12 @@ class ExcelApp(Application):
         self._refresh_grid()
 
     def _hide_selected_columns(self) -> None:
+        save(self.sheet, self.sheet.hidden_columns)
         for _row, column in self.sheet.selection:
             self.sheet.hidden_columns.add(column)
 
     def _clear_conditional_formats(self) -> None:
+        save(self.sheet, self.sheet.conditional_formats)
         self.sheet.conditional_formats.clear()
 
     def _selection_reference(self) -> Optional[str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.uia.writes import Marked
+from repro.uia.writes import Marked, save
 
 
 @dataclass
@@ -92,6 +92,7 @@ class Slide(Marked):
         shape.z_order = len(self.shapes)
         if not shape.name:
             shape.name = f"{shape.shape_type.title().replace('_', ' ')} {len(self.shapes) + 1}"
+        save(self, self.shapes)
         self.shapes.append(shape)
         return shape
 
@@ -109,6 +110,7 @@ class Slide(Marked):
         return self.add_shape(shape)
 
     def remove_shape(self, shape: Shape) -> None:
+        save(self, self.shapes)
         self.shapes.remove(shape)
 
     def shape_named(self, name: str) -> Optional[Shape]:
@@ -160,6 +162,7 @@ class Presentation(Marked):
     def add_slide(self, layout: str = "Title and Content", title: str = "",
                   index: Optional[int] = None) -> Slide:
         slide = Slide(layout=layout, title=title)
+        save(self, self.slides)
         if index is None:
             self.slides.append(slide)
         else:
@@ -168,6 +171,7 @@ class Presentation(Marked):
         return slide
 
     def delete_slide(self, index: int) -> Slide:
+        save(self, self.slides)
         removed = self.slides.pop(index)
         self.active_index = min(self.active_index, len(self.slides) - 1)
         self.saved = False
@@ -185,6 +189,7 @@ class Presentation(Marked):
                 format=ShapeFormat(**vars(shape.format)),
             ))
         copy.background = Background(**vars(original.background))
+        save(self, self.slides)
         self.slides.insert(index + 1, copy)
         self.saved = False
         return copy

@@ -60,7 +60,7 @@ from repro.gui.ribbon import (
 )
 from repro.gui.widgets import Button
 from repro.spec import FailureCause, Intent, IntentKind, TaskSpec
-from repro.uia.writes import Marked, mark
+from repro.uia.writes import Marked, save
 
 #: App-name prefix the rest of the stack dispatches on (``app_factory``,
 #: ``TaskSpec`` validation, the artifact cache).
@@ -325,8 +325,8 @@ class SyntheticState(Marked):
 
     def set(self, table: Dict[str, object], key: str, value: object) -> None:
         """Write ``key`` of one of the state's tables (``self.toggles``, ...)."""
+        save(self, table)
         table[key] = value
-        mark(table)
 
     def snapshot(self) -> Dict[str, object]:
         """A JSON-comparable dump (used by determinism tests)."""

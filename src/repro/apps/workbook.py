@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.uia.writes import Marked, mark
+from repro.uia.writes import Marked, save
 
 _A1_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 
@@ -178,8 +178,8 @@ class Worksheet(Marked):
             raise IndexError(f"cell ({row}, {column}) outside sheet bounds")
         key = (row, column)
         if key not in self._cells:
+            save(self, self._cells)
             self._cells[key] = Cell()
-            mark(self._cells)
         return self._cells[key]
 
     def set_value(self, reference: str, value: object) -> Cell:
@@ -283,6 +283,7 @@ class Worksheet(Marked):
         return count
 
     def add_conditional_format(self, rule: ConditionalFormatRule) -> None:
+        save(self, self.conditional_formats)
         self.conditional_formats.append(rule)
 
     def conditional_fill_for(self, reference: str) -> Optional[str]:
@@ -309,8 +310,8 @@ class Worksheet(Marked):
                 self.cell_at(r_index, c_index).value = value
 
     def set_filter(self, column: int, criterion: str) -> None:
+        save(self, self.filters)
         self.filters[column] = criterion
-        mark(self.filters)
 
     def freeze_panes(self, rows: int, columns: int = 0) -> None:
         self.frozen_rows = rows
@@ -318,22 +319,24 @@ class Worksheet(Marked):
 
     def insert_chart(self, chart_type: str, data_range: str, title: str = "") -> Chart:
         chart = Chart(chart_type=chart_type, data_range=data_range, title=title)
+        save(self, self.charts)
         self.charts.append(chart)
         return chart
 
     def hide_column(self, letters: str) -> None:
+        save(self, self.hidden_columns)
         self.hidden_columns.add(column_letter_to_index(letters))
 
     def set_column_width(self, letters: str, width: float) -> None:
         self.set_column_width_at(column_letter_to_index(letters), width)
 
     def set_column_width_at(self, column: int, width: float) -> None:
+        save(self, self.column_widths)
         self.column_widths[column] = width
-        mark(self.column_widths)
 
     def set_row_height(self, row: int, height: float) -> None:
+        save(self, self.row_heights)
         self.row_heights[row] = height
-        mark(self.row_heights)
 
 
 class Workbook(Marked):
@@ -361,6 +364,7 @@ class Workbook(Marked):
         if any(s.name == name for s in self.sheets):
             raise ValueError(f"worksheet {name!r} already exists")
         sheet = Worksheet(name)
+        save(self, self.sheets)
         self.sheets.append(sheet)
         self.saved = False
         return sheet

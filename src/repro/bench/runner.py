@@ -52,7 +52,6 @@ from repro.dmi.cache import ArtifactCache
 from repro.dmi.interface import DMI, DMIConfig, OfflineArtifacts, build_offline_artifacts
 from repro.llm.profiles import GPT5_MEDIUM, GPT5_MINI, GPT5_MINIMAL, ModelProfile
 from repro.spec import TaskSpec
-from repro.uia import writes
 
 #: The canonical benchmark seed.  The paper's protocol fixes one seed for the
 #: whole evaluation; 11 is used everywhere (library default, CLI default and
@@ -156,16 +155,15 @@ class BenchmarkRunner:
     def offline_artifacts(self, app_name: str) -> OfflineArtifacts:
         """Build (or load from cache) the offline model for one application.
 
-        A build rips a scratch instance that no snapshot recorded, so its
-        writes go unmarked (:func:`repro.uia.writes.unmarked`)."""
+        A build rips a scratch instance, born in an epoch no snapshot owns,
+        so its writes save nothing (:mod:`repro.uia.writes`)."""
         if app_name not in self._artifacts:
-            with writes.unmarked():
-                if self.cache is not None:
-                    self._artifacts[app_name] = self.cache.load_or_build(app_name)
-                else:
-                    scratch = app_factory(app_name)()
-                    self._artifacts[app_name] = build_offline_artifacts(
-                        scratch, self.config.dmi)
+            if self.cache is not None:
+                self._artifacts[app_name] = self.cache.load_or_build(app_name)
+            else:
+                scratch = app_factory(app_name)()
+                self._artifacts[app_name] = build_offline_artifacts(
+                    scratch, self.config.dmi)
         return self._artifacts[app_name]
 
     def _restored_app(self, app_name: str) -> Application:
@@ -174,13 +172,10 @@ class BenchmarkRunner:
         The first call builds the application and snapshots it; every call
         restores that snapshot in place, so a trial starts from the state a
         fresh build would have even if the previous trial raised midway.
-        A build writes only the new app's objects, on its own desktop, so
-        its writes go unmarked.
         """
         entry = self._apps.get(app_name)
         if entry is None:
-            with writes.unmarked():
-                app = app_factory(app_name)()
+            app = app_factory(app_name)()
             entry = self._apps[app_name] = (app, app.snapshot())
         app, as_built = entry
         app.restore(as_built)

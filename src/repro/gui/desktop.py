@@ -14,7 +14,8 @@ from repro.gui.screen import ScreenLayout, ScreenView
 from repro.gui.widgets import Window
 from repro.uia.element import UIElement
 from repro.uia.events import EventBus, EventKind
-from repro.uia.writes import Marked, mark
+from repro.uia import writes
+from repro.uia.writes import Marked
 
 _process_id_counter = itertools.count(1000)
 
@@ -57,10 +58,12 @@ class Desktop(Marked):
     # ------------------------------------------------------------------
     def open_window(self, window: Window, process_id: Optional[int] = None) -> Window:
         """Add ``window`` to the desktop on top of the z-order."""
+        if writes.log is not None:
+            writes.save(window)
+            writes.save(self, self.windows)
         window.desktop = self
         if process_id is not None:
             window.process_id = process_id
-        mark(window.__dict__)
         self.windows.append(window)
         self.events.emit_kind(EventKind.WINDOW_OPENED, source=window)
         self.relayout()
@@ -69,6 +72,8 @@ class Desktop(Marked):
     def notify_window_closed(self, window: Window) -> None:
         """Called by :class:`Window` when its WindowPattern closes."""
         if window in self.windows:
+            if writes.log is not None:
+                writes.save(self, self.windows)
             self.windows.remove(window)
         if self.focus is not None and self.focus.root() is window:
             self.focus = None

@@ -17,6 +17,7 @@ from repro.gui.widgets import Edit, ScrollBarControl, Widget
 from repro.uia.element import UIElement
 from repro.uia.events import EventKind
 from repro.uia.patterns import PatternId
+from repro.uia import writes
 from repro.uia.writes import Marked
 
 
@@ -168,6 +169,8 @@ class InputSimulator(Marked):
 
     # ------------------------------------------------------------------
     def _record(self, kind: str, target: Optional[UIElement], **detail) -> None:
+        if writes.log is not None:
+            writes.save(self, self.log)
         self.log.append(
             InputLogEntry(kind=kind, target=target.name if target is not None else None,
                           detail=dict(detail))

@@ -86,7 +86,7 @@ class ScreenLayout(writes.Marked):
     and layout stamp (see :mod:`repro.uia.element`) at its last layout and
     lays out again only the windows where one of the three changed.  The
     records are per instance: a new ``ScreenLayout`` lays out every window.
-    Every rectangle the tiling writes marks its element's dict
+    Every rectangle the tiling writes saves its element's dict first
     (:mod:`repro.uia.writes`).
     """
 
@@ -144,11 +144,12 @@ class ScreenLayout(writes.Marked):
         visible children inside its rectangle; return the on-screen
         controls in the pre-order the tiling visits them in.  A control
         whose rectangle keeps its place and size keeps its rectangle: only
-        a moved one is written, and marked (:mod:`repro.uia.writes`)."""
-        moved = []
+        a moved one is saved (:mod:`repro.uia.writes`) and written."""
+        log = writes.log
         if window.rect != rect:
+            if log is not None:
+                writes.save(window)
             window.rect = rect
-            moved.append(window)
         elements = []
         # A hidden window shows nothing; its controls keep their rectangles.
         stack = [(window, 0)] if window.visible else []
@@ -176,13 +177,11 @@ class ScreenLayout(writes.Marked):
             for child, place in zip(visible_children, places):
                 old = child.rect
                 if (old.left, old.top, old.width, old.height) != place:
+                    if log is not None:
+                        writes.save(child)
                     child.rect = BoundingRect(*place)
-                    moved.append(child)
             depth += 1
             stack.extend([(child, depth) for child in reversed(visible_children)])
-        log = writes.log
-        if log is not None:
-            log.update([id(element.__dict__) for element in moved])
         return elements
 
     @staticmethod

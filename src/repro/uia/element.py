@@ -35,18 +35,19 @@ recorded stamps.  It is not application state: a restore
 state it restores, along with that state, so an entry recorded at those
 stamps is valid again.
 
-**Write marks.**  A restore rewrites only the dicts the write log
-(:mod:`repro.uia.writes`) marked, so every element write that can happen
-after an app is built marks the element's ``__dict__`` (or, for a pattern
-added later, its ``patterns``) while a snapshot is armed: the stamped
-writes above and the stamp each of them leaves on the ancestors, the
-``parent`` writes of :meth:`UIElement.add_child` and
-:meth:`UIElement.remove_child`, ``text`` (a set-only marking descriptor),
-and the ``rect`` the layout's tiling writes.  The class has no
-``__setattr__`` hook: an app build makes tens of thousands of other
-attribute writes, each of which it would slow down.  The constructor
-writes straight into the new element's dict, which no snapshot recorded.
-With no snapshot armed a seam costs one ``is None`` check.
+**Saved before written.**  A restore puts back only the containers
+saved by the write log (:mod:`repro.uia.writes`), so every element write
+that can happen after an app is built first saves the element's
+``__dict__`` (or its ``children`` or ``patterns``) while a snapshot is
+armed: the stamped writes above and the stamp each of them leaves on the
+ancestors, the ``parent`` and ``children`` writes of
+:meth:`UIElement.add_child` and :meth:`UIElement.remove_child`, ``text`` (a
+set-only marking descriptor), :meth:`UIElement.add_pattern`, and the
+``rect`` the layout's tiling writes.  The class has no ``__setattr__``
+hook: an app build makes tens of thousands of other attribute writes, each
+of which it would slow down.  The constructor writes straight into the new
+element's dict, which no snapshot has saved.  With no snapshot armed a
+seam costs one ``is None`` check.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def _touch(element: Optional["UIElement"]) -> None:
     stamp = _stamp
     log = writes.log
     while element is not None and element.layout_stamp != stamp:
-        element.layout_stamp = stamp
         if log is not None:
-            log.add(id(element.__dict__))
+            writes.save(element)
+        element.layout_stamp = stamp
         element = element.parent
 
 
@@ -113,7 +114,7 @@ class _Stamped:
     """``visible``, ``name`` and ``automation_id``: set-only data descriptors.
 
     A read is a plain instance-dict lookup; a write that changes the value
-    stamps and marks the element (see the module docstring).
+    saves and stamps the element (see the module docstring).
     """
 
     def __set_name__(self, owner: type, attribute: str) -> None:
@@ -122,10 +123,9 @@ class _Stamped:
     def __set__(self, element: "UIElement", value: object) -> None:
         values = element.__dict__
         if values.get(self.attribute) != value:
+            if writes.log is not None:
+                writes.save(element)
             values[self.attribute] = value
-            log = writes.log
-            if log is not None:
-                log.add(id(values))
             _touch(element)
 
 
@@ -167,7 +167,7 @@ class BoundingRect:
         )
 
 
-class UIElement:
+class UIElement(writes.Born):
     """A node in the accessibility tree.
 
     Parameters
@@ -203,8 +203,9 @@ class UIElement:
         visible: bool = True,
         rect: Optional[BoundingRect] = None,
     ) -> None:
-        # Straight into the dict: no snapshot has recorded a new element,
-        # and it has no parent to stamp, only itself.
+        self._born = writes.epoch
+        # Straight into the dict: no snapshot has saved a new element, and
+        # it has no parent to stamp, only itself.
         values = self.__dict__
         values["name"] = name
         values["automation_id"] = automation_id
@@ -230,10 +231,10 @@ class UIElement:
         """Attach ``child`` to this element and return it."""
         if child.parent is not None:
             child.parent.remove_child(child)
+        if writes.log is not None:
+            writes.save(child)
+            writes.save(self, self.children)
         child.parent = self
-        log = writes.log
-        if log is not None:
-            log.add(id(child.__dict__))
         if index is None:
             self.children.append(child)
         else:
@@ -248,11 +249,11 @@ class UIElement:
 
     def remove_child(self, child: "UIElement") -> None:
         if child in self.children:
+            if writes.log is not None:
+                writes.save(self, self.children)
+                writes.save(child)
             self.children.remove(child)
             child.parent = None
-            log = writes.log
-            if log is not None:
-                log.add(id(child.__dict__))
             _touch(self)
 
     def clear_children(self) -> None:
@@ -297,10 +298,9 @@ class UIElement:
     # ------------------------------------------------------------------
     def add_pattern(self, pattern: UIAPattern) -> UIAPattern:
         """Register a pattern instance on this element and return it."""
+        if writes.log is not None:
+            writes.save(self, self.patterns)
         self.patterns[pattern.pattern_id] = pattern
-        log = writes.log
-        if log is not None:
-            log.add(id(self.patterns))
         return pattern
 
     def get_pattern(self, pattern_id: PatternId) -> Optional[UIAPattern]:

@@ -41,13 +41,14 @@ class UIAEvent:
 Handler = Callable[[UIAEvent], None]
 
 
-class EventBus:
+class EventBus(writes.Marked):
     """A simple synchronous event bus.
 
     Handlers may subscribe to a specific :class:`EventKind` or to all events
     (``kind=None``).  Events are also recorded in :attr:`history` so tests and
     the ripper can inspect what happened during an interaction without
-    registering handlers up front.
+    registering handlers up front.  Every write to the handlers or the
+    history saves it first (:mod:`repro.uia.writes`).
     """
 
     def __init__(self, history_limit: int = 10000) -> None:
@@ -57,18 +58,23 @@ class EventBus:
 
     def subscribe(self, handler: Handler, kind: Optional[EventKind] = None) -> Callable[[], None]:
         """Register ``handler`` and return a callable that unsubscribes it."""
-        self._handlers.setdefault(kind, []).append(handler)
-        writes.mark(self._handlers)
+        writes.save(self, self._handlers)
+        handlers = self._handlers.setdefault(kind, [])
+        writes.save(self, handlers)
+        handlers.append(handler)
 
         def unsubscribe() -> None:
             handlers = self._handlers.get(kind, [])
             if handler in handlers:
+                writes.save(self, handlers)
                 handlers.remove(handler)
 
         return unsubscribe
 
     def emit(self, event: UIAEvent) -> None:
         """Dispatch ``event`` to all matching handlers and record it."""
+        if writes.log is not None:
+            writes.save(self, self.history)
         self.history.append(event)
         if len(self.history) > self._history_limit:
             del self.history[: len(self.history) - self._history_limit]
@@ -88,4 +94,5 @@ class EventBus:
         return [e for e in self.history if e.kind == kind]
 
     def clear_history(self) -> None:
+        writes.save(self, self.history)
         self.history.clear()

@@ -85,8 +85,8 @@ class _Journaled:
     """A set-only data descriptor for a journaled pattern attribute.
 
     It defines ``__set__`` but no ``__get__``, so a read is a plain
-    instance-dict lookup; only a write pays for the journal and the write
-    mark (:mod:`repro.uia.writes`).
+    instance-dict lookup; only a write pays for the journal and the save
+    before it (:mod:`repro.uia.writes`).
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -96,16 +96,15 @@ class _Journaled:
         values = pattern.__dict__
         old = values.get(self.name)
         if old != value:
+            if writes.log is not None:
+                writes.save(pattern)
             values[self.name] = value
-            log = writes.log
-            if log is not None:
-                log.add(id(values))
             entries = _armed.entries
             if entries is not None:
                 entries.append((pattern, old))
 
 
-class UIAPattern:
+class UIAPattern(writes.Born):
     """Base class for all control patterns.
 
     Parameters
@@ -117,6 +116,7 @@ class UIAPattern:
     pattern_id: PatternId
 
     def __init__(self, element: "UIElement") -> None:
+        self._born = writes.epoch
         self.element = element
 
     def _require_enabled(self) -> None:

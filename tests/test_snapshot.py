@@ -4,17 +4,20 @@
 reproduce a fresh build's ``observe`` after any interaction, in place (the
 main window and the model stay the same objects), and the benchmark runner
 must build each app once and still give every trial a fresh build's
-starting state.  A restore rewrites only the dicts the write log marked,
-so after every restore the drift oracle (``tests/snapshot_drift.py``)
-checks every recorded container too.
+starting state.  A restore rewrites only the containers their seams saved
+before the first write, so every snapshot taken here also records, by the
+drift oracle's walk (``tests/snapshot_drift.py``), everything its app
+reaches, and after every restore the oracle checks each of them.
 """
 
 from __future__ import annotations
 
+import ast
 import collections
 import gc
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +38,12 @@ from repro.bench.telemetry import EventSink, TrialFinished, use_sink
 from repro.dmi.cache import ArtifactCache
 from repro.dmi.interface import DMIConfig
 from repro.gui.widgets import Button
+from repro.uia.patterns import LegacyAccessiblePattern
+from repro.uia.writes import Marked, MarkedAttribute
 
-from snapshot_drift import drift
+from snapshot_drift import drift, record, recording
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 RESTORE_APPS = ["word", "excel", "powerpoint",
                 SyntheticSpec(seed=3).app_name, SyntheticSpec(seed=8).app_name]
@@ -54,6 +61,13 @@ def _click_nth(app, pick: int) -> None:
         app.input.click(controls[pick % len(controls)])
     except Exception:
         pass  # a click that fails half-way is part of what a restore undoes
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _recording():
+    """Every snapshot this module takes carries the oracle's record."""
+    with recording():
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +114,39 @@ def test_observe_sees_a_dialog_and_an_edit_and_restore_undoes_both(observe):
     assert app.desktop.open_windows(app.process_id) == [app.window]
 
 
-def test_restore_rebinds_closure_variables_and_refills_sets(mini_app):
-    clicks = 0
-    seen = {0}
+def test_restore_refills_sets():
+    excel = app_factory("excel")()
+    sheet = excel.workbook.active_sheet
+    hidden = sheet.hidden_columns
+    snapshot = excel.snapshot()
+    sheet.hide_column("C")
+    assert hidden == {2}
+    excel.restore(snapshot)
+    assert sheet.hidden_columns is hidden and hidden == set()
+    assert drift(snapshot) == []
 
-    def count():
-        nonlocal clicks
-        clicks += 1
-        seen.add(clicks)
 
-    button = mini_app.window.add_child(Button("Count", on_click=count))
-    snapshot = mini_app.snapshot()
-    mini_app.input.click(button)
-    assert (clicks, seen) == (1, {0, 1})
-    mini_app.restore(snapshot)
-    assert (clicks, seen) == (0, {0})
+def test_no_code_in_src_rebinds_a_closure_cell():
+    """A restore leaves closure cells alone, which holds only while no
+    code rebinds one: no ``nonlocal``, no ``cell_contents`` write."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Nonlocal):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}: nonlocal")
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            found.extend(f"{path.relative_to(SRC)}:{node.lineno}: cell_contents"
+                         for target in targets
+                         if isinstance(target, ast.Attribute)
+                         and target.attr == "cell_contents")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "setattr" and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant) \
+                    and node.args[1].value == "cell_contents":
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}: cell_contents")
+    assert found == []
 
 
 def test_restores_interleaved_across_two_apps_lose_no_write(observe):
@@ -135,26 +167,108 @@ def test_restores_interleaved_across_two_apps_lose_no_write(observe):
     assert drift(excel_snapshot) == [] and observe(excel) == fresh_excel
 
 
-def test_two_snapshots_of_one_app_each_see_the_others_restores(observe):
-    """A restore's own rewrites count as writes for every other snapshot
-    that recorded the same dicts."""
+def test_a_second_live_snapshot_of_one_app_raises(observe):
+    """An app has one live snapshot; once it is dropped, a new one records
+    the state of that moment."""
     app = app_factory("word")()
-    as_built = app.snapshot()
-    fresh = observe(app)
+    first = app.snapshot()
+    with pytest.raises(ValueError, match="live snapshot"):
+        app.snapshot()
     app.input.click(app.window.find(name="Layout", control_type="TabItem"))
     app.document.set_margins(top=1.0)
+    del first
+    gc.collect()
     edited = app.snapshot()
     changed = observe(app)
-    for snapshot, expected in ((as_built, fresh), (edited, changed), (as_built, fresh)):
-        app.restore(snapshot)
-        assert drift(snapshot) == [] and observe(app) == expected
+    app.document.set_margins(top=2.0)
+    app.restore(edited)
+    assert drift(edited) == [] and observe(app) == changed
+
+
+def _hide_column_b(app):
+    app.workbook.active_sheet.selection = [(0, 1)]
+    app.input.click(app.window.find(automation_id="Excel.Home.FormatMenu.HideColumns"))
+
+
+def _remove_first_shape(app):
+    slide = app.presentation.active_slide
+    slide.remove_shape(slide.shapes[0])
+
+
+#: Writes through seams that no click of the default grid or the random
+#: clicks above reaches, one per case.
+SEAM_WRITES = {
+    "word": {
+        "insert-paragraph": lambda app: app.document.insert_paragraph(0, "x"),
+        "delete-paragraph": lambda app: app.document.delete_paragraph(0),
+        "register-shortcut": lambda app: app.register_shortcut("ctrl+alt+q", print),
+        "register-context": lambda app: app.register_context("extra", print),
+        "add-child": lambda app: app.window.add_child(Button("Extra")),
+        "add-pattern": lambda app: app.window.add_pattern(
+            LegacyAccessiblePattern(app.window, description="extra")),
+        "subscribe": lambda app: app.desktop.events.subscribe(print),
+        "clear-history": lambda app: app.desktop.events.clear_history(),
+        "close-main-window": lambda app: app.window.close(),
+    },
+    "excel": {
+        "add-sheet": lambda app: app.workbook.add_sheet("Extra"),
+        "new-cell": lambda app: app.workbook.active_sheet.cell_at(90, 20),
+        "column-width": lambda app: app.workbook.active_sheet.set_column_width_at(3, 20.0),
+        "row-height": lambda app: app.workbook.active_sheet.set_row_height(3, 30.0),
+        "hide-column": _hide_column_b,
+    },
+    "powerpoint": {"remove-shape": _remove_first_shape,
+                   "duplicate-slide": lambda app: app.presentation.duplicate_slide(0)},
+}
+
+
+@pytest.mark.parametrize("name, write", [
+    (name, write) for name, writes in SEAM_WRITES.items() for write in writes])
+def test_a_write_through_each_seam_is_restored(observe, as_built, name, write):
+    app, snapshot, fresh = as_built(name)
+    SEAM_WRITES[name][write](app)
+    app.restore(snapshot)
+    assert drift(snapshot) == []
+    assert observe(app) == fresh
 
 
 def test_snapshot_refuses_state_it_cannot_see():
     app = app_factory(SyntheticSpec(seed=3).app_name)()
     app.window.properties["recent"] = collections.deque()
     with pytest.raises(TypeError, match="deque"):
-        app.snapshot()
+        record(app)
+
+
+def _no_save(owner, container=None):
+    pass
+
+
+def _unsaved_attribute(descriptor, instance, value):
+    instance.__dict__[descriptor.name] = value
+
+
+@pytest.mark.parametrize("seam, target, named", [
+    # The descriptor: InvokePattern.invoke_count.
+    ((MarkedAttribute, "__set__", _unsaved_attribute),
+     "Word.Home.Bold", "InvokePattern: ['invoke_count']"),
+    # The Marked base: the desktop's focus.
+    ((Marked, "__setattr__", object.__setattr__),
+     "Word.Home.Bold", "Desktop: ['focus']"),
+    # A plain-dict save: the margins a Margins menu choice writes.
+    (("repro.apps.document.save", _no_save), "Word.Layout.Margins.Narrow",
+     "Document.margins"),
+    # A list seam: the paragraph a Date & Time click appends.
+    (("repro.apps.document.save", _no_save), "Word.Insert.DateTime",
+     "Document.paragraphs"),
+], ids=["descriptor", "marked-base", "plain-dict", "list"])
+def test_the_oracle_names_a_write_that_skipped_its_seam(monkeypatch, seam, target, named):
+    app = app_factory("word")()
+    snapshot = app.snapshot()
+    monkeypatch.setattr(*seam)
+    app.input.click(app.window.find(automation_id=target))
+    app.restore(snapshot)
+    monkeypatch.undo()
+    assert any(line.startswith(named) for line in drift(snapshot)), drift(snapshot)
 
 
 def test_restore_refuses_another_apps_snapshot():
@@ -220,10 +334,10 @@ def test_one_runner_builds_each_app_once_over_the_default_grid(monkeypatch, obse
     assert checked == {"word": 27, "excel": 27, "powerpoint": 27}
 
 
-def test_a_default_grid_restore_rewrites_only_the_dicts_its_trial_wrote(monkeypatch,
-                                                                       warm_cache):
-    """Each app records thousands of dicts; a trial writes a few dozen,
-    and the restore after it rewrites only those."""
+def test_a_default_grid_restore_rewrites_only_the_containers_its_trial_wrote(
+        monkeypatch, warm_cache):
+    """Each app reaches thousands of containers; a trial writes a few
+    dozen, and the restore after it rewrites only those."""
     rewritten = []
     restore = AppSnapshot.restore
 
@@ -234,8 +348,8 @@ def test_a_default_grid_restore_rewrites_only_the_dicts_its_trial_wrote(monkeypa
     monkeypatch.setattr(AppSnapshot, "restore", counting)
     runner = BenchmarkRunner(BenchmarkConfig(trials=1, seed=11, cache_dir=warm_cache))
     runner.run_settings([setting_by_key(key) for key in CORE_SETTING_KEYS])
-    recorded = min(len(snapshot._dicts) for _, snapshot in runner._apps.values())
-    assert len(rewritten) == 81 and recorded > 2000
+    reached = min(len(record(app)) for app, _ in runner._apps.values())
+    assert len(rewritten) == 81 and reached > 2000
     assert sum(rewritten) / len(rewritten) <= 300
 
 
